@@ -13,11 +13,8 @@ import sys
 from . import families, harness
 from .families import InvalidParameter, NoKnownWitness, parse_family_spec
 from .graph import (
-    DuplicateEdge,
     Graph,
     GraphError,
-    LoopEdge,
-    VertexOutOfRange,
     all_pairs_distances,
     build_graph,
     diameter,
@@ -52,7 +49,8 @@ def parse_edge_list(text: str) -> Graph:
     other data line is "u v".
     """
     n: int | None = None
-    edges: list[tuple[int, int, int]] = []
+    edges: list[tuple[int, int]] = []
+    linenos: list[int] = []
     saw_data = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -75,25 +73,16 @@ def parse_edge_list(text: str) -> Graph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(f"line {lineno}: non-integer vertex id in {line!r}") from None
-        edges.append((lineno, u, v))
+        edges.append((u, v))
+        linenos.append(lineno)
 
     if n is None:
-        n = 1 + max((max(u, v) for _, u, v in edges), default=-1)
-    # validate edge by edge so errors carry their line number
-    seen: set[tuple[int, int]] = set()
-    for lineno, u, v in edges:
-        try:
-            if not (0 <= u < n and 0 <= v < n):
-                raise VertexOutOfRange(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
-            if u == v:
-                raise LoopEdge(f"edge ({u}, {v}) is a self-loop")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise DuplicateEdge(f"edge ({u}, {v}) listed twice")
-            seen.add(key)
-        except GraphError as exc:
-            raise type(exc)(f"line {lineno}: {exc}") from None
-    return build_graph(n, [(u, v) for _, u, v in edges])
+        n = 1 + max((max(e) for e in edges), default=-1)
+    try:
+        return build_graph(n, edges)
+    except GraphError as exc:
+        # n is non-negative here, so build_graph only rejects single edges
+        raise type(exc)(f"line {linenos[exc.edge_index]}: {exc}") from None
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:

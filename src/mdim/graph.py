@@ -14,7 +14,13 @@ from dataclasses import dataclass, field
 
 
 class GraphError(ValueError):
-    """Base class for invalid graph input."""
+    """Base class for invalid graph input.
+
+    ``edge_index`` is the position of the offending edge in the list given
+    to build_graph, or None when no single edge is at fault.
+    """
+
+    edge_index: int | None = None
 
 
 class LoopEdge(GraphError):
@@ -114,20 +120,25 @@ def build_graph(n: int, edges: list[tuple[int, int]]) -> Graph:
     """Build a validated Graph from unordered vertex-id pairs.
 
     Raises LoopEdge, DuplicateEdge or VertexOutOfRange naming the
-    offending edge.  Adjacency lists come out sorted ascending.
+    offending edge, with its list position as ``edge_index``.  Adjacency
+    lists come out sorted ascending.
     """
     if n < 0:
         raise GraphError(f"vertex count must be non-negative, got {n}")
     adjacency: list[list[int]] = [[] for _ in range(n)]
     seen: set[tuple[int, int]] = set()
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise VertexOutOfRange(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
-        if u == v:
-            raise LoopEdge(f"edge ({u}, {v}) is a self-loop")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise DuplicateEdge(f"edge ({u}, {v}) listed twice")
+    for i, (u, v) in enumerate(edges):
+        try:
+            if not (0 <= u < n and 0 <= v < n):
+                raise VertexOutOfRange(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
+            if u == v:
+                raise LoopEdge(f"edge ({u}, {v}) is a self-loop")
+            key = (u, v) if u < v else (v, u)
+            if key in seen:
+                raise DuplicateEdge(f"edge ({u}, {v}) listed twice")
+        except GraphError as exc:
+            exc.edge_index = i
+            raise
         seen.add(key)
         adjacency[u].append(v)
         adjacency[v].append(u)

@@ -23,6 +23,7 @@ from .resolving import (
     CertificateKind,
     Multiset,
     detect_infinite,
+    least_resolving_set,
     order_diameter_lower_bound,
     representation,
 )
@@ -33,7 +34,8 @@ from .search import (
     SearchConfig,
     _dim_search,
     _md_search,
-    _resolves,
+    brute_force_md,
+    compute_md,
     verify_witness,
 )
 
@@ -271,16 +273,6 @@ def _mask_connected(n: int, mask: int, pairs: list[tuple[int, int]]) -> bool:
     return seen == (1 << n) - 1
 
 
-def _confirm_no_resolving_set(dm) -> bool:
-    """Unpruned exhaustion: True iff no subset of any size resolves."""
-    d, n = dm.d, dm.n
-    for k in range(1, n + 1):
-        for w in combinations(range(n), k):
-            if _resolves(d, n, w):
-                return False
-    return True
-
-
 def _scan_mask_range(args) -> dict:
     """Solve and claim-check every connected graph in [lo, hi); top-level
     so the scan can run the mask space across a process pool."""
@@ -302,14 +294,15 @@ def _scan_mask_range(args) -> dict:
         edges = mask_to_edges(mask, pairs)
         g = build_graph(n, list(edges))
         dm = all_pairs_distances(g)
-        connected += 1
-        if diameter(dm) <= 2:
-            diam2 += 1
-
-        md = _md_search(g, dm, cfg)
-        dim_value, _ = _dim_search(dm, cfg)
+        diam = diameter(dm)
         tp = twin_partition(g)
         mr = major_vertex_report(g, dm)
+        connected += 1
+        if diam <= 2:
+            diam2 += 1
+
+        md = _md_search(g, dm, tp, mr, cfg)
+        dim_value, _ = _dim_search(dm, cfg)
 
         def flag(claim: str) -> None:
             violations.append((claim, edges))
@@ -322,7 +315,7 @@ def _scan_mask_range(args) -> dict:
                 flag("path-characterization")
             if md.value < dim_value:
                 flag("md-ge-dim")
-            if md.value < order_diameter_lower_bound(n, max(diameter(dm), 1)):
+            if md.value < order_diameter_lower_bound(n, max(diam, 1)):
                 flag("order-diameter-bound")
             for cls in tp.pair_classes:
                 if len(set(md.witness) & set(cls)) != 1:
@@ -337,7 +330,7 @@ def _scan_mask_range(args) -> dict:
             if md.certificate.kind is not CertificateKind.EXHAUSTIVE_SEARCH:
                 # detector soundness: the shortcut verdict must agree with
                 # full exhaustion
-                if not _confirm_no_resolving_set(dm):
+                if least_resolving_set(dm) is not None:
                     flag("detector-soundness")
         if dim_value < mr.sigma - mr.ex:
             flag("terminal-count-bound")
@@ -485,7 +478,7 @@ def _run_family_checks(cfg: SearchConfig) -> list[Check]:
     for spec in _SUITE_FAMILIES:
         g = families.generate(spec)
         expected = families.expected_md(spec)
-        outcome = _md_search(g, all_pairs_distances(g), cfg)
+        outcome = compute_md(g, cfg)
         checks.append(_family_md_check(spec, g, expected, outcome))
         checks.append(_family_witness_check(spec, g, expected))
     return [c for c in checks if c is not None]
@@ -555,43 +548,24 @@ def _family_witness_check(spec, g: Graph, expected: ExpectedMd) -> Check | None:
     )
 
 
+def _table_check(check_id: str, rows: list[TableRow]) -> Check:
+    """Pass when every row matches its closed form; otherwise a finding
+    listing each mismatching row."""
+    bad = table_mismatches(rows)
+    if not bad:
+        return Check(check_id, STATUS_PASS)
+    mismatches = [
+        {"vertex": r.vertex, "computed": list(r.computed), "closed_form": list(r.closed_form)}
+        for r in bad
+    ]
+    return Check(check_id, STATUS_FINDING, details={"mismatches": mismatches})
+
+
 def _run_table_checks() -> list[Check]:
-    checks = []
-    for n in range(6, 14):
-        bad = table_mismatches(cycle_table(n))
-        checks.append(
-            Check(
-                f"cycle-table:{n}",
-                STATUS_PASS if not bad else STATUS_FINDING,
-                details={}
-                if not bad
-                else {
-                    "mismatches": [
-                        {"vertex": r.vertex, "computed": list(r.computed),
-                         "closed_form": list(r.closed_form)}
-                        for r in bad
-                    ]
-                },
-            )
-        )
+    checks = [_table_check(f"cycle-table:{n}", cycle_table(n)) for n in range(6, 14)]
     for m in range(3, 6):
         for n in range(2, 6):
-            bad = table_mismatches(grid_table(m, n))
-            checks.append(
-                Check(
-                    f"grid-table:{m}x{n}",
-                    STATUS_PASS if not bad else STATUS_FINDING,
-                    details={}
-                    if not bad
-                    else {
-                        "mismatches": [
-                            {"vertex": r.vertex, "computed": list(r.computed),
-                             "closed_form": list(r.closed_form)}
-                            for r in bad
-                        ]
-                    },
-                )
-            )
+            checks.append(_table_check(f"grid-table:{m}x{n}", grid_table(m, n)))
     return checks
 
 
@@ -604,24 +578,15 @@ def spider_probe() -> Check:
     """
     spec = FamilySpec.subdivided_star(3, 2)
     g = families.generate(spec)
-    dm = all_pairs_distances(g)
-    outcome = None
-    for k in range(1, g.n + 1):
-        for w in combinations(range(g.n), k):
-            if _resolves(dm.d, g.n, w):
-                outcome = (k, w)
-                break
-        if outcome:
-            break
-    value = outcome[0] if outcome else "infinite"
+    w = least_resolving_set(all_pairs_distances(g))
     return Check(
         "spider-n3-discrepancy",
         STATUS_FINDING,
         graph=tuple(g.edges()),
         details={
             "claimed": 2,
-            "computed": value,
-            "witness": list(outcome[1]) if outcome else None,
+            "computed": len(w) if w else "infinite",
+            "witness": list(w) if w else None,
             "note": "claimed n-1 = 2 is impossible since no graph has "
             "multiset dimension 2; brute force gives the value above",
         },
@@ -630,14 +595,13 @@ def spider_probe() -> Check:
 
 def _detector_incompleteness_check(cfg: SearchConfig) -> Check:
     g = families.generate(FamilySpec.counterexample_tree())
-    dm = all_pairs_distances(g)
-    cert = detect_infinite(g, dm, twin_partition(g))
-    outcome = _md_search(g, dm, cfg)
+    cert = detect_infinite(g, all_pairs_distances(g), twin_partition(g))
+    outcome = compute_md(g, cfg)
     ok = (
         cert is None
         and outcome.is_infinite
         and outcome.certificate.kind is CertificateKind.EXHAUSTIVE_SEARCH
-        and _confirm_no_resolving_set(dm)
+        and brute_force_md(g).is_infinite
     )
     return Check(
         "detector-incompleteness",
@@ -653,7 +617,7 @@ def _detector_incompleteness_check(cfg: SearchConfig) -> Check:
 
 def _petersen_check(cfg: SearchConfig) -> Check:
     g = families.generate(FamilySpec.petersen())
-    outcome = _md_search(g, all_pairs_distances(g), cfg)
+    outcome = compute_md(g, cfg)
     ok = (
         outcome.is_infinite
         and outcome.certificate.kind is CertificateKind.DIAMETER_TWO_NON_PATH

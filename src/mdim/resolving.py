@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 from typing import Iterable
 
 from .graph import (
@@ -88,19 +89,48 @@ def representation(dm: DistanceMatrix, v: int, w: Iterable[int]) -> Multiset:
     return tuple(sorted(dm.d[v][x] for x in w))
 
 
-def first_multiset_collision(
-    dm: DistanceMatrix, w: tuple[int, ...]
-) -> tuple[int, int, Multiset] | None:
-    """First pair of vertices sharing a distance multiset w.r.t. w, or None."""
-    seen: dict[Multiset, int] = {}
-    d = dm.d
-    for v in range(dm.n):
-        row = d[v]
-        rep = tuple(sorted(row[x] for x in w))
+def first_collision(
+    d: tuple[tuple[int, ...], ...], w: tuple[int, ...], ordered: bool = False
+) -> tuple[int, int, tuple[int, ...]] | None:
+    """First pair of vertices u < v sharing a representation w.r.t. w, as
+    (u, v, shared representation), or None when w resolves.
+
+    The one resolve kernel behind every resolving check.  A representation
+    is the ascending distance multiset, or with ``ordered`` the distance
+    vector in the order of w.  ``d`` is the rows of a DistanceMatrix and w
+    holds valid vertex ids; callers check ids once, not per candidate.
+    """
+    seen: dict[tuple[int, ...], int] = {}
+    for v, row in enumerate(d):
+        rep = [row[x] for x in w]
+        if not ordered:
+            rep.sort()
+        rep = tuple(rep)
         prev = seen.get(rep)
         if prev is not None:
             return prev, v, rep
         seen[rep] = v
+    return None
+
+
+def least_resolving_set(
+    dm: DistanceMatrix, ordered: bool = False
+) -> tuple[int, ...] | None:
+    """Unpruned reference walk: the first resolving set over sizes 1..n
+    ascending and, within a size, lexicographic id tuples; None if no
+    subset resolves.
+
+    Multiset resolvability is not monotone under supersets, so only this
+    full walk certifies that no set exists; every pruned search and
+    infiniteness detector is cross-checked against it.  With ``ordered``
+    it finds the least metric-resolving set instead.  Cost is up to 2^n
+    kernel calls, so it is meant for small graphs.
+    """
+    d, n = dm.d, dm.n
+    for k in range(1, n + 1):
+        for w in combinations(range(n), k):
+            if first_collision(d, w, ordered) is None:
+                return w
     return None
 
 
@@ -112,25 +142,16 @@ def is_m_resolving(dm: DistanceMatrix, w: Iterable[int]) -> CollisionReport:
     """
     w = tuple(sorted(set(w)))
     _check_ids(dm.n, w)
-    collision = first_multiset_collision(dm, w)
-    if collision is None:
-        return CollisionReport(resolving=True)
-    return CollisionReport(resolving=False, first_collision=collision)
+    collision = first_collision(dm.d, w)
+    return CollisionReport(resolving=collision is None, first_collision=collision)
 
 
 def is_metric_resolving(dm: DistanceMatrix, w: Iterable[int]) -> CollisionReport:
     """Does the ordered distance vector to w distinguish all vertices?"""
     w = tuple(w)
     _check_ids(dm.n, w)
-    seen: dict[tuple[int, ...], int] = {}
-    for v in range(dm.n):
-        row = dm.d[v]
-        vec = tuple(row[x] for x in w)
-        prev = seen.get(vec)
-        if prev is not None:
-            return CollisionReport(resolving=False, first_collision=(prev, v, vec))
-        seen[vec] = v
-    return CollisionReport(resolving=True)
+    collision = first_collision(dm.d, w, ordered=True)
+    return CollisionReport(resolving=collision is None, first_collision=collision)
 
 
 def order_diameter_lower_bound(n: int, d: int) -> int:

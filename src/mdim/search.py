@@ -19,6 +19,11 @@ Two prunes cut the space without affecting the answer:
 
 Both prunes only discard sets that provably fail, so "every size exhausted"
 remains a valid infiniteness certificate.
+
+Every candidate is checked by the one resolve kernel,
+``resolving.first_collision``.  The metric dimension and the reference
+``brute_force_md`` take no prunes: both are the unpruned walk
+``resolving.least_resolving_set``, in ordered and multiset mode.
 """
 
 from __future__ import annotations
@@ -27,12 +32,14 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, islice
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .graph import (
     DistanceMatrix,
     Graph,
+    MajorVertexReport,
+    TwinPartition,
     all_pairs_distances,
     is_path,
     major_vertex_report,
@@ -44,9 +51,12 @@ from .resolving import (
     CollisionReport,
     InfiniteCertificate,
     Multiset,
+    all_within_distance_two,
     detect_infinite,
+    first_collision,
     is_m_resolving,
     is_metric_resolving,
+    least_resolving_set,
     md_lower_bound,
 )
 
@@ -125,21 +135,6 @@ class WitnessReport:
     vectors: tuple[tuple[int, ...], ...]
 
 
-def _resolves(d: tuple[tuple[int, ...], ...], n: int, w: tuple[int, ...]) -> bool:
-    seen = set()
-    for v in range(n):
-        row = d[v]
-        rep = tuple(sorted(row[x] for x in w))
-        if rep in seen:
-            return False
-        seen.add(rep)
-    return True
-
-
-def _within_two(d: tuple[tuple[int, ...], ...], w: tuple[int, ...]) -> bool:
-    return all(d[u][v] <= 2 for i, u in enumerate(w) for v in w[i + 1:])
-
-
 def constrained_subsets(
     n: int, k: int, pair_classes: tuple[tuple[int, ...], ...]
 ) -> Iterator[tuple[int, ...]]:
@@ -184,11 +179,12 @@ def _scan_chunk(args) -> tuple[int, ...] | None:
     Top-level so process pools can pickle it; chunks preserve lexicographic
     order, hence the first hit is the least hit within the chunk.
     """
-    d, n, chunk = args
+    dm, chunk = args
+    d = dm.d
     for w in chunk:
-        if len(w) >= 2 and _within_two(d, w):
+        if all_within_distance_two(dm, w):
             continue
-        if _resolves(d, n, w):
+        if first_collision(d, w) is None:
             return w
     return None
 
@@ -206,9 +202,8 @@ def _search_level(
     every candidate in a round precedes every candidate of later rounds,
     so the minimum over the first hitting round is the global least.
     """
-    d, n = dm.d, dm.n
     if pool is None:
-        return _scan_chunk((d, n, candidates))
+        return _scan_chunk((dm, candidates))
     while True:
         round_chunks = []
         for _ in range(cfg.workers):
@@ -220,20 +215,25 @@ def _search_level(
             return None
         hits = [
             w
-            for w in pool.map(_scan_chunk, [(d, n, c) for c in round_chunks])
+            for w in pool.map(_scan_chunk, [(dm, c) for c in round_chunks])
             if w is not None
         ]
         if hits:
             return min(hits)
 
 
-def _md_search(g: Graph, dm: DistanceMatrix, cfg: SearchConfig) -> ResolveOutcome:
+def _md_search(
+    g: Graph,
+    dm: DistanceMatrix,
+    tp: TwinPartition,
+    mr: MajorVertexReport,
+    cfg: SearchConfig,
+) -> ResolveOutcome:
     """Full pipeline below the connectivity check; see compute_md."""
     if is_path(g):
         return ResolveOutcome(
             OutcomeKind.FINITE, value=1, witness=(min(path_endpoints(g)),)
         )
-    tp = twin_partition(g)
     cert = detect_infinite(g, dm, tp)
     if cert is not None:
         return ResolveOutcome(OutcomeKind.INFINITE, certificate=cert)
@@ -243,7 +243,6 @@ def _md_search(g: Graph, dm: DistanceMatrix, cfg: SearchConfig) -> ResolveOutcom
             reason=f"{g.n} vertices exceeds the exhaustive-search cap "
             f"of {cfg.max_vertices}",
         )
-    mr = major_vertex_report(g, dm)
     lb = md_lower_bound(g, dm, tp, mr)
     pairs = tp.pair_classes
 
@@ -278,7 +277,7 @@ def compute_md(g: Graph, cfg: SearchConfig = SearchConfig()) -> ResolveOutcome:
     infiniteness because the prunes only drop provably failing sets.
     """
     dm = all_pairs_distances(g)
-    return _md_search(g, dm, cfg)
+    return _md_search(g, dm, twin_partition(g), major_vertex_report(g, dm), cfg)
 
 
 def compute_dim(
@@ -294,24 +293,14 @@ def compute_dim(
 
 
 def _dim_search(dm: DistanceMatrix, cfg: SearchConfig) -> tuple[int, tuple[int, ...]]:
-    n = dm.n
-    if n > cfg.max_vertices:
+    if dm.n > cfg.max_vertices:
         raise SearchAborted(
-            f"{n} vertices exceeds the exhaustive-search cap of {cfg.max_vertices}"
+            f"{dm.n} vertices exceeds the exhaustive-search cap of {cfg.max_vertices}"
         )
-    d = dm.d
-    for k in range(1, n + 1):
-        for w in combinations(range(n), k):
-            seen = set()
-            for v in range(n):
-                row = d[v]
-                vec = tuple(row[x] for x in w)
-                if vec in seen:
-                    break
-                seen.add(vec)
-            else:
-                return k, w
-    raise AssertionError("a connected graph is always metric-resolved by V itself")
+    w = least_resolving_set(dm, ordered=True)
+    if w is None:
+        raise AssertionError("a connected graph is always metric-resolved by V itself")
+    return len(w), w
 
 
 def verify_witness(g: Graph, w: Iterable[int]) -> WitnessReport:
@@ -333,12 +322,9 @@ def brute_force_md(g: Graph) -> ResolveOutcome:
     Independent cross-check for the pruned solver and for the infiniteness
     detectors; intended for small graphs only (2^n subsets).
     """
-    dm = all_pairs_distances(g)
-    d, n = dm.d, g.n
-    for k in range(1, n + 1):
-        for w in combinations(range(n), k):
-            if _resolves(d, n, w):
-                return ResolveOutcome(OutcomeKind.FINITE, value=k, witness=w)
+    w = least_resolving_set(all_pairs_distances(g))
+    if w is not None:
+        return ResolveOutcome(OutcomeKind.FINITE, value=len(w), witness=w)
     return ResolveOutcome(
         OutcomeKind.INFINITE,
         certificate=InfiniteCertificate(CertificateKind.EXHAUSTIVE_SEARCH),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -181,6 +182,20 @@ class TestDeterminism:
         first = capsys.readouterr().out
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (["suite", "--scan-n", "4", "--json"],
+             "2de60989ea01a2e12adcaaa8d08fbc0a6e18467de2e79bcb04fa421faf290ea6"),
+            (["scan", "--n", "5", "--json"],
+             "58899cbe1efbb06f6fa122ef2acaeb11095e1ad6073038bc1676ef6821c1abfe"),
+        ],
+    )
+    def test_pinned_json_digest(self, argv, digest, capsys):
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_parallel_flag_same_output(self, capsys):
         main(["md", "--family", "karytree:2x2", "--json"])

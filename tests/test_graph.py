@@ -40,16 +40,19 @@ class TestBuildGraph:
         assert g.edges() == [(0, 1), (0, 2), (1, 2)]
 
     def test_loop_rejected(self):
-        with pytest.raises(LoopEdge, match=r"\(0, 0\)"):
+        with pytest.raises(LoopEdge, match=r"\(0, 0\)") as info:
             build_graph(2, [(0, 0)])
+        assert info.value.edge_index == 0
 
     def test_duplicate_rejected(self):
-        with pytest.raises(DuplicateEdge, match=r"\(1, 0\)"):
+        with pytest.raises(DuplicateEdge, match=r"\(1, 0\)") as info:
             build_graph(3, [(0, 1), (1, 2), (1, 0)])
+        assert info.value.edge_index == 2
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(VertexOutOfRange, match=r"\(1, 3\)"):
+        with pytest.raises(VertexOutOfRange, match=r"\(1, 3\)") as info:
             build_graph(3, [(0, 1), (1, 3)])
+        assert info.value.edge_index == 1
 
     def test_petersen_is_cubic(self):
         g = build_graph(10, PETERSEN_EDGES)

@@ -15,6 +15,8 @@ from mdim import (
     compute_md,
     detect_infinite,
     is_m_resolving,
+    is_path,
+    major_vertex_report,
     twin_partition,
     verify_witness,
 )
@@ -96,6 +98,51 @@ class TestComputeDim:
     def test_cap_raises(self):
         with pytest.raises(SearchAborted):
             compute_dim(cycle_graph(9), SearchConfig(max_vertices=4))
+
+
+def prufer_tree(rng: Random, n: int):
+    """Uniform random labelled tree on n >= 2 vertices, decoded from a
+    random Prufer sequence."""
+    seq = [rng.randrange(n) for _ in range(n - 2)]
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    edges = []
+    for x in seq:
+        leaf = degree.index(1)
+        edges.append((leaf, x))
+        degree[leaf] -= 1
+        degree[x] -= 1
+    edges.append(tuple(v for v in range(n) if degree[v] == 1))
+    return build_graph(n, edges)
+
+
+class TestTreeFormula:
+    """Khuller, Raghavachari & Rosenfeld (1996): every tree T that is not a
+    path has dim(T) = sigma(T) - ex(T), an oracle independent of the search."""
+
+    @staticmethod
+    def assert_formula(t):
+        mr = major_vertex_report(t, all_pairs_distances(t))
+        assert compute_dim(t)[0] == mr.sigma - mr.ex, t.edges()
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_random_trees(self, n):
+        rng = Random(n)
+        for _ in range(40):
+            t = prufer_tree(rng, n)
+            if not is_path(t):
+                self.assert_formula(t)
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["substar:4x2", "substar:5x3", "substar:7x3", "karytree:2x3",
+         "karytree:3x2", "cextree", "star:5"],
+    )
+    def test_tree_families(self, spec):
+        from mdim import parse_family_spec
+
+        self.assert_formula(generate(parse_family_spec(spec)))
 
 
 class TestVerifyWitness:
