@@ -77,11 +77,12 @@ def parse_edge_list(text: str) -> Graph:
         linenos.append(lineno)
 
     if n is None:
-        n = 1 + max((max(e) for e in edges), default=-1)
+        # clamp at 0 so all-negative ids are rejected as out-of-range edges
+        n = max(0, 1 + max((max(e) for e in edges), default=-1))
     try:
         return build_graph(n, edges)
     except GraphError as exc:
-        # n is non-negative here, so build_graph only rejects single edges
+        # n >= 0 on every path, so build_graph only rejects single edges
         raise type(exc)(f"line {linenos[exc.edge_index]}: {exc}") from None
 
 

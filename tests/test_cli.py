@@ -37,6 +37,10 @@ class TestParseEdgeList:
         with pytest.raises(VertexOutOfRange, match="line 3"):
             parse_edge_list("n=2\n0 1\n0 2\n")
 
+    def test_negative_ids_report_line(self):
+        with pytest.raises(VertexOutOfRange, match="line 1"):
+            parse_edge_list("-2 -3\n")
+
     def test_malformed_line(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_edge_list("0 1\n0 1 2\n")
