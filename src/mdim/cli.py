@@ -306,7 +306,8 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(sub: argparse.ArgumentParser, graph_input: bool = True) -> None:
     sub.add_argument("--json", action="store_true", help="structured output")
     sub.add_argument("--parallel", type=int, default=1, metavar="K",
-                     help="worker processes (default 1)")
+                     help="worker processes for scans; one md or dim solve "
+                     "runs in one process (default 1)")
     sub.add_argument("--max-vertices", type=int, default=24, metavar="N",
                      help="exhaustive-search cap (default 24)")
     sub.add_argument("--progress", action="store_true", help="progress notes on stderr")

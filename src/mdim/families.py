@@ -144,9 +144,24 @@ class ExpectedMd:
         return cls(MdKind.UNSPECIFIED, note=note)
 
 
-def _require(cond: bool, spec: FamilySpec, rule: str) -> None:
-    if not cond:
-        raise InvalidParameter(f"{spec}: requires {rule}")
+# each family's legal parameter range, as (test, rule text); families
+# without an entry take no parameters
+_RULES = {
+    FamilyKind.PATH: (lambda n: n >= 1, "n >= 1"),
+    FamilyKind.CYCLE: (lambda n: n >= 3, "n >= 3"),
+    FamilyKind.COMPLETE: (lambda n: n >= 1, "n >= 1"),
+    FamilyKind.STAR: (lambda n: n >= 1, "n >= 1"),
+    FamilyKind.SUBDIVIDED_STAR: (lambda n, p: n >= 1 and p >= 1, "n >= 1 and p >= 1"),
+    FamilyKind.GRID: (lambda m, n: m >= 1 and n >= 1, "m >= 1 and n >= 1"),
+    FamilyKind.KARY_TREE: (lambda k, h: k >= 1 and h >= 1, "k >= 1 and h >= 1"),
+}
+
+
+def _check_params(spec: FamilySpec) -> None:
+    """Raise InvalidParameter unless spec's parameters are in range."""
+    rule = _RULES.get(spec.kind)
+    if rule is not None and not rule[0](*spec.params):
+        raise InvalidParameter(f"{spec}: requires {rule[1]}")
 
 
 def generate(spec: FamilySpec) -> Graph:
@@ -157,26 +172,22 @@ def generate(spec: FamilySpec) -> Graph:
     branch b on ids 1+(b-1)p .. bp outward; k-ary trees use breadth-first
     ids from the root 0.
     """
+    _check_params(spec)
     kind, p = spec.kind, spec.params
     if kind is FamilyKind.PATH:
         (n,) = p
-        _require(n >= 1, spec, "n >= 1")
         return build_graph(n, [(i, i + 1) for i in range(n - 1)])
     if kind is FamilyKind.CYCLE:
         (n,) = p
-        _require(n >= 3, spec, "n >= 3")
         return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
     if kind is FamilyKind.COMPLETE:
         (n,) = p
-        _require(n >= 1, spec, "n >= 1")
         return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
     if kind is FamilyKind.STAR:
         (n,) = p
-        _require(n >= 1, spec, "n >= 1")
         return build_graph(n + 1, [(0, i) for i in range(1, n + 1)])
     if kind is FamilyKind.SUBDIVIDED_STAR:
         n, pp = p
-        _require(n >= 1 and pp >= 1, spec, "n >= 1 and p >= 1")
         edges = []
         for b in range(1, n + 1):
             chain = [0] + [(b - 1) * pp + t for t in range(1, pp + 1)]
@@ -184,11 +195,9 @@ def generate(spec: FamilySpec) -> Graph:
         return build_graph(n * pp + 1, edges)
     if kind is FamilyKind.GRID:
         m, n = p
-        _require(m >= 1 and n >= 1, spec, "m >= 1 and n >= 1")
         return cartesian_product(generate(FamilySpec.path(m)), generate(FamilySpec.path(n)))
     if kind is FamilyKind.KARY_TREE:
         k, h = p
-        _require(k >= 1 and h >= 1, spec, "k >= 1 and h >= 1")
         edges = []
         level, nxt = [0], 1
         for _ in range(h):
@@ -226,27 +235,23 @@ def expected_md(spec: FamilySpec) -> ExpectedMd:
     multiset dimension 2; the probe harness settles that instance
     empirically.
     """
+    _check_params(spec)
     kind, p = spec.kind, spec.params
     if kind is FamilyKind.PATH:
         (n,) = p
-        _require(n >= 1, spec, "n >= 1")
         return ExpectedMd.finite(1)
     if kind is FamilyKind.CYCLE:
         (n,) = p
-        _require(n >= 3, spec, "n >= 3")
         return ExpectedMd.infinite() if n <= 5 else ExpectedMd.finite(3)
     if kind is FamilyKind.COMPLETE:
         (n,) = p
-        _require(n >= 1, spec, "n >= 1")
         return ExpectedMd.finite(1) if n <= 2 else ExpectedMd.infinite()
     if kind is FamilyKind.STAR:
         (n,) = p
-        _require(n >= 1, spec, "n >= 1")
         # K_{1,1} and K_{1,2} are the paths P2 and P3
         return ExpectedMd.finite(1) if n <= 2 else ExpectedMd.infinite()
     if kind is FamilyKind.SUBDIVIDED_STAR:
         n, pp = p
-        _require(n >= 1 and pp >= 1, spec, "n >= 1 and p >= 1")
         if n <= 2:
             return ExpectedMd.finite(1)
         if pp == 1:
@@ -270,7 +275,6 @@ def expected_md(spec: FamilySpec) -> ExpectedMd:
         return ExpectedMd.unspecified("no established value for p < n-1")
     if kind is FamilyKind.GRID:
         m, n = p
-        _require(m >= 1 and n >= 1, spec, "m >= 1 and n >= 1")
         if m == 1 or n == 1:
             return ExpectedMd.finite(1)
         if m >= 3 and n >= 2:
@@ -282,7 +286,6 @@ def expected_md(spec: FamilySpec) -> ExpectedMd:
         )
     if kind is FamilyKind.KARY_TREE:
         k, h = p
-        _require(k >= 1 and h >= 1, spec, "k >= 1 and h >= 1")
         if k == 1:
             return ExpectedMd.finite(1)
         if k == 2:
@@ -301,7 +304,8 @@ def witness_for(spec: FamilySpec) -> tuple[int, ...]:
     Cycles use the three landmarks {0, 1, 3}; grids use the corner triple
     {v11, v12, v31}; binary trees take the lower-id child of every sibling
     pair; subdivided stars take the vertex at distance b on branch b.
-    Raises NoKnownWitness elsewhere.
+    Raises InvalidParameter outside the family's parameter range, like
+    generate and expected_md, and NoKnownWitness in the other zones.
 
     Two published constructions are returned throughout their stated zones
     even though they do not always resolve there; failures are reportable
@@ -311,10 +315,9 @@ def witness_for(spec: FamilySpec) -> tuple[int, ...]:
     odd branch counts (checked up to n = 9), including the n = 5, p = 4
     instance where no (n-1)-set resolves at all.
     """
+    _check_params(spec)
     kind, p = spec.kind, spec.params
     if kind is FamilyKind.PATH:
-        (n,) = p
-        _require(n >= 1, spec, "n >= 1")
         return (0,)
     if kind is FamilyKind.CYCLE:
         (n,) = p
@@ -327,7 +330,6 @@ def witness_for(spec: FamilySpec) -> tuple[int, ...]:
     if kind is FamilyKind.KARY_TREE:
         k, h = p
         if k == 1:
-            _require(h >= 1, spec, "h >= 1")
             return (0,)
         if k == 2:
             # lower-id child of each sibling pair: first, third, fifth ...

@@ -279,7 +279,7 @@ def _scan_mask_range(args) -> dict:
     n, lo, hi, dedup = args
     pairs = edge_pairs(n)
     perm_tables = _perm_bit_tables(n, pairs) if dedup else None
-    cfg = SearchConfig(workers=1)
+    cfg = SearchConfig()
     hist: dict = {}
     violations: list = []
     conjecture_hits: list = []
@@ -636,13 +636,12 @@ def run_reproduction_suite(
 
     Aborted items (cap exceeded) are recorded and do not halt the suite.
     """
-    serial = SearchConfig(max_vertices=cfg.max_vertices, progress=cfg.progress)
     checks: list[Check] = []
-    checks.extend(_run_family_checks(serial))
+    checks.extend(_run_family_checks(cfg))
     checks.extend(_run_table_checks())
     checks.append(spider_probe())
-    checks.append(_detector_incompleteness_check(serial))
-    checks.append(_petersen_check(serial))
+    checks.append(_detector_incompleteness_check(cfg))
+    checks.append(_petersen_check(cfg))
     try:
         report = scan_small_graphs(scan_n, dedup=scan_dedup, cfg=cfg)
         checks.append(

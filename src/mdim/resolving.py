@@ -219,7 +219,8 @@ def all_within_distance_two(dm: DistanceMatrix, w: Iterable[int]) -> bool:
     Such a set can never multiset-resolve: its own members would need the
     p distinct representations {0,1^(p-1)} .. {0,2^(p-1)}, forcing both a
     distance-1 and a distance-2 relation between the two extreme members.
-    Search uses this as a sound skip (flagged sets are never resolving).
+    Kept as a public check of that fact; the search no longer uses it,
+    since next to the search's landmark cut the skip does not pay.
     """
     w = tuple(w)
     if len(w) < 2:

@@ -1,39 +1,34 @@
 """Exact computation of the multiset dimension and metric dimension.
 
-The solver enumerates candidate vertex subsets in ascending size and, within
-each size, in lexicographic order of the ascending id tuple.  Multiset
+The solver looks for resolving sets in ascending size and, within each
+size, in lexicographic order of the ascending id tuple.  Multiset
 resolvability is NOT monotone under supersets (a resolving set can have
 non-resolving supersets), so minimality genuinely requires visiting sizes in
 order, and an infiniteness verdict requires exhausting every size.
 
-Two prunes cut the space without affecting the answer:
+Each size is one depth-first search over ascending landmark ids
+(``level_search``) with one cut: a prefix is dropped once two vertices
+collide on it and are equidistant from every id that can still be added,
+because they then collide in every extension.  The cut drops only failing
+sets, so the first hit is the least one and "every size exhausted" remains
+a valid infiniteness certificate.  It also covers the twin rule (a twin
+pair with both or neither member chosen collides), so no separate twin
+generator or distance-2 skip is needed.  A solve runs in one process.
 
-  * twin constraint: for any twin pair {u, v}, a candidate containing both
-    or neither cannot resolve (u and v are equidistant from every other
-    vertex, so their representations agree in both cases).  Candidates
-    therefore contain exactly one member of every size-2 twin class.
-    Classes of size >= 3 are hopeless outright and are certified before the
-    search starts.
-  * distance-2 skip: a candidate whose members are pairwise within
-    distance 2 can never resolve and is not verified.
-
-Both prunes only discard sets that provably fail, so "every size exhausted"
-remains a valid infiniteness certificate.
-
-Every candidate is checked by the one resolve kernel,
-``resolving.first_collision``.  The metric dimension and the reference
-``brute_force_md`` take no prunes: both are the unpruned walk
-``resolving.least_resolving_set``, in ordered and multiset mode.
+The metric dimension and the reference ``brute_force_md`` take no cut:
+both are the unpruned walk ``resolving.least_resolving_set``, in ordered
+and multiset mode, built on the one resolve kernel
+``resolving.first_collision``.
 """
 
 from __future__ import annotations
 
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
-from typing import Iterable, Iterator
+from itertools import count, repeat
+from operator import add
+from typing import Callable, Iterable
 
 from .graph import (
     DistanceMatrix,
@@ -51,16 +46,12 @@ from .resolving import (
     CollisionReport,
     InfiniteCertificate,
     Multiset,
-    all_within_distance_two,
     detect_infinite,
-    first_collision,
     is_m_resolving,
     is_metric_resolving,
     least_resolving_set,
     md_lower_bound,
 )
-
-_PARALLEL_CHUNK = 4096
 
 
 class OutcomeKind(Enum):
@@ -79,8 +70,9 @@ class SearchConfig:
 
     ``max_vertices`` caps the subset-search phase (path recognition and the
     infiniteness detectors still answer above it).  ``workers`` > 1 shards
-    each size level across processes; the result is identical to a serial
-    run.  ``progress`` prints per-level notes to stderr.
+    a scan's graphs across processes; a single md or dim solve always runs
+    in one process, so the worker count never changes an answer.
+    ``progress`` prints per-level notes to stderr.
     """
 
     max_vertices: int = 24
@@ -135,91 +127,65 @@ class WitnessReport:
     vectors: tuple[tuple[int, ...], ...]
 
 
-def constrained_subsets(
-    n: int, k: int, pair_classes: tuple[tuple[int, ...], ...]
-) -> Iterator[tuple[int, ...]]:
-    """Size-k subsets of 0..n-1 taking exactly one vertex from every pair
-    class, yielded in lexicographic order of the ascending id tuple."""
-    class_of = [-1] * n
-    for ci, (u, v) in enumerate(pair_classes):
-        class_of[u] = class_of[v] = ci
-    npairs = len(pair_classes)
-    if k < npairs or k > n - npairs:
-        return
+def level_search(dm: DistanceMatrix) -> Callable[[int], tuple[int, ...] | None]:
+    """Build the landmark tables of one graph; return ``least(k)``, the
+    lexicographically least multiset-resolving set of size k (1 <= k <= n),
+    or None.
+
+    ``least`` is a depth-first search over ascending landmark ids.  A
+    vertex's code is the sum of ``(n + 1) ** d(v, x)`` over the chosen
+    landmarks x: no distance occurs more than n times, so equal codes mean
+    equal distance multisets, and adding a landmark is one vector add with
+    no sort.  ``tails[s][v]`` labels v's distances to the ids s..n-1, equal
+    labels meaning equal distances.
+
+    The one cut: a prefix whose next id is s is dropped when two vertices
+    share both their code and their label in ``tails[s]``.  Every id that
+    can still be added is at least s, so those two vertices are equidistant
+    from it and collide in every extension.  The cut therefore drops only
+    failing sets, the first hit is the least one, and a None at every size
+    proves that no resolving set exists.  The cut also implies the twin
+    rule: twins u < v share a tail label from v + 1 on, and their codes
+    agree unless exactly one of them was chosen.  Since ``tails[s]`` only
+    gets coarser as s grows, a cut prefix stays cut for every later next
+    id, which ends the loop over siblings.  The last landmark of a set is
+    tried with the plain resolve test alone, where the cut would cost as
+    much as the test it saves.
+    """
+    d, n = dm.d, dm.n
+    power = list(map(pow, repeat(n + 1), range(n)))
+    weights = [tuple(map(power.__getitem__, row)) for row in d]
+    # one counter for all levels, so a new (distance, tail) key never
+    # receives a label that an earlier key already holds
+    ids: dict[tuple[int, int], int] = {}
+    fresh = count()
+    tails = [(0,) * n] * (n + 1)
+    for s in range(n - 1, -1, -1):
+        tails[s] = tuple(map(ids.setdefault, zip(d[s], tails[s + 1]), fresh))
+
     chosen: list[int] = []
 
-    def extend(start: int, hit: int) -> Iterator[tuple[int, ...]]:
-        # hit = bitmask of pair classes already represented in `chosen`
-        if len(chosen) == k:
-            if hit == (1 << npairs) - 1:
-                yield tuple(chosen)
-            return
-        need = k - len(chosen)
-        missing = npairs - bin(hit).count("1")
-        if need < missing or n - start < need:
-            return
-        # a missing class both of whose members lie before `start` is dead
-        for ci, (u, v) in enumerate(pair_classes):
-            if not hit >> ci & 1 and v < start:
-                return
-        for x in range(start, n):
-            ci = class_of[x]
-            if ci >= 0 and hit >> ci & 1:
-                continue
+    def extend(code: tuple[int, ...], start: int, left: int) -> bool:
+        if left == 1:
+            for x in range(start, n):
+                if len(set(map(add, code, weights[x]))) == n:
+                    chosen.append(x)
+                    return True
+            return False
+        for x in range(start, n - left + 1):
+            if len(set(zip(code, tails[x]))) < n:
+                return False
             chosen.append(x)
-            yield from extend(x + 1, hit | (1 << ci) if ci >= 0 else hit)
+            if extend(tuple(map(add, code, weights[x])), x + 1, left - 1):
+                return True
             chosen.pop()
+        return False
 
-    yield from extend(0, 0)
+    def least(k: int) -> tuple[int, ...] | None:
+        chosen.clear()
+        return tuple(chosen) if extend((0,) * n, 0, k) else None
 
-
-def _scan_chunk(args) -> tuple[int, ...] | None:
-    """First candidate in the chunk that resolves, after the distance-2 skip.
-
-    Top-level so process pools can pickle it; chunks preserve lexicographic
-    order, hence the first hit is the least hit within the chunk.
-    """
-    dm, chunk = args
-    d = dm.d
-    for w in chunk:
-        if all_within_distance_two(dm, w):
-            continue
-        if first_collision(d, w) is None:
-            return w
-    return None
-
-
-def _search_level(
-    dm: DistanceMatrix,
-    candidates: Iterator[tuple[int, ...]],
-    cfg: SearchConfig,
-    pool: ProcessPoolExecutor | None,
-) -> tuple[int, ...] | None:
-    """Least resolving candidate at one size level, or None.
-
-    Serial mode stops at the first hit (enumeration is lexicographic).
-    Parallel mode consumes the stream in rounds of worker-sized chunks:
-    every candidate in a round precedes every candidate of later rounds,
-    so the minimum over the first hitting round is the global least.
-    """
-    if pool is None:
-        return _scan_chunk((dm, candidates))
-    while True:
-        round_chunks = []
-        for _ in range(cfg.workers):
-            chunk = list(islice(candidates, _PARALLEL_CHUNK))
-            if not chunk:
-                break
-            round_chunks.append(chunk)
-        if not round_chunks:
-            return None
-        hits = [
-            w
-            for w in pool.map(_scan_chunk, [(dm, c) for c in round_chunks])
-            if w is not None
-        ]
-        if hits:
-            return min(hits)
+    return least
 
 
 def _md_search(
@@ -244,24 +210,18 @@ def _md_search(
             f"of {cfg.max_vertices}",
         )
     lb = md_lower_bound(g, dm, tp, mr)
-    pairs = tp.pair_classes
-
-    pool = ProcessPoolExecutor(max_workers=cfg.workers) if cfg.parallel else None
-    try:
-        for k in range(lb.value, g.n + 1):
-            if cfg.progress:
-                print(f"md search: size {k} of up to {g.n}", file=sys.stderr)
-            witness = _search_level(dm, constrained_subsets(g.n, k, pairs), cfg, pool)
-            if witness is not None:
-                if k == 2:
-                    raise RuntimeError(
-                        f"found a 2-element resolving set {witness}; "
-                        "no graph admits one, this is a solver bug"
-                    )
-                return ResolveOutcome(OutcomeKind.FINITE, value=k, witness=witness)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    least = level_search(dm)
+    for k in range(lb.value, g.n + 1):
+        if cfg.progress:
+            print(f"md search: size {k} of up to {g.n}", file=sys.stderr)
+        witness = least(k)
+        if witness is not None:
+            if k == 2:
+                raise RuntimeError(
+                    f"found a 2-element resolving set {witness}; "
+                    "no graph admits one, this is a solver bug"
+                )
+            return ResolveOutcome(OutcomeKind.FINITE, value=k, witness=witness)
     return ResolveOutcome(
         OutcomeKind.INFINITE,
         certificate=InfiniteCertificate(CertificateKind.EXHAUSTIVE_SEARCH),
@@ -272,9 +232,9 @@ def compute_md(g: Graph, cfg: SearchConfig = SearchConfig()) -> ResolveOutcome:
     """Exact multiset dimension of a connected graph.
 
     Pipeline: path fast-path (dimension 1, least pendant as witness), the
-    two infiniteness detectors, then pruned exhaustive search upward from
-    the structural lower bound.  Reaching size n with no witness proves
-    infiniteness because the prunes only drop provably failing sets.
+    two infiniteness detectors, then the cut depth-first search of every
+    size upward from the structural lower bound.  Reaching size n with no
+    witness proves infiniteness because the cut only drops failing sets.
     """
     dm = all_pairs_distances(g)
     return _md_search(g, dm, twin_partition(g), major_vertex_report(g, dm), cfg)

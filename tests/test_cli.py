@@ -163,6 +163,12 @@ class TestExitCodes:
         assert main(["md", "--family", "wat:3"]) == EXIT_BAD_GRAPH
         assert main(["md", str(tmp_path / "missing.edges")]) == EXIT_BAD_GRAPH
 
+    @pytest.mark.parametrize("spec", ["karytree:2x0", "cycle:2"])
+    @pytest.mark.parametrize("action", ["emit", "md", "witness"])
+    def test_family_out_of_range_params(self, spec, action, capsys):
+        assert main(["family", spec, "--action", action]) == EXIT_BAD_GRAPH
+        assert "requires" in capsys.readouterr().err
+
     def test_no_input(self, capsys):
         assert main(["md"]) == EXIT_BAD_GRAPH
 

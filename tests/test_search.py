@@ -20,8 +20,9 @@ from mdim import (
     twin_partition,
     verify_witness,
 )
-from mdim.search import constrained_subsets
 from mdim.families import FamilySpec, generate
+from mdim.resolving import first_collision
+from mdim.search import level_search
 from helpers import (
     all_connected_graphs,
     complete_graph,
@@ -170,42 +171,44 @@ class TestVerifyWitness:
         assert not report.multiset.resolving
 
 
-class TestConstrainedSubsets:
-    def subsets_oracle(self, n, k, pairs):
-        return [
-            w
-            for w in combinations(range(n), k)
-            if all(len(set(w) & set(c)) == 1 for c in pairs)
-        ]
+class TestLevelSearch:
+    """The cut depth-first search of one size level against the plain walk
+    over combinations, including the levels where nothing resolves, which
+    an "infinite by exhaustion" verdict rests on."""
 
-    def test_two_pairs(self):
-        pairs = ((0, 1), (4, 5))
-        got = list(constrained_subsets(6, 2, pairs))
-        assert got == [(0, 4), (0, 5), (1, 4), (1, 5)]
-        assert got == self.subsets_oracle(6, 2, pairs)
+    @staticmethod
+    def oracle(dm, k):
+        return next(
+            (w for w in combinations(range(dm.n), k) if first_collision(dm.d, w) is None),
+            None,
+        )
 
-    def test_sizes_out_of_reach_are_empty(self):
-        pairs = ((0, 1), (2, 3))
-        assert list(constrained_subsets(5, 1, pairs)) == []
-        assert list(constrained_subsets(5, 4, pairs)) == []  # max is n - npairs = 3
-
-    def test_no_pairs_is_plain_combinations(self):
-        assert list(constrained_subsets(5, 2, ())) == list(combinations(range(5), 2))
+    def assert_every_level(self, g):
+        dm = all_pairs_distances(g)
+        least = level_search(dm)
+        for k in range(1, g.n + 1):
+            assert least(k) == self.oracle(dm, k), (g.edges(), k)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_matches_filter_oracle(self, seed):
+    def test_matches_combinations_oracle(self, seed):
         rng = Random(seed)
-        n = rng.randint(4, 9)
-        ids = list(range(n))
-        rng.shuffle(ids)
-        npairs = rng.randint(0, n // 2 - 1) if n >= 4 else 0
-        pairs = tuple(
-            tuple(sorted(ids[2 * i: 2 * i + 2])) for i in range(npairs)
-        )
-        for k in range(0, n + 1):
-            got = list(constrained_subsets(n, k, pairs))
-            assert got == self.subsets_oracle(n, k, pairs)
-            assert got == sorted(got)
+        for _ in range(25):
+            n = rng.randint(4, 9)
+            self.assert_every_level(
+                random_connected_graph(rng, n, extra=rng.choice([0.0, 0.15, 0.4]))
+            )
+
+    def test_twin_pairs_take_one_member_each(self):
+        # pendant pairs {4, 5}, {6, 7}, {8, 9} leave no size resolvable
+        g = generate(FamilySpec.counterexample_tree())
+        least = level_search(all_pairs_distances(g))
+        assert [least(k) for k in range(1, g.n + 1)] == [None] * g.n
+        # twin pairs {3, 4} and {5, 6}: the least set takes one of each
+        g = generate(FamilySpec.kary_tree(2, 2))
+        self.assert_every_level(g)
+        w = level_search(all_pairs_distances(g))(3)
+        assert w is not None
+        assert all(len(set(w) & pair) == 1 for pair in ({3, 4}, {5, 6}))
 
 
 class TestAgainstBruteForce:
