@@ -11,7 +11,6 @@ a *pass*.
 from __future__ import annotations
 
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
@@ -361,6 +360,10 @@ def scan_small_graphs(
     total_masks = 1 << len(edge_pairs(n))
 
     if cfg.parallel:
+        # imported here: serial callers would otherwise load about 2 MB of
+        # multiprocessing modules they never use
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1024, total_masks // (cfg.workers * 8))
         ranges = [
             (n, lo, min(lo + chunk, total_masks), dedup)

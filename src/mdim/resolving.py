@@ -49,7 +49,7 @@ class CertificateKind(Enum):
     EXHAUSTIVE_SEARCH = "exhaustive-search"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InfiniteCertificate:
     """Machine-checkable reason why no multiset-resolving set exists."""
 

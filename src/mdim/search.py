@@ -15,10 +15,12 @@ a valid infiniteness certificate.  It also covers the twin rule (a twin
 pair with both or neither member chosen collides), so no separate twin
 generator or distance-2 skip is needed.  A solve runs in one process.
 
-The metric dimension and the reference ``brute_force_md`` take no cut:
-both are the unpruned walk ``resolving.least_resolving_set``, in ordered
-and multiset mode, built on the one resolve kernel
-``resolving.first_collision``.
+The metric dimension runs on the same search in ordered mode, where a
+code stands for the distance vector instead of the multiset; the cut's
+argument holds word for word.  The reference ``brute_force_md`` takes no
+cut: it is the unpruned walk ``resolving.least_resolving_set`` on the one
+resolve kernel ``resolving.first_collision``, and the tests compare both
+modes of the search against that walk.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from itertools import count, repeat
-from operator import add
+from operator import add, mul
 from typing import Callable, Iterable
 
 from .graph import (
@@ -84,13 +86,15 @@ class SearchConfig:
         return self.workers > 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResolveOutcome:
     """Result of a multiset-dimension computation.
 
     Finite(k, witness): witness is the lexicographically least resolving
     set among those of minimum size k.  Infinite carries the certificate.
     Aborted means the size cap was hit before the search could start.
+    Slotted, with no per-instance dict, because callers that keep every
+    answer of a long run pay this object's size once per solve.
     """
 
     kind: OutcomeKind
@@ -127,34 +131,79 @@ class WitnessReport:
     vectors: tuple[tuple[int, ...], ...]
 
 
-def level_search(dm: DistanceMatrix) -> Callable[[int], tuple[int, ...] | None]:
+def _extend(
+    code: tuple[int, ...],
+    start: int,
+    left: int,
+    n: int,
+    weights: list[tuple[int, ...]],
+    tails: list[tuple[int, ...]],
+    chosen: list[int],
+) -> bool:
+    """Complete ``chosen`` with ``left`` more ids from ``start`` on, or
+    return False; see level_search."""
+    if left == 1:
+        for x in range(start, n):
+            if len(set(map(add, code, weights[x]))) == n:
+                chosen.append(x)
+                return True
+        return False
+    for x in range(start, n - left + 1):
+        if len(set(zip(code, tails[x]))) < n:
+            return False
+        chosen.append(x)
+        if _extend(
+            tuple(map(add, code, weights[x])), x + 1, left - 1, n, weights, tails, chosen
+        ):
+            return True
+        chosen.pop()
+    return False
+
+
+def level_search(
+    dm: DistanceMatrix, ordered: bool = False
+) -> Callable[[int], tuple[int, ...] | None]:
     """Build the landmark tables of one graph; return ``least(k)``, the
-    lexicographically least multiset-resolving set of size k (1 <= k <= n),
-    or None.
+    lexicographically least resolving set of size k (1 <= k <= n), or
+    None.  Sets resolve by distance multisets, or with ``ordered`` by
+    distance vectors (metric resolving).
 
     ``least`` is a depth-first search over ascending landmark ids.  A
-    vertex's code is the sum of ``(n + 1) ** d(v, x)`` over the chosen
-    landmarks x: no distance occurs more than n times, so equal codes mean
-    equal distance multisets, and adding a landmark is one vector add with
-    no sort.  ``tails[s][v]`` labels v's distances to the ids s..n-1, equal
-    labels meaning equal distances.
+    vertex's code is the sum of ``weights[x][v]`` over the chosen
+    landmarks x, and adding a landmark is one vector add with no sort.
+    In multiset mode ``weights[x][v] = (n + 1) ** d(v, x)``: no distance
+    occurs more than n times, so equal codes mean equal distance
+    multisets.  In ordered mode ``weights[x][v] = d(v, x) * n ** x``:
+    every distance is below n, so the code is a base-n number whose digit
+    x is d(v, x), and equal codes mean equal distance vectors.
+    ``tails[s][v]`` labels v's distances to the ids s..n-1, equal labels
+    meaning equal distances.
 
-    The one cut: a prefix whose next id is s is dropped when two vertices
-    share both their code and their label in ``tails[s]``.  Every id that
-    can still be added is at least s, so those two vertices are equidistant
-    from it and collide in every extension.  The cut therefore drops only
-    failing sets, the first hit is the least one, and a None at every size
-    proves that no resolving set exists.  The cut also implies the twin
-    rule: twins u < v share a tail label from v + 1 on, and their codes
-    agree unless exactly one of them was chosen.  Since ``tails[s]`` only
-    gets coarser as s grows, a cut prefix stays cut for every later next
-    id, which ends the loop over siblings.  The last landmark of a set is
-    tried with the plain resolve test alone, where the cut would cost as
-    much as the test it saves.
+    The one cut, the same in both modes: a prefix whose next id is s is
+    dropped when two vertices share both their code and their label in
+    ``tails[s]``.  Every id that can still be added is at least s, so
+    those two vertices are equidistant from it and collide in every
+    extension, as multisets and as vectors alike.  The cut therefore drops
+    only failing sets, the first hit is the least one, and a None at every
+    size proves that no resolving set exists.  The cut also implies the
+    twin rule: twins u < v share a tail label from v + 1 on, and their
+    codes agree when neither was chosen (in multiset mode, also when both
+    were).  Since ``tails[s]`` only gets coarser as s grows, a cut prefix
+    stays cut for every later next id, which ends the loop over siblings.
+    The last landmark of a set is tried with the plain resolve test alone,
+    where the cut would cost as much as the test it saves.
+
+    The recursion is the module-level ``_extend`` and each ``least(k)``
+    call has its own ``chosen`` list: a nested function that calls itself
+    is a reference cycle, which would leave every solve's tables to the
+    cycle collector, whose pauses showed in per-graph scan latencies.
     """
     d, n = dm.d, dm.n
-    power = list(map(pow, repeat(n + 1), range(n)))
-    weights = [tuple(map(power.__getitem__, row)) for row in d]
+    if ordered:
+        weights = [tuple(map(mul, row, repeat(n**x))) for x, row in enumerate(d)]
+    else:
+        power = list(map(pow, repeat(n + 1), range(n)))
+        weights = [tuple(map(power.__getitem__, row)) for row in d]
     # one counter for all levels, so a new (distance, tail) key never
     # receives a label that an earlier key already holds
     ids: dict[tuple[int, int], int] = {}
@@ -163,27 +212,10 @@ def level_search(dm: DistanceMatrix) -> Callable[[int], tuple[int, ...] | None]:
     for s in range(n - 1, -1, -1):
         tails[s] = tuple(map(ids.setdefault, zip(d[s], tails[s + 1]), fresh))
 
-    chosen: list[int] = []
-
-    def extend(code: tuple[int, ...], start: int, left: int) -> bool:
-        if left == 1:
-            for x in range(start, n):
-                if len(set(map(add, code, weights[x]))) == n:
-                    chosen.append(x)
-                    return True
-            return False
-        for x in range(start, n - left + 1):
-            if len(set(zip(code, tails[x]))) < n:
-                return False
-            chosen.append(x)
-            if extend(tuple(map(add, code, weights[x])), x + 1, left - 1):
-                return True
-            chosen.pop()
-        return False
-
     def least(k: int) -> tuple[int, ...] | None:
-        chosen.clear()
-        return tuple(chosen) if extend((0,) * n, 0, k) else None
+        chosen: list[int] = []
+        found = _extend((0,) * n, 0, k, n, weights, tails, chosen)
+        return tuple(chosen) if found else None
 
     return least
 
@@ -245,8 +277,10 @@ def compute_dim(
 ) -> tuple[int, tuple[int, ...]]:
     """Exact metric dimension with its lexicographically least witness.
 
-    Ordered distance vectors ARE monotone under supersets, but the minimum
-    is still established by visiting sizes in ascending order.
+    Runs ``level_search`` in ordered mode for sizes 1, 2, ... and returns
+    the first hit.  Ordered distance vectors ARE monotone under supersets,
+    so V itself always resolves and the walk ends by size n; the minimum
+    comes from visiting sizes in ascending order.
     """
     dm = all_pairs_distances(g)
     return _dim_search(dm, cfg)
@@ -257,10 +291,12 @@ def _dim_search(dm: DistanceMatrix, cfg: SearchConfig) -> tuple[int, tuple[int, 
         raise SearchAborted(
             f"{dm.n} vertices exceeds the exhaustive-search cap of {cfg.max_vertices}"
         )
-    w = least_resolving_set(dm, ordered=True)
-    if w is None:
-        raise AssertionError("a connected graph is always metric-resolved by V itself")
-    return len(w), w
+    least = level_search(dm, ordered=True)
+    for k in range(1, dm.n + 1):
+        w = least(k)
+        if w is not None:
+            return k, w
+    raise AssertionError("a connected graph is always metric-resolved by V itself")
 
 
 def verify_witness(g: Graph, w: Iterable[int]) -> WitnessReport:

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import mdim
 from mdim import SearchAborted, SearchConfig, build_graph, compute_md
 from mdim.harness import (
     STATUS_FINDING,
@@ -102,6 +107,23 @@ class TestScan:
         serial = scan_small_graphs(5)
         parallel = scan_small_graphs(5, cfg=SearchConfig(workers=3))
         assert serial.to_dict() == parallel.to_dict()
+
+    def test_serial_import_loads_no_multiprocessing(self):
+        # only a parallel scan needs the process pool, so importing the
+        # package, the harness or the CLI must not pay for it
+        src = str(Path(mdim.__file__).resolve().parents[1])
+        code = (
+            "import sys, mdim, mdim.harness, mdim.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_dedup_preserves_md_per_class(self):
         # isomorphic labelled graphs all get the same dimension, and the

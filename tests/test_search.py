@@ -1,3 +1,4 @@
+import gc
 from itertools import combinations
 from random import Random
 
@@ -21,7 +22,7 @@ from mdim import (
     verify_witness,
 )
 from mdim.families import FamilySpec, generate
-from mdim.resolving import first_collision
+from mdim.resolving import first_collision, least_resolving_set
 from mdim.search import level_search
 from helpers import (
     all_connected_graphs,
@@ -177,17 +178,22 @@ class TestLevelSearch:
     an "infinite by exhaustion" verdict rests on."""
 
     @staticmethod
-    def oracle(dm, k):
+    def oracle(dm, k, ordered):
         return next(
-            (w for w in combinations(range(dm.n), k) if first_collision(dm.d, w) is None),
+            (
+                w
+                for w in combinations(range(dm.n), k)
+                if first_collision(dm.d, w, ordered) is None
+            ),
             None,
         )
 
     def assert_every_level(self, g):
         dm = all_pairs_distances(g)
-        least = level_search(dm)
-        for k in range(1, g.n + 1):
-            assert least(k) == self.oracle(dm, k), (g.edges(), k)
+        for ordered in (False, True):
+            least = level_search(dm, ordered)
+            for k in range(1, g.n + 1):
+                assert least(k) == self.oracle(dm, k, ordered), (g.edges(), k, ordered)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_combinations_oracle(self, seed):
@@ -212,28 +218,47 @@ class TestLevelSearch:
 
 
 class TestAgainstBruteForce:
+    @staticmethod
+    def assert_matches_reference(g):
+        fast = compute_md(g)
+        slow = brute_force_md(g)
+        assert fast.kind == slow.kind, g.edges()
+        if fast.is_finite:
+            assert (fast.value, fast.witness) == (slow.value, slow.witness)
+        w = least_resolving_set(all_pairs_distances(g), ordered=True)
+        assert compute_dim(g) == (len(w), w), g.edges()
+
     def test_all_connected_graphs_up_to_5(self):
         for n in range(1, 6):
             for g in all_connected_graphs(n):
-                fast = compute_md(g)
-                slow = brute_force_md(g)
-                assert fast.kind == slow.kind, g.edges()
-                if fast.is_finite:
-                    assert (fast.value, fast.witness) == (slow.value, slow.witness)
+                self.assert_matches_reference(g)
 
     @pytest.mark.parametrize("n,seed", [(6, 0), (6, 1), (7, 2), (7, 3), (8, 4)])
     def test_random_graphs(self, n, seed):
         rng = Random(seed)
         for _ in range(30):
-            g = random_connected_graph(rng, n, extra=rng.choice([0.1, 0.3, 0.6]))
-            fast = compute_md(g)
-            slow = brute_force_md(g)
-            assert fast.kind == slow.kind, g.edges()
-            if fast.is_finite:
-                assert (fast.value, fast.witness) == (slow.value, slow.witness)
+            self.assert_matches_reference(
+                random_connected_graph(rng, n, extra=rng.choice([0.1, 0.3, 0.6]))
+            )
 
     def test_petersen_brute_force_infinite(self):
         assert brute_force_md(build_graph(10, generate(FamilySpec.petersen()).edges())).is_infinite
+
+
+class TestNoReferenceCycles:
+    def test_solves_leave_no_cyclic_garbage(self):
+        # a solve whose tables sit in a reference cycle leaves them to the
+        # cycle collector, whose pauses show in per-graph latencies
+        g = generate(FamilySpec.kary_tree(2, 2))
+        gc.collect()
+        gc.disable()
+        try:
+            level_search(all_pairs_distances(g))(3)
+            compute_md(g)
+            compute_dim(g)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestDeterminism:
