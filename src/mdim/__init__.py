@@ -27,6 +27,7 @@ from .resolving import (
     LowerBoundReport,
     all_within_distance_two,
     detect_infinite,
+    dim_lower_bound,
     is_m_resolving,
     is_metric_resolving,
     md_lower_bound,

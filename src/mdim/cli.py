@@ -21,7 +21,7 @@ from .graph import (
     major_vertex_report,
     twin_partition,
 )
-from .resolving import detect_infinite, md_lower_bound
+from .resolving import detect_infinite, dim_lower_bound, md_lower_bound
 from .search import (
     OutcomeKind,
     SearchAborted,
@@ -176,7 +176,9 @@ def _cmd_bounds(args) -> int:
     g = _load_graph(args)
     dm = all_pairs_distances(g)
     tp = twin_partition(g)
-    lb = md_lower_bound(g, dm, tp, major_vertex_report(g, dm))
+    mr = major_vertex_report(g, dm)
+    lb = md_lower_bound(g, dm, tp, mr)
+    dim_lb = dim_lower_bound(g, dm, tp, mr)
     cert = detect_infinite(g, dm, tp)
     payload = {
         "command": "bounds",
@@ -185,10 +187,17 @@ def _cmd_bounds(args) -> int:
         "lower_bound": lb.value,
         "bounds": lb.bounds,
         "achieved_by": list(lb.achieved_by),
+        "dim_lower_bound": dim_lb.value,
+        "dim_bounds": dim_lb.bounds,
+        "dim_achieved_by": list(dim_lb.achieved_by),
         "infinite_certificate": cert.kind.value if cert else None,
     }
-    lines = [f"md lower bound = {lb.value} (via {', '.join(lb.achieved_by)})"]
-    lines += [f"  {tag}: {v}" for tag, v in lb.bounds.items()]
+    lines = []
+    for name, report in (("md", lb), ("dim", dim_lb)):
+        lines.append(
+            f"{name} lower bound = {report.value} (via {', '.join(report.achieved_by)})"
+        )
+        lines += [f"  {tag}: {v}" for tag, v in report.bounds.items()]
     if cert:
         lines.append(f"infinite: yes ({cert.describe()})")
     _emit(args, payload, "\n".join(lines))

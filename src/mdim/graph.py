@@ -9,7 +9,6 @@ enumerate, compare and hash.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 
@@ -149,13 +148,14 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
     """Hop counts from ``source`` to every vertex; -1 for unreachable ones."""
     dist = [-1] * g.n
     dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in g.adjacency[u]:
+    adjacency = g.adjacency
+    # the list is the queue: iteration reaches the vertices appended behind it
+    queue = [source]
+    for u in queue:
+        du = dist[u] + 1
+        for v in adjacency[u]:
             if dist[v] < 0:
-                dist[v] = du + 1
+                dist[v] = du
                 queue.append(v)
     return dist
 
@@ -186,7 +186,7 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
 
 def diameter(dm: DistanceMatrix) -> int:
     """Largest entry of the distance matrix (0 for the one-vertex graph)."""
-    return max((max(row) for row in dm.d), default=0)
+    return max(map(max, dm.d), default=0)
 
 
 def is_path(g: Graph) -> bool:
@@ -195,7 +195,7 @@ def is_path(g: Graph) -> bool:
         return False
     if g.n == 1:
         return True
-    degs = [g.degree(v) for v in range(g.n)]
+    degs = list(map(len, g.adjacency))
     if degs.count(1) != 2 or degs.count(2) != g.n - 2:
         return False
     return is_connected(g)
@@ -214,55 +214,57 @@ def major_vertex_report(g: Graph, dm: DistanceMatrix) -> MajorVertexReport:
     A pendant with no strictly-closest major (tie, or no majors at all) is
     a terminal of nobody and does not count toward sigma.
     """
-    majors = tuple(v for v in range(g.n) if g.degree(v) >= 3)
-    terminals: dict[int, list[int]] = {v: [] for v in majors}
+    degs = list(map(len, g.adjacency))
+    majors = tuple(v for v, k in enumerate(degs) if k >= 3)
+    owned: dict[int, list[int]] = {}
     if majors:
-        pendants = [v for v in range(g.n) if g.degree(v) == 1]
-        for u in pendants:
-            best = min(majors, key=lambda w: dm.d[u][w])
-            if all(dm.d[u][best] < dm.d[u][w] for w in majors if w != best):
-                terminals[best].append(u)
-    terms = {v: tuple(sorted(us)) for v, us in terminals.items()}
-    sigma = sum(len(us) for us in terms.values())
-    ex = sum(1 for us in terms.values() if us)
-    return MajorVertexReport(majors=majors, terminals=terms, sigma=sigma, ex=ex)
+        for u, k in enumerate(degs):
+            if k == 1:
+                dists = list(map(dm.d[u].__getitem__, majors))
+                nearest = min(dists)
+                if dists.count(nearest) == 1:
+                    owned.setdefault(majors[dists.index(nearest)], []).append(u)
+    # pendants are visited in ascending order, so each list is sorted
+    terminals = dict.fromkeys(majors, ())
+    for v, us in owned.items():
+        terminals[v] = tuple(us)
+    sigma = sum(map(len, owned.values()))
+    return MajorVertexReport(majors=majors, terminals=terminals, sigma=sigma, ex=len(owned))
 
 
-def _are_twins(g: Graph, nbr_sets: list[set[int]], u: int, v: int) -> bool:
+def _are_twins(g: Graph, nbr_sets: dict[int, set[int]], u: int, v: int) -> bool:
     return nbr_sets[u] - {v} == nbr_sets[v] - {u}
 
 
 def twin_partition(g: Graph) -> TwinPartition:
     """Group the vertices into twin classes.
 
-    The pairwise relation is checked directly on every vertex pair, the
-    classes are the connected components of that relation, and every
-    intra-class pair is then re-verified so that a non-transitive outcome
-    (impossible for a correct implementation) raises RelationNotTransitive
-    instead of producing a silently wrong partition.
+    Non-adjacent twins share their open neighbourhood N(v), adjacent twins
+    their closed one N[v], so the classes are the groups of vertices with
+    equal sorted adjacency, or with equal adjacency plus the vertex itself.
+    No vertex has twins of both kinds: if N(u) = N(v) and N[v] = N[w], then
+    w is in N(v) = N(u), so u is in N[w] = N[v] and u ~ v, a contradiction.
+    Every intra-class pair is then re-verified by the pairwise relation so
+    that a non-transitive outcome (impossible for a correct implementation)
+    raises RelationNotTransitive instead of producing a silently wrong
+    partition.
     """
-    n = g.n
-    nbr_sets = [set(g.adjacency[v]) for v in range(n)]
-    parent = list(range(n))
+    # label[v] is the least member of v's class: the first vertex seen
+    # with v's open neighbourhood or, failing that, with its closed one
+    label = list(range(g.n))
+    first_open: dict[tuple[int, ...], int] = {}
+    first_closed: dict[tuple[int, ...], int] = {}
+    for v, nbrs in enumerate(g.adjacency):
+        u = first_open.setdefault(nbrs, v)
+        if u == v:
+            u = first_closed.setdefault(tuple(sorted((v, *nbrs))), v)
+        label[v] = u
+    members: dict[int, list[int]] = {}
+    for v, least in enumerate(label):
+        members.setdefault(least, []).append(v)
+    classes = tuple(map(tuple, members.values()))
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u in range(n):
-        for v in range(u + 1, n):
-            if _are_twins(g, nbr_sets, u, v):
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[max(ru, rv)] = min(ru, rv)
-
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(find(v), []).append(v)
-    classes = tuple(tuple(sorted(c)) for c in sorted(groups.values()))
-
+    nbr_sets = {v: set(g.adjacency[v]) for cls in classes if len(cls) > 1 for v in cls}
     for cls in classes:
         for i, u in enumerate(cls):
             for v in cls[i + 1:]:

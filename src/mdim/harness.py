@@ -22,6 +22,7 @@ from .resolving import (
     CertificateKind,
     Multiset,
     detect_infinite,
+    dim_lower_bound,
     least_resolving_set,
     order_diameter_lower_bound,
     representation,
@@ -35,6 +36,7 @@ from .search import (
     _md_search,
     brute_force_md,
     compute_md,
+    level_search,
     verify_witness,
 )
 
@@ -301,7 +303,9 @@ def _scan_mask_range(args) -> dict:
             diam2 += 1
 
         md = _md_search(g, dm, tp, mr, cfg)
-        dim_value, _ = _dim_search(dm, cfg)
+        least_dim = level_search(dm, ordered=True)
+        dim_lb = dim_lower_bound(g, dm, tp, mr).value
+        dim_value, _ = _dim_search(least_dim, dim_lb, n, cfg)
 
         def flag(claim: str) -> None:
             violations.append((claim, edges))
@@ -331,8 +335,10 @@ def _scan_mask_range(args) -> dict:
                 # full exhaustion
                 if least_resolving_set(dm) is not None:
                     flag("detector-soundness")
-        if dim_value < mr.sigma - mr.ex:
-            flag("terminal-count-bound")
+        # metric resolving is monotone under supersets, so a resolving set
+        # below the bound would show as one of size exactly lb - 1
+        if dim_lb > 1 and least_dim(dim_lb - 1) is not None:
+            flag("dim-lower-bound")
         hist[key] = hist.get(key, 0) + 1
 
     return {

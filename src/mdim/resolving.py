@@ -66,7 +66,7 @@ class InfiniteCertificate:
 
 @dataclass(frozen=True)
 class LowerBoundReport:
-    """Best known lower bound on md(G), with per-rule attribution."""
+    """Best known lower bound on md(G) or dim(G), with per-rule attribution."""
 
     value: int
     bounds: dict[str, int]
@@ -193,6 +193,64 @@ def md_lower_bound(
         bounds["order-diameter"] = order_diameter_lower_bound(g.n, d)
     bounds["twin-pairs"] = len(tp.pair_classes)
     return LowerBoundReport(value=max(bounds.values()), bounds=bounds)
+
+
+def dim_lower_bound(
+    g: Graph, dm: DistanceMatrix, tp: TwinPartition, mr: MajorVertexReport
+) -> LowerBoundReport:
+    """Best lower bound on the metric dimension from the cheap structural
+    rules; no set smaller than its value metric-resolves the graph.
+
+    Rules combined (max wins), each sound for every connected graph:
+      - ``trivial``: the search counts sizes from 1;
+      - ``non-path``: one landmark x gives n distinct distances only when
+        d(x, v) takes every value 0..n-1, and then an edge can only join
+        vertices whose distances differ by 1, so G is a path; any other
+        graph needs 2;
+      - ``order-diameter``: with k landmarks the n - k other vertices need
+        distinct vectors in {1..D}^k, so D^k + k >= n (Khuller,
+        Raghavachari and Rosenfeld, 1996);
+      - ``terminal-count``: dim >= sigma - ex (Chartrand, Eroh, Johnson and
+        Oellermann, 2000): the legs from a major v to its terminals are
+        paths of degree-2 vertices, and the neighbours of v on two legs
+        with no landmark collide, since every landmark reaches both
+        through v; so v needs a landmark on every leg but one;
+      - ``twin-classes``: twins are equidistant from every other vertex,
+        so two twins outside W collide and W leaves out at most one vertex
+        of each class, which makes dim >= sum(|c| - 1).
+    """
+    bounds = {**dim_distance_rules(g, dm), **dim_structure_rules(g, tp, mr)}
+    return LowerBoundReport(value=max(bounds.values()), bounds=bounds)
+
+
+def dim_distance_rules(g: Graph, dm: DistanceMatrix) -> dict[str, int]:
+    """The rules of dim_lower_bound that read only the graph and its
+    distances (trivial, non-path, order-diameter); see there for why each
+    is sound."""
+    bounds = {"trivial": 1}
+    if not is_path(g):
+        bounds["non-path"] = 2
+    d = diameter(dm)
+    if d >= 1:
+        # k = n always qualifies, so the loop stops at the least k
+        for k in range(1, g.n + 1):
+            if d**k + k >= g.n:
+                break
+        bounds["order-diameter"] = k
+    return bounds
+
+
+def dim_structure_rules(
+    g: Graph, tp: TwinPartition, mr: MajorVertexReport
+) -> dict[str, int]:
+    """The rules of dim_lower_bound that need the major-vertex report and
+    the twin partition (terminal-count, twin-classes); see there for why
+    each is sound."""
+    return {
+        "terminal-count": mr.sigma - mr.ex,
+        # sum(|c| - 1) over the classes, which partition the n vertices
+        "twin-classes": g.n - len(tp.classes),
+    }
 
 
 def detect_infinite(

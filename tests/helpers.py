@@ -1,6 +1,7 @@
 """Shared builders for tests: independent of the families module so they can
 serve as oracles for it."""
 
+from functools import cache
 from itertools import combinations
 from random import Random
 
@@ -55,3 +56,10 @@ def all_connected_graphs(n: int):
                     stack.append(w)
         if len(seen) == n:
             yield build_graph(n, edges)
+
+
+@cache
+def connected_graphs_up_to(n: int) -> tuple[Graph, ...]:
+    """Every connected labelled graph of order 1..n, built once per test run
+    because several exhaustive tests walk the same set."""
+    return tuple(g for k in range(1, n + 1) for g in all_connected_graphs(k))

@@ -110,6 +110,32 @@ class TestCommands:
         assert payload["lower_bound"] == 4
         assert payload["bounds"]["twin-pairs"] == 4
 
+    def test_bounds_reports_dim(self, capsys):
+        assert main(["bounds", "--family", "karytree:2x3", "--json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["dim_lower_bound"] == 4
+        assert payload["dim_bounds"] == {
+            "trivial": 1,
+            "non-path": 2,
+            "terminal-count": 4,
+            "twin-classes": 4,
+            "order-diameter": 2,
+        }
+        assert payload["dim_achieved_by"] == ["terminal-count", "twin-classes"]
+        assert main(["bounds", "--family", "karytree:2x3"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "dim lower bound = 4 (via terminal-count, twin-classes)" in out
+
+    def test_dim_progress_names_levels_walked(self, capsys):
+        # the distance rules give 2; once size 2 fails, the full bound (7,
+        # terminal-count) is the dimension, so sizes 3..6 are never walked
+        assert main(["dim", "--family", "substar:8x2", "--progress"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "dim search: size 2 of up to 17\ndim search: size 7 of up to 17\n"
+        )
+        assert captured.out.strip() == "dim = 7, witness = {1, 3, 5, 7, 9, 11, 13}"
+
     def test_family_emit_round_trips(self, capsys):
         assert main(["family", "path:4"]) == EXIT_OK
         text = capsys.readouterr().out

@@ -20,6 +20,7 @@ from mdim import (
 from helpers import (
     binary_tree,
     complete_graph,
+    connected_graphs_up_to,
     cycle_graph,
     path_graph,
     random_connected_graph,
@@ -174,6 +175,23 @@ class TestStructure:
         monkeypatch.setattr(graph_mod, "_are_twins", broken)
         with pytest.raises(RelationNotTransitive):
             twin_partition(path_graph(3))
+
+    def test_twins_match_pairwise_relation(self):
+        # the partition by grouped neighbourhoods against the pairwise
+        # definition, joined into classes by repeated merging
+        for g in connected_graphs_up_to(6):
+            nbrs = [set(a) for a in g.adjacency]
+            classes = [{v} for v in range(g.n)]
+            for u in range(g.n):
+                for v in range(u + 1, g.n):
+                    if nbrs[u] - {v} == nbrs[v] - {u}:
+                        cu = next(c for c in classes if u in c)
+                        cv = next(c for c in classes if v in c)
+                        if cu is not cv:
+                            cu |= cv
+                            classes.remove(cv)
+            expected = tuple(sorted(tuple(sorted(c)) for c in classes))
+            assert twin_partition(g).classes == expected, g.edges()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_twins_equidistant_property(self, seed):

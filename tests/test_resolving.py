@@ -10,6 +10,7 @@ from mdim import (
     brute_force_md,
     build_graph,
     detect_infinite,
+    dim_lower_bound,
     is_m_resolving,
     is_metric_resolving,
     major_vertex_report,
@@ -19,9 +20,11 @@ from mdim import (
     twin_partition,
 )
 from mdim.families import FamilySpec, generate
+from mdim.resolving import least_resolving_set
 from helpers import (
     binary_tree,
     complete_graph,
+    connected_graphs_up_to,
     cycle_graph,
     path_graph,
     random_connected_graph,
@@ -149,6 +152,53 @@ class TestMdLowerBound:
         lb = lower_bound_of(cycle_graph(9))
         assert lb.value == 3
         assert lb.achieved_by == ("non-path",)
+
+
+def bound_graphs():
+    """Every connected graph of order <= 6, then seeded random graphs of
+    order 7-10 at densities 0.2-0.8."""
+    yield from connected_graphs_up_to(6)
+    rng = Random(5)
+    for _ in range(150):
+        yield random_connected_graph(
+            rng, rng.randint(7, 10), extra=rng.choice([0.2, 0.4, 0.6, 0.8])
+        )
+
+
+class TestDimLowerBound:
+    RULES = {"trivial", "non-path", "terminal-count", "twin-classes", "order-diameter"}
+
+    def test_every_rule_below_dim_and_each_tight_somewhere(self):
+        tight = set()
+        for g in bound_graphs():
+            dm = dm_of(g)
+            lb = dim_lower_bound(g, dm, twin_partition(g), major_vertex_report(g, dm))
+            dim = len(least_resolving_set(dm, ordered=True))
+            for rule, value in lb.bounds.items():
+                assert value <= dim, (rule, value, dim, g.edges())
+                if value == dim:
+                    tight.add(rule)
+        assert tight == self.RULES
+
+    def test_binary_tree_h3(self):
+        g = binary_tree(3)
+        dm = dm_of(g)
+        lb = dim_lower_bound(g, dm, twin_partition(g), major_vertex_report(g, dm))
+        assert lb.bounds == {
+            "trivial": 1,
+            "non-path": 2,
+            "terminal-count": 4,
+            "twin-classes": 4,
+            "order-diameter": 2,
+        }
+        assert lb.achieved_by == ("terminal-count", "twin-classes")
+
+    def test_complete_graph_twin_classes(self):
+        g = complete_graph(5)
+        dm = dm_of(g)
+        lb = dim_lower_bound(g, dm, twin_partition(g), major_vertex_report(g, dm))
+        # one class of 5: all but one vertex is a landmark; D = 1 gives the same
+        assert (lb.bounds["twin-classes"], lb.bounds["order-diameter"]) == (4, 4)
 
 
 class TestDetectInfinite:

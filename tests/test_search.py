@@ -15,6 +15,7 @@ from mdim import (
     compute_dim,
     compute_md,
     detect_infinite,
+    dim_lower_bound,
     is_m_resolving,
     is_path,
     major_vertex_report,
@@ -240,6 +241,21 @@ class TestAgainstBruteForce:
             self.assert_matches_reference(
                 random_connected_graph(rng, n, extra=rng.choice([0.1, 0.3, 0.6]))
             )
+
+    def test_dim_after_lower_bound_lift(self):
+        # trees and near-trees of order 9-12 have many pendants and twins,
+        # so the full dim_lower_bound, computed before size 3, often lifts
+        # the walk past sizes that are never searched
+        rng = Random(9)
+        lifted = 0
+        for _ in range(60):
+            g = random_connected_graph(rng, rng.randint(9, 12), extra=rng.choice([0.0, 0.05]))
+            dm = all_pairs_distances(g)
+            w = least_resolving_set(dm, ordered=True)
+            assert compute_dim(g) == (len(w), w), g.edges()
+            lb = dim_lower_bound(g, dm, twin_partition(g), major_vertex_report(g, dm))
+            lifted += lb.value >= 4
+        assert lifted >= 5
 
     def test_petersen_brute_force_infinite(self):
         assert brute_force_md(build_graph(10, generate(FamilySpec.petersen()).edges())).is_infinite
