@@ -9,6 +9,7 @@ enumerate, compare and hash.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 
@@ -148,14 +149,13 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
     """Hop counts from ``source`` to every vertex; -1 for unreachable ones."""
     dist = [-1] * g.n
     dist[source] = 0
-    adjacency = g.adjacency
-    # the list is the queue: iteration reaches the vertices appended behind it
-    queue = [source]
-    for u in queue:
-        du = dist[u] + 1
-        for v in adjacency[u]:
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        du = dist[u]
+        for v in g.adjacency[u]:
             if dist[v] < 0:
-                dist[v] = du
+                dist[v] = du + 1
                 queue.append(v)
     return dist
 
@@ -186,7 +186,7 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
 
 def diameter(dm: DistanceMatrix) -> int:
     """Largest entry of the distance matrix (0 for the one-vertex graph)."""
-    return max(map(max, dm.d), default=0)
+    return max((max(row) for row in dm.d), default=0)
 
 
 def is_path(g: Graph) -> bool:
@@ -195,7 +195,7 @@ def is_path(g: Graph) -> bool:
         return False
     if g.n == 1:
         return True
-    degs = list(map(len, g.adjacency))
+    degs = [g.degree(v) for v in range(g.n)]
     if degs.count(1) != 2 or degs.count(2) != g.n - 2:
         return False
     return is_connected(g)
@@ -214,22 +214,18 @@ def major_vertex_report(g: Graph, dm: DistanceMatrix) -> MajorVertexReport:
     A pendant with no strictly-closest major (tie, or no majors at all) is
     a terminal of nobody and does not count toward sigma.
     """
-    degs = list(map(len, g.adjacency))
-    majors = tuple(v for v, k in enumerate(degs) if k >= 3)
-    owned: dict[int, list[int]] = {}
+    majors = tuple(v for v in range(g.n) if g.degree(v) >= 3)
+    terminals: dict[int, list[int]] = {v: [] for v in majors}
     if majors:
-        for u, k in enumerate(degs):
-            if k == 1:
-                dists = list(map(dm.d[u].__getitem__, majors))
-                nearest = min(dists)
-                if dists.count(nearest) == 1:
-                    owned.setdefault(majors[dists.index(nearest)], []).append(u)
-    # pendants are visited in ascending order, so each list is sorted
-    terminals = dict.fromkeys(majors, ())
-    for v, us in owned.items():
-        terminals[v] = tuple(us)
-    sigma = sum(map(len, owned.values()))
-    return MajorVertexReport(majors=majors, terminals=terminals, sigma=sigma, ex=len(owned))
+        pendants = [v for v in range(g.n) if g.degree(v) == 1]
+        for u in pendants:
+            best = min(majors, key=lambda w: dm.d[u][w])
+            if all(dm.d[u][best] < dm.d[u][w] for w in majors if w != best):
+                terminals[best].append(u)
+    terms = {v: tuple(sorted(us)) for v, us in terminals.items()}
+    sigma = sum(len(us) for us in terms.values())
+    ex = sum(1 for us in terms.values() if us)
+    return MajorVertexReport(majors=majors, terminals=terms, sigma=sigma, ex=ex)
 
 
 def _are_twins(g: Graph, nbr_sets: dict[int, set[int]], u: int, v: int) -> bool:

@@ -180,9 +180,7 @@ def level_search(
     every distance is below n, so the code is a base-n number whose digit
     x is d(v, x), and equal codes mean equal distance vectors.
     ``tails[s][v]`` labels v's distances to the ids s..n-1, equal labels
-    meaning equal distances: in ordered mode it is the sum of
-    ``weights[x][v]`` over x >= s, the digits s..n-1 of v's code for V; in
-    multiset mode a dict numbers the pairs (distance to s, label at s + 1).
+    meaning equal distances.
 
     The one cut, the same in both modes: a prefix whose next id is s is
     dropped when two vertices share both their code and their label in
@@ -204,20 +202,18 @@ def level_search(
     cycle collector, whose pauses showed in per-graph scan latencies.
     """
     d, n = dm.d, dm.n
-    tails = [(0,) * n] * (n + 1)
     if ordered:
         weights = [tuple(map(mul, row, repeat(n**x))) for x, row in enumerate(d)]
-        for s in range(n - 1, -1, -1):
-            tails[s] = tuple(map(add, weights[s], tails[s + 1]))
     else:
         power = list(map(pow, repeat(n + 1), range(n)))
         weights = [tuple(map(power.__getitem__, row)) for row in d]
-        # one counter for all levels, so a new (distance, tail) key never
-        # receives a label that an earlier key already holds
-        ids: dict[tuple[int, int], int] = {}
-        fresh = count()
-        for s in range(n - 1, -1, -1):
-            tails[s] = tuple(map(ids.setdefault, zip(d[s], tails[s + 1]), fresh))
+    # one counter for all levels, so a new (distance, tail) key never
+    # receives a label that an earlier key already holds
+    ids: dict[tuple[int, int], int] = {}
+    fresh = count()
+    tails = [(0,) * n] * (n + 1)
+    for s in range(n - 1, -1, -1):
+        tails[s] = tuple(map(ids.setdefault, zip(d[s], tails[s + 1]), fresh))
 
     def least(k: int) -> tuple[int, ...] | None:
         chosen: list[int] = []
@@ -291,11 +287,12 @@ def compute_dim(
     order, and no size below a ``dim_lower_bound`` rule can hold a hit.
     The walk starts at ``dim_distance_rules``, which read only the
     distances.  ``dim_structure_rules`` need the twin partition and the
-    major-vertex report, about n^2 steps, so they are computed only before
-    the first size with more than n^2 candidate sets, and may lift the
-    walk there: on graphs of order 7 or less no size is that large, and on
-    small graphs those two inputs cost more than the whole search.  With
-    ``progress`` each size walked is noted on stderr.
+    major-vertex report, about n^2 steps, so they are computed only once
+    a size with more than n^2 candidate sets has failed, and may lift the
+    walk from there.  On graphs of order 7 or less no size is that large,
+    and on small graphs those two inputs cost more than the whole search;
+    a graph whose dimension is the first such size never pays for them.
+    With ``progress`` each size walked is noted on stderr.
     """
     dm = all_pairs_distances(g)
     if g.n > cfg.max_vertices:
@@ -321,19 +318,19 @@ def _dim_search(
     lift: Callable[[], int] | None = None,
 ) -> tuple[int, tuple[int, ...]]:
     """First hit of the ordered ``least`` over sizes lb..n.  ``lift``, if
-    given, is a further lower bound, computed once, before the first size
-    k with comb(n, k) > n^2; see compute_dim."""
+    given, is a further lower bound, computed once, after the first size
+    k with comb(n, k) > n^2 has failed; see compute_dim."""
     k = lb
     while k <= n:
-        if lift is not None and comb(n, k) > n * n:
-            k = max(k, lift())
-            lift = None
         if cfg.progress:
             print(f"dim search: size {k} of up to {n}", file=sys.stderr)
         w = least(k)
         if w is not None:
             return k, w
         k += 1
+        if lift is not None and comb(n, k - 1) > n * n:
+            k = max(k, lift())
+            lift = None
     raise AssertionError("a connected graph is always metric-resolved by V itself")
 
 

@@ -127,12 +127,13 @@ class TestCommands:
         assert "dim lower bound = 4 (via terminal-count, twin-classes)" in out
 
     def test_dim_progress_names_levels_walked(self, capsys):
-        # the distance rules give 2; once size 2 fails, the full bound (7,
-        # terminal-count) is the dimension, so sizes 3..6 are never walked
+        # the distance rules give 2; once size 3 (680 > 17^2 sets) fails,
+        # the full bound (7, terminal-count) is the dimension, so sizes
+        # 4..6 are never walked
         assert main(["dim", "--family", "substar:8x2", "--progress"]) == EXIT_OK
         captured = capsys.readouterr()
-        assert captured.err == (
-            "dim search: size 2 of up to 17\ndim search: size 7 of up to 17\n"
+        assert captured.err == "".join(
+            f"dim search: size {k} of up to 17\n" for k in (2, 3, 7)
         )
         assert captured.out.strip() == "dim = 7, witness = {1, 3, 5, 7, 9, 11, 13}"
 

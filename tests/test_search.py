@@ -244,8 +244,8 @@ class TestAgainstBruteForce:
 
     def test_dim_after_lower_bound_lift(self):
         # trees and near-trees of order 9-12 have many pendants and twins,
-        # so the full dim_lower_bound, computed before size 3, often lifts
-        # the walk past sizes that are never searched
+        # so the full dim_lower_bound, computed once size 3 fails, often
+        # lifts the walk past sizes that are never searched
         rng = Random(9)
         lifted = 0
         for _ in range(60):
