@@ -25,7 +25,6 @@ from .resolving import (
     CollisionReport,
     InfiniteCertificate,
     LowerBoundReport,
-    all_within_distance_two,
     detect_infinite,
     dim_lower_bound,
     is_m_resolving,

@@ -228,6 +228,85 @@ def major_vertex_report(g: Graph, dm: DistanceMatrix) -> MajorVertexReport:
     return MajorVertexReport(majors=majors, terminals=terms, sigma=sigma, ex=ex)
 
 
+def subtree_swap_masks(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Sibling-subtree swaps of a tree that move a vertex to a smaller id.
+
+    Entry x holds one vertex mask S per swap found for x: swapping the two
+    isomorphic subtrees that S covers is an automorphism of g that fixes
+    every vertex outside S and maps x to some y < x.  Masks that contain
+    another mask of the same entry are dropped.  Non-trees (m != n - 1)
+    and asymmetric trees get an empty tuple for every vertex; so does a
+    disconnected graph with n - 1 edges, which has a cycle.
+
+    The tree is rooted at its centre, or at the midpoint of its central
+    edge, and every vertex gets the AHU code of its rooted subtree (Aho,
+    Hopcroft & Ullman 1974) and a key for the sequence of codes on its
+    path from the root.  For y < x with equal keys, let a and b be the
+    children of their lowest common ancestor on the paths to x and to y.
+    Equal codes along both paths give an isomorphism of the subtrees of a
+    and b that maps x to y, so S is the mask of those two subtrees.  Any
+    root would make the swaps automorphisms; the centre, which every
+    automorphism fixes, makes equal keys mean the same orbit.
+    """
+    n = g.n
+    if n < 3 or g.edge_count != n - 1 or not is_connected(g):
+        return ((),) * n
+    # strip leaves layer by layer down to the one or two central vertices
+    degree = list(map(len, g.adjacency))
+    layer = [v for v in range(n) if degree[v] == 1]
+    left = n
+    while left > 2:
+        left -= len(layer)
+        inner = []
+        for v in layer:
+            for u in g.adjacency[v]:
+                degree[u] -= 1
+                if degree[u] == 1:
+                    inner.append(u)
+        layer = inner
+    # the central vertices hang from a virtual root n
+    parent = [-1] * n + [n]
+    order = list(layer)
+    for c in layer:
+        parent[c] = n
+    for v in order:
+        for u in g.adjacency[v]:
+            if parent[u] < 0:
+                parent[u] = v
+                order.append(u)
+    codes: dict[tuple[int, ...], int] = {}
+    code = [0] * n
+    kids: list[list[int]] = [[] for _ in range(n + 1)]
+    mask = [0] * (n + 1)
+    for v in reversed(order):
+        code[v] = codes.setdefault(tuple(sorted(kids[v])), len(codes))
+        kids[parent[v]].append(code[v])
+        mask[v] |= 1 << v
+        mask[parent[v]] |= mask[v]
+    keys: dict[tuple[int, int], int] = {}
+    key = [0] * n + [-1]
+    for v in order:
+        key[v] = keys.setdefault((key[parent[v]], code[v]), len(keys))
+    same: dict[int, list[int]] = {}
+    for v in range(n):
+        same.setdefault(key[v], []).append(v)
+    swaps: list[tuple[int, ...]] = [()] * n
+    for members in same.values():
+        for i, x in enumerate(members):
+            found = set()
+            for y in members[:i]:
+                a, b = x, y
+                while parent[a] != parent[b]:
+                    a, b = parent[a], parent[b]
+                found.add(mask[a] | mask[b])
+            kept: list[int] = []
+            for s in sorted(found, key=int.bit_count):
+                if all(t & s != t for t in kept):
+                    kept.append(s)
+            swaps[x] = tuple(kept)
+    return tuple(swaps)
+
+
 def _are_twins(g: Graph, nbr_sets: dict[int, set[int]], u: int, v: int) -> bool:
     return nbr_sets[u] - {v} == nbr_sets[v] - {u}
 

@@ -269,19 +269,3 @@ def detect_infinite(
     for cls in tp.large_classes:
         return InfiniteCertificate(CertificateKind.LARGE_TWIN_CLASS, twin_class=cls)
     return None
-
-
-def all_within_distance_two(dm: DistanceMatrix, w: Iterable[int]) -> bool:
-    """True iff |w| >= 2 and every pair inside w is at distance <= 2.
-
-    Such a set can never multiset-resolve: its own members would need the
-    p distinct representations {0,1^(p-1)} .. {0,2^(p-1)}, forcing both a
-    distance-1 and a distance-2 relation between the two extreme members.
-    Kept as a public check of that fact; the search no longer uses it,
-    since next to the search's landmark cut the skip does not pay.
-    """
-    w = tuple(w)
-    if len(w) < 2:
-        return False
-    d = dm.d
-    return all(d[u][v] <= 2 for i, u in enumerate(w) for v in w[i + 1:])

@@ -15,6 +15,22 @@ a valid infiniteness certificate.  It also covers the twin rule (a twin
 pair with both or neither member chosen collides), so no separate twin
 generator or distance-2 skip is needed.  A solve runs in one process.
 
+On trees the search also applies the lex-leader rule of Crawford,
+Ginsberg, Luks & Roy ("Symmetry-breaking predicates for search problems",
+KR 1996).  ``graph.subtree_swap_masks`` lists, for each vertex x, masks S
+of two isomorphic sibling subtrees whose swap is an automorphism that
+fixes every vertex outside S and maps x to a smaller id.  If W is the
+lexicographically least resolving set, s(W) resolves for every
+automorphism s, so no landmark of W can be moved to a smaller id by an
+automorphism that fixes the landmarks chosen before it: s(W) would be
+smaller than W.  The search therefore skips x whenever the chosen
+landmarks miss some S of x.  The rule drops only sets that are not the
+least one, so each size still returns its least witness or None, and
+"every size exhausted" stays a valid infiniteness certificate.  Each
+solve builds the table once, after the first size with more than n^2
+candidate sets has failed, the point where ``compute_dim`` computes its
+structure bounds: solves that end earlier never pay for it.
+
 The metric dimension runs on the same search in ordered mode, where a
 code stands for the distance vector instead of the multiset; the cut's
 argument holds word for word.  The reference ``brute_force_md`` takes no
@@ -42,6 +58,7 @@ from .graph import (
     is_path,
     major_vertex_report,
     path_endpoints,
+    subtree_swap_masks,
     twin_partition,
 )
 from .resolving import (
@@ -141,35 +158,52 @@ def _extend(
     n: int,
     weights: list[tuple[int, ...]],
     tails: list[tuple[int, ...]],
-    chosen: list[int],
-) -> bool:
-    """Complete ``chosen`` with ``left`` more ids from ``start`` on, or
-    return False; see level_search."""
+    swaps: tuple[tuple[int, ...], ...],
+    mask: int,
+) -> tuple[int, ...]:
+    """Complete the landmarks in ``mask`` with ``left`` more ids from
+    ``start`` on; return the ids added, or () if no completion resolves.
+
+    Candidate x is skipped, before any test, when a swap S in ``swaps[x]``
+    misses ``mask``: that automorphism fixes every chosen landmark and maps
+    x to a smaller id, so by the lex-leader rule no least resolving set
+    continues with x (see level_search)."""
     if left == 1:
         for x in range(start, n):
+            if swaps[x] and 0 in map(mask.__and__, swaps[x]):
+                continue
             if len(set(map(add, code, weights[x]))) == n:
-                chosen.append(x)
-                return True
-        return False
+                return (x,)
+        return ()
     for x in range(start, n - left + 1):
+        if swaps[x] and 0 in map(mask.__and__, swaps[x]):
+            continue
         if len(set(zip(code, tails[x]))) < n:
-            return False
-        chosen.append(x)
-        if _extend(
-            tuple(map(add, code, weights[x])), x + 1, left - 1, n, weights, tails, chosen
-        ):
-            return True
-        chosen.pop()
-    return False
+            return ()
+        found = _extend(
+            tuple(map(add, code, weights[x])),
+            x + 1,
+            left - 1,
+            n,
+            weights,
+            tails,
+            swaps,
+            mask | 1 << x,
+        )
+        if found:
+            return (x, *found)
+    return ()
 
 
 def level_search(
     dm: DistanceMatrix, ordered: bool = False
-) -> Callable[[int], tuple[int, ...] | None]:
-    """Build the landmark tables of one graph; return ``least(k)``, the
-    lexicographically least resolving set of size k (1 <= k <= n), or
+) -> Callable[..., tuple[int, ...] | None]:
+    """Build the landmark tables of one graph; return ``least(k, swaps)``,
+    the lexicographically least resolving set of size k (1 <= k <= n), or
     None.  Sets resolve by distance multisets, or with ``ordered`` by
-    distance vectors (metric resolving).
+    distance vectors (metric resolving).  ``swaps``, if given, is the
+    ``graph.subtree_swap_masks`` table of the same graph; it changes no
+    answer, only how many sets are visited.
 
     ``least`` is a depth-first search over ascending landmark ids.  A
     vertex's code is the sum of ``weights[x][v]`` over the chosen
@@ -196,10 +230,24 @@ def level_search(
     The last landmark of a set is tried with the plain resolve test alone,
     where the cut would cost as much as the test it saves.
 
-    The recursion is the module-level ``_extend`` and each ``least(k)``
-    call has its own ``chosen`` list: a nested function that calls itself
-    is a reference cycle, which would leave every solve's tables to the
-    cycle collector, whose pauses showed in per-graph scan latencies.
+    The lex-leader rule (Crawford, Ginsberg, Luks & Roy, KR 1996), with
+    ``swaps``: candidate x is skipped when the chosen landmarks miss some
+    swap mask S of x.  Let W be the least resolving set of size k.  Every
+    automorphism s maps W to a set s(W) that resolves too, by the same
+    distances, as multisets and as vectors alike.  If s fixes landmarks
+    w_1..w_{i-1} and maps w_i to y < w_i, then y is not in W and every
+    element of W that s(W) lacks is at least w_i, so s(W) < W, which is
+    impossible.  The swap of S fixes every vertex outside S, hence every
+    chosen landmark, and maps x to a smaller id, so x is never the next
+    landmark of W.  The rule drops only sets that are not the least one,
+    so each size still returns its least witness or None, and a None at
+    every size still proves that no resolving set exists.
+
+    The recursion is the module-level ``_extend``, which returns the ids it
+    adds and carries the chosen ones as an int mask for the rule: a nested
+    function that calls itself is a reference cycle, which would leave
+    every solve's tables to the cycle collector, whose pauses showed in
+    per-graph scan latencies.
     """
     d, n = dm.d, dm.n
     if ordered:
@@ -215,10 +263,12 @@ def level_search(
     for s in range(n - 1, -1, -1):
         tails[s] = tuple(map(ids.setdefault, zip(d[s], tails[s + 1]), fresh))
 
-    def least(k: int) -> tuple[int, ...] | None:
-        chosen: list[int] = []
-        found = _extend((0,) * n, 0, k, n, weights, tails, chosen)
-        return tuple(chosen) if found else None
+    blank = ((),) * n
+
+    def least(
+        k: int, swaps: tuple[tuple[int, ...], ...] | None = None
+    ) -> tuple[int, ...] | None:
+        return _extend((0,) * n, 0, k, n, weights, tails, swaps or blank, 0) or None
 
     return least
 
@@ -246,10 +296,11 @@ def _md_search(
         )
     lb = md_lower_bound(g, dm, tp, mr)
     least = level_search(dm)
+    swaps = None
     for k in range(lb.value, g.n + 1):
         if cfg.progress:
             print(f"md search: size {k} of up to {g.n}", file=sys.stderr)
-        witness = least(k)
+        witness = least(k, swaps)
         if witness is not None:
             if k == 2:
                 raise RuntimeError(
@@ -257,6 +308,14 @@ def _md_search(
                     "no graph admits one, this is a solver bug"
                 )
             return ResolveOutcome(OutcomeKind.FINITE, value=k, witness=witness)
+        if swaps is None and comb(g.n, k) > g.n * g.n:
+            swaps = subtree_swap_masks(g)
+            if cfg.progress and any(swaps):
+                print(
+                    f"md search: tree symmetry rule on ({sum(map(bool, swaps))} "
+                    "vertices have a smaller image)",
+                    file=sys.stderr,
+                )
     return ResolveOutcome(
         OutcomeKind.INFINITE,
         certificate=InfiniteCertificate(CertificateKind.EXHAUSTIVE_SEARCH),
@@ -304,32 +363,40 @@ def compute_dim(
         max(dim_distance_rules(g, dm).values()),
         g.n,
         cfg,
-        lambda: max(
-            dim_structure_rules(g, twin_partition(g), major_vertex_report(g, dm)).values()
+        lambda: (
+            max(
+                dim_structure_rules(
+                    g, twin_partition(g), major_vertex_report(g, dm)
+                ).values()
+            ),
+            subtree_swap_masks(g),
         ),
     )
 
 
 def _dim_search(
-    least: Callable[[int], tuple[int, ...] | None],
+    least: Callable[..., tuple[int, ...] | None],
     lb: int,
     n: int,
     cfg: SearchConfig,
-    lift: Callable[[], int] | None = None,
+    lift: Callable[[], tuple[int, tuple[tuple[int, ...], ...]]] | None = None,
 ) -> tuple[int, tuple[int, ...]]:
     """First hit of the ordered ``least`` over sizes lb..n.  ``lift``, if
-    given, is a further lower bound, computed once, after the first size
-    k with comb(n, k) > n^2 has failed; see compute_dim."""
+    given, returns a further lower bound and the graph's swap table; it
+    is called once, after the first size k with comb(n, k) > n^2 has
+    failed, and the table is used from then on; see compute_dim."""
     k = lb
+    swaps = None
     while k <= n:
         if cfg.progress:
             print(f"dim search: size {k} of up to {n}", file=sys.stderr)
-        w = least(k)
+        w = least(k, swaps)
         if w is not None:
             return k, w
         k += 1
         if lift is not None and comb(n, k - 1) > n * n:
-            k = max(k, lift())
+            bound, swaps = lift()
+            k = max(k, bound)
             lift = None
     raise AssertionError("a connected graph is always metric-resolved by V itself")
 

@@ -63,3 +63,32 @@ def connected_graphs_up_to(n: int) -> tuple[Graph, ...]:
     """Every connected labelled graph of order 1..n, built once per test run
     because several exhaustive tests walk the same set."""
     return tuple(g for k in range(1, n + 1) for g in all_connected_graphs(k))
+
+
+def shuffled(rng: Random, g: Graph) -> Graph:
+    """g with its vertex ids permuted at random."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def random_symmetric_tree(rng: Random, n: int) -> Graph:
+    """Random tree of order n (n >= 3) built around copies of one random
+    rooted tree, so that most have automorphisms: two or three copies hang
+    from a hub, or two copies are joined at their roots (a central edge
+    when nothing else is added).  The remaining vertices each join a random
+    earlier vertex, and the ids are shuffled."""
+    copies = 3 if n >= 4 and rng.random() < 0.5 else 2
+    joined = copies == 2 and rng.random() < 0.5
+    size = rng.randint(1, (n - (not joined)) // copies)
+    shape = [rng.randrange(v) for v in range(1, size)]
+    hub = 0 if joined else 1
+    edges = [] if joined else [(0, 1 + c * size) for c in range(copies)]
+    for c in range(copies):
+        root = hub + c * size
+        edges += [(root + p, root + v) for v, p in enumerate(shape, start=1)]
+    if joined:
+        edges.append((0, size))
+    for v in range(len(edges) + 1, n):
+        edges.append((rng.randrange(v), v))
+    return shuffled(rng, build_graph(n, edges))

@@ -137,6 +137,20 @@ class TestCommands:
         )
         assert captured.out.strip() == "dim = 7, witness = {1, 3, 5, 7, 9, 11, 13}"
 
+    def test_md_progress_notes_symmetry_rule(self, capsys):
+        # size 6 (74,613 > 22^2 sets) fails, so the swap table is built and
+        # the 18 vertices outside substar:7x3's first leg have a smaller image
+        assert main(["md", "--family", "substar:7x3", "--progress"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "md search: size 6 of up to 22\n"
+            "md search: tree symmetry rule on (18 vertices have a smaller image)\n"
+            + "".join(f"md search: size {k} of up to 22\n" for k in (7, 8, 9))
+        )
+        assert captured.out.strip() == "md = 9, witness = {1, 2, 4, 6, 7, 11, 12, 14, 18}"
+        # tools that time the levels read "size <k>" from each note
+        assert "size" not in captured.err.splitlines()[1]
+
     def test_family_emit_round_trips(self, capsys):
         assert main(["family", "path:4"]) == EXIT_OK
         text = capsys.readouterr().out

@@ -8,9 +8,12 @@ import pytest
 
 nx = pytest.importorskip("networkx")
 
-from mdim import all_pairs_distances, twin_partition
+from networkx.algorithms.isomorphism import GraphMatcher, categorical_node_match
+
+from mdim import all_pairs_distances, build_graph, twin_partition
+from mdim.graph import subtree_swap_masks
 from mdim.harness import scan_small_graphs
-from helpers import random_connected_graph
+from helpers import random_connected_graph, random_symmetric_tree, shuffled
 
 
 def random_graphs():
@@ -46,6 +49,69 @@ def test_twin_classes_match_neighbourhood_comparison():
             for v in h
         }
         assert twin_partition(g).classes == tuple(sorted(classes)), g.edges()
+
+
+def moves_below(h, fixed, x):
+    """True when some automorphism of h fixes every vertex in ``fixed``
+    and maps x to a smaller id: a search for an isomorphism from h with x
+    marked to h with y marked, for each y < x, the fixed vertices marked
+    by themselves."""
+    match = categorical_node_match("mark", None)
+    src = h.copy()
+    for p in fixed:
+        src.nodes[p]["mark"] = p
+    src.nodes[x]["mark"] = "x"
+    for y in range(x):
+        if y in fixed:
+            continue
+        dst = h.copy()
+        for p in fixed:
+            dst.nodes[p]["mark"] = p
+        dst.nodes[y]["mark"] = "x"
+        if GraphMatcher(src, dst, node_match=match).is_isomorphic():
+            return True
+    return False
+
+
+def test_swap_masks_are_automorphisms():
+    # every stored mask S of x: with any landmarks P outside S fixed, some
+    # automorphism still moves x to a smaller id, which is what lets the
+    # landmark search skip x; P = all of V - S is the hardest case
+    rng = Random(6)
+    centres = set()
+    for i in range(150):
+        n = rng.randint(3, 9)
+        t = (
+            random_symmetric_tree(rng, n)
+            if i % 2
+            else shuffled(rng, random_connected_graph(rng, n, extra=0.0))
+        )
+        h = to_networkx(t)
+        swaps = subtree_swap_masks(t)
+        if any(swaps):
+            centres.add(len(nx.center(h)))
+        for x, masks in enumerate(swaps):
+            for s in masks:
+                outside = [v for v in range(n) if not s >> v & 1]
+                prefixes = [outside] + [
+                    rng.sample(outside, rng.randint(0, len(outside))) for _ in range(3)
+                ]
+                for fixed in prefixes:
+                    assert moves_below(h, set(fixed), x), (t.edges(), x, s, fixed)
+    assert centres == {1, 2}
+
+
+def test_swap_masks_empty_off_symmetric_trees():
+    g = random_connected_graph(Random(1), 8, extra=0.5)
+    assert g.edge_count > g.n - 1
+    assert subtree_swap_masks(g) == ((),) * 8
+    # n - 1 edges but no tree: a triangle and an isolated vertex
+    assert subtree_swap_masks(build_graph(4, [(0, 1), (1, 2), (0, 2)])) == ((),) * 4
+    # the spider with legs of length 1, 2 and 3 has no automorphism
+    spider = build_graph(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
+    h = to_networkx(spider)
+    assert sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter()) == 1
+    assert subtree_swap_masks(spider) == ((),) * 7
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

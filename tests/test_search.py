@@ -23,6 +23,7 @@ from mdim import (
     verify_witness,
 )
 from mdim.families import FamilySpec, generate
+from mdim.graph import subtree_swap_masks
 from mdim.resolving import first_collision, least_resolving_set
 from mdim.search import level_search
 from helpers import (
@@ -31,6 +32,7 @@ from helpers import (
     cycle_graph,
     path_graph,
     random_connected_graph,
+    random_symmetric_tree,
 )
 
 
@@ -67,6 +69,15 @@ class TestComputeMd:
     def test_binary_tree_h2(self):
         outcome = compute_md(generate(FamilySpec.kary_tree(2, 2)))
         assert (outcome.value, outcome.witness) == (3, (1, 3, 5))
+
+    def test_substar_7x4(self):
+        # 29 vertices, past the default cap; the lower bound is 6 and sizes
+        # 6 and 7 hold no resolving set, so this costs about 4 s without the
+        # tree symmetry rule and about 1 s with it
+        outcome = compute_md(
+            generate(FamilySpec.subdivided_star(7, 4)), SearchConfig(max_vertices=29)
+        )
+        assert (outcome.value, outcome.witness) == (8, (1, 2, 5, 7, 9, 14, 19, 24))
 
     def test_nonmonotonicity_regression(self):
         dm = all_pairs_distances(path_graph(4))
@@ -216,6 +227,27 @@ class TestLevelSearch:
         w = level_search(all_pairs_distances(g))(3)
         assert w is not None
         assert all(len(set(w) & pair) == 1 for pair in ({3, 4}, {5, 6}))
+
+
+class TestSwapRule:
+    """The lex-leader rule on trees changes no answer: ``least(k)`` with
+    the swap table equals ``least(k)`` without it at every size, in both
+    modes, including the sizes where nothing resolves."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_same_least_sets_with_and_without_swaps(self, seed):
+        rng = Random(seed)
+        symmetric = 0
+        for _ in range(200):
+            t = random_symmetric_tree(rng, rng.randint(3, rng.choice([11, 16])))
+            dm = all_pairs_distances(t)
+            swaps = subtree_swap_masks(t)
+            symmetric += any(swaps)
+            for ordered in (False, True):
+                least = level_search(dm, ordered)
+                for k in range(1, t.n + 1):
+                    assert least(k, swaps) == least(k), (t.edges(), k, ordered)
+        assert symmetric >= 150
 
 
 class TestAgainstBruteForce:
