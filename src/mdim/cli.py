@@ -23,7 +23,6 @@ from .graph import (
 )
 from .resolving import detect_infinite, dim_lower_bound, md_lower_bound
 from .search import (
-    OutcomeKind,
     SearchAborted,
     SearchConfig,
     compute_dim,
@@ -121,14 +120,12 @@ def _cmd_md(args) -> int:
     payload: dict = {"command": "md", "n": g.n, "kind": outcome.kind.value}
     if outcome.is_finite:
         payload.update(value=outcome.value, witness=list(outcome.witness))
-    elif outcome.is_infinite:
+    else:
         payload.update(certificate=outcome.certificate.kind.value)
         if outcome.certificate.twin_class:
             payload.update(twin_class=list(outcome.certificate.twin_class))
-    else:
-        payload.update(reason=outcome.reason)
     _emit(args, payload, outcome.describe())
-    return EXIT_ABORTED if outcome.kind is OutcomeKind.ABORTED else EXIT_OK
+    return EXIT_OK
 
 
 def _cmd_dim(args) -> int:
@@ -312,9 +309,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _worker_count(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a worker count of at least 1, got {text!r}")
+    return int(text)
+
+
 def _add_common(sub: argparse.ArgumentParser, graph_input: bool = True) -> None:
     sub.add_argument("--json", action="store_true", help="structured output")
-    sub.add_argument("--parallel", type=int, default=1, metavar="K",
+    sub.add_argument("--parallel", type=_worker_count, default=1, metavar="K",
                      help="worker processes for scans; one md or dim solve "
                      "runs in one process (default 1)")
     sub.add_argument("--max-vertices", type=int, default=24, metavar="N",

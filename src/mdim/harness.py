@@ -16,7 +16,7 @@ from itertools import combinations, permutations
 
 from . import families
 from .families import ExpectedMd, FamilySpec, MdKind, NoKnownWitness
-from .graph import Graph, build_graph
+from .graph import Graph, build_graph, is_connected
 from .graph import all_pairs_distances, diameter, is_path, major_vertex_report, twin_partition
 from .resolving import (
     CertificateKind,
@@ -28,15 +28,13 @@ from .resolving import (
     representation,
 )
 from .search import (
-    OutcomeKind,
     ResolveOutcome,
     SearchAborted,
     SearchConfig,
-    _dim_search,
     _md_search,
+    _walk,
     brute_force_md,
     compute_md,
-    level_search,
     verify_witness,
 )
 
@@ -255,25 +253,6 @@ def canonical_code(mask: int, perm_tables: list[list[int]]) -> int:
     return best
 
 
-def _mask_connected(n: int, mask: int, pairs: list[tuple[int, int]]) -> bool:
-    adj = [0] * n
-    for b, (u, v) in enumerate(pairs):
-        if mask >> b & 1:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-    seen = frontier = 1
-    while frontier:
-        reach = 0
-        m = frontier
-        while m:
-            low = m & -m
-            reach |= adj[low.bit_length() - 1]
-            m ^= low
-        frontier = reach & ~seen
-        seen |= reach
-    return seen == (1 << n) - 1
-
-
 def _scan_mask_range(args) -> dict:
     """Solve and claim-check every connected graph in [lo, hi); top-level
     so the scan can run the mask space across a process pool."""
@@ -288,12 +267,12 @@ def _scan_mask_range(args) -> dict:
     connected = diam2 = 0
 
     for mask in range(lo, hi):
-        if not _mask_connected(n, mask, pairs):
+        edges = mask_to_edges(mask, pairs)
+        g = build_graph(n, list(edges))
+        if not is_connected(g):
             continue
         if dedup and canonical_code(mask, perm_tables) != mask:
             continue
-        edges = mask_to_edges(mask, pairs)
-        g = build_graph(n, list(edges))
         dm = all_pairs_distances(g)
         diam = diameter(dm)
         tp = twin_partition(g)
@@ -303,9 +282,10 @@ def _scan_mask_range(args) -> dict:
             diam2 += 1
 
         md = _md_search(g, dm, tp, mr, cfg)
-        least_dim = level_search(dm, ordered=True)
+        # metric resolving is monotone under supersets, so a resolving set
+        # below the bound would show at size lb - 1, where the walk starts
         dim_lb = dim_lower_bound(g, dm, tp, mr).value
-        dim_value, _ = _dim_search(least_dim, dim_lb, n, cfg)
+        dim_value = len(_walk(dm, True, max(1, dim_lb - 1), cfg))
 
         def flag(claim: str) -> None:
             violations.append((claim, edges))
@@ -335,9 +315,7 @@ def _scan_mask_range(args) -> dict:
                 # full exhaustion
                 if least_resolving_set(dm) is not None:
                     flag("detector-soundness")
-        # metric resolving is monotone under supersets, so a resolving set
-        # below the bound would show as one of size exactly lb - 1
-        if dim_lb > 1 and least_dim(dim_lb - 1) is not None:
+        if dim_value < dim_lb:
             flag("dim-lower-bound")
         hist[key] = hist.get(key, 0) + 1
 
@@ -365,7 +343,7 @@ def scan_small_graphs(
         raise SearchAborted(f"scan supports n in 2..7, got {n}")
     total_masks = 1 << len(edge_pairs(n))
 
-    if cfg.parallel:
+    if cfg.workers > 1:
         # imported here: serial callers would otherwise load about 2 MB of
         # multiprocessing modules they never use
         from concurrent.futures import ProcessPoolExecutor
@@ -375,7 +353,9 @@ def scan_small_graphs(
             (n, lo, min(lo + chunk, total_masks), dedup)
             for lo in range(0, total_masks, chunk)
         ]
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        # under fork the pool starts all its workers at once, so start no
+        # more than there are shards
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(ranges))) as pool:
             partials = list(pool.map(_scan_mask_range, ranges))
         if cfg.progress:
             print(f"scan n={n}: merged {len(partials)} shards", file=sys.stderr)
@@ -487,8 +467,15 @@ def _run_family_checks(cfg: SearchConfig) -> list[Check]:
     for spec in _SUITE_FAMILIES:
         g = families.generate(spec)
         expected = families.expected_md(spec)
-        outcome = compute_md(g, cfg)
-        checks.append(_family_md_check(spec, g, expected, outcome))
+        try:
+            outcome = compute_md(g, cfg)
+        except SearchAborted as exc:
+            checks.append(
+                Check(f"family-md:{spec}", STATUS_ABORTED, graph=tuple(g.edges()),
+                      details={"reason": str(exc)})
+            )
+        else:
+            checks.append(_family_md_check(spec, g, expected, outcome))
         checks.append(_family_witness_check(spec, g, expected))
     return [c for c in checks if c is not None]
 
@@ -498,8 +485,6 @@ def _family_md_check(
 ) -> Check:
     cid = f"family-md:{spec}"
     edges = tuple(g.edges())
-    if outcome.kind is OutcomeKind.ABORTED:
-        return Check(cid, STATUS_ABORTED, graph=edges, details={"reason": outcome.reason})
     got = outcome.value if outcome.is_finite else "infinite"
     if expected.kind is MdKind.FINITE:
         ok = outcome.is_finite and outcome.value == expected.value
@@ -605,7 +590,10 @@ def spider_probe() -> Check:
 def _detector_incompleteness_check(cfg: SearchConfig) -> Check:
     g = families.generate(FamilySpec.counterexample_tree())
     cert = detect_infinite(g, all_pairs_distances(g), twin_partition(g))
-    outcome = compute_md(g, cfg)
+    try:
+        outcome = compute_md(g, cfg)
+    except SearchAborted as exc:
+        return Check("detector-incompleteness", STATUS_ABORTED, details={"reason": str(exc)})
     ok = (
         cert is None
         and outcome.is_infinite

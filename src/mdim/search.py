@@ -26,10 +26,7 @@ automorphism that fixes the landmarks chosen before it: s(W) would be
 smaller than W.  The search therefore skips x whenever the chosen
 landmarks miss some S of x.  The rule drops only sets that are not the
 least one, so each size still returns its least witness or None, and
-"every size exhausted" stays a valid infiniteness certificate.  Each
-solve builds the table once, after the first size with more than n^2
-candidate sets has failed, the point where ``compute_dim`` computes its
-structure bounds: solves that end earlier never pay for it.
+"every size exhausted" stays a valid infiniteness certificate.
 
 The metric dimension runs on the same search in ordered mode, where a
 code stands for the distance vector instead of the multiset; the cut's
@@ -37,6 +34,12 @@ argument holds word for word.  The reference ``brute_force_md`` takes no
 cut: it is the unpruned walk ``resolving.least_resolving_set`` on the one
 resolve kernel ``resolving.first_collision``, and the tests compare both
 modes of the search against that walk.
+
+One walk, ``_walk``, visits the sizes for md, dim and the scan.  It
+builds the swap table, and dim's structure bounds, once per solve, after
+the first size with more than n^2 candidate sets has failed: solves that
+end earlier never pay for them.  Above ``SearchConfig.max_vertices`` it
+raises ``SearchAborted``, the only way any search reports the cap.
 """
 
 from __future__ import annotations
@@ -79,31 +82,28 @@ from .resolving import (
 class OutcomeKind(Enum):
     FINITE = "finite"
     INFINITE = "infinite"
-    ABORTED = "aborted"
 
 
 class SearchAborted(RuntimeError):
-    """Raised when a graph exceeds the configured exhaustive-search cap."""
+    """The one abort signal: md, dim and the scan raise it when a graph
+    exceeds the exhaustive-search cap, and the CLI maps it to exit 3."""
 
 
 @dataclass(frozen=True)
 class SearchConfig:
     """Knobs for the exact search.
 
-    ``max_vertices`` caps the subset-search phase (path recognition and the
-    infiniteness detectors still answer above it).  ``workers`` > 1 shards
-    a scan's graphs across processes; a single md or dim solve always runs
-    in one process, so the worker count never changes an answer.
-    ``progress`` prints per-level notes to stderr.
+    ``max_vertices`` caps the subset search: above it the walk raises
+    SearchAborted (path recognition and the infiniteness detectors still
+    answer md above it).  ``workers`` > 1 shards a scan's graphs across
+    processes; a single md or dim solve always runs in one process, so the
+    worker count never changes an answer.  ``progress`` prints per-level
+    notes to stderr.
     """
 
     max_vertices: int = 24
     workers: int = 1
     progress: bool = False
-
-    @property
-    def parallel(self) -> bool:
-        return self.workers > 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,7 +112,7 @@ class ResolveOutcome:
 
     Finite(k, witness): witness is the lexicographically least resolving
     set among those of minimum size k.  Infinite carries the certificate.
-    Aborted means the size cap was hit before the search could start.
+    There is no aborted outcome: a capped search raises SearchAborted.
     Slotted, with no per-instance dict, because callers that keep every
     answer of a long run pay this object's size once per solve.
     """
@@ -121,7 +121,6 @@ class ResolveOutcome:
     value: int | None = None
     witness: tuple[int, ...] | None = None
     certificate: InfiniteCertificate | None = None
-    reason: str | None = None
 
     @property
     def is_finite(self) -> bool:
@@ -134,9 +133,7 @@ class ResolveOutcome:
     def describe(self) -> str:
         if self.kind is OutcomeKind.FINITE:
             return f"md = {self.value}, witness = {{{', '.join(map(str, self.witness))}}}"
-        if self.kind is OutcomeKind.INFINITE:
-            return f"md = infinite ({self.certificate.kind.value} certificate)"
-        return f"aborted: {self.reason}"
+        return f"md = infinite ({self.certificate.kind.value} certificate)"
 
 
 @dataclass(frozen=True)
@@ -273,6 +270,43 @@ def level_search(
     return least
 
 
+def _walk(
+    dm: DistanceMatrix,
+    ordered: bool,
+    k: int,
+    cfg: SearchConfig,
+    lift: Callable[[], tuple[int, tuple[tuple[int, ...], ...]]] | None = None,
+) -> tuple[int, ...] | None:
+    """Least resolving set of the first size from k to n that holds one,
+    or None, which proves that none does: sizes are visited in ascending
+    order by ``level_search`` in the given mode.  Raises SearchAborted
+    above ``cfg.max_vertices``, before any table is built.  ``lift``, if
+    given, returns a proved lower bound and the ``subtree_swap_masks``
+    table; it is called once, after the first failed size k with
+    comb(n, k) > n^2, and neither changes an answer (see level_search).
+    """
+    n = dm.n
+    if n > cfg.max_vertices:
+        raise SearchAborted(
+            f"{n} vertices exceeds the exhaustive-search cap of {cfg.max_vertices}"
+        )
+    least = level_search(dm, ordered)
+    swaps = None
+    while k <= n:
+        if cfg.progress:
+            print(f"{'dim' if ordered else 'md'} search: size {k} of up to {n}",
+                  file=sys.stderr)
+        w = least(k, swaps)
+        if w is not None:
+            return w
+        k += 1
+        if lift is not None and comb(n, k - 1) > n * n:
+            bound, swaps = lift()
+            k = max(k, bound)
+            lift = None
+    return None
+
+
 def _md_search(
     g: Graph,
     dm: DistanceMatrix,
@@ -288,38 +322,29 @@ def _md_search(
     cert = detect_infinite(g, dm, tp)
     if cert is not None:
         return ResolveOutcome(OutcomeKind.INFINITE, certificate=cert)
-    if g.n > cfg.max_vertices:
+
+    def lift() -> tuple[int, tuple[tuple[int, ...], ...]]:
+        swaps = subtree_swap_masks(g)
+        if cfg.progress and any(swaps):
+            print(
+                f"md search: tree symmetry rule on ({sum(map(bool, swaps))} "
+                "vertices have a smaller image)",
+                file=sys.stderr,
+            )
+        return 0, swaps
+
+    witness = _walk(dm, False, md_lower_bound(g, dm, tp, mr).value, cfg, lift)
+    if witness is None:
         return ResolveOutcome(
-            OutcomeKind.ABORTED,
-            reason=f"{g.n} vertices exceeds the exhaustive-search cap "
-            f"of {cfg.max_vertices}",
+            OutcomeKind.INFINITE,
+            certificate=InfiniteCertificate(CertificateKind.EXHAUSTIVE_SEARCH),
         )
-    lb = md_lower_bound(g, dm, tp, mr)
-    least = level_search(dm)
-    swaps = None
-    for k in range(lb.value, g.n + 1):
-        if cfg.progress:
-            print(f"md search: size {k} of up to {g.n}", file=sys.stderr)
-        witness = least(k, swaps)
-        if witness is not None:
-            if k == 2:
-                raise RuntimeError(
-                    f"found a 2-element resolving set {witness}; "
-                    "no graph admits one, this is a solver bug"
-                )
-            return ResolveOutcome(OutcomeKind.FINITE, value=k, witness=witness)
-        if swaps is None and comb(g.n, k) > g.n * g.n:
-            swaps = subtree_swap_masks(g)
-            if cfg.progress and any(swaps):
-                print(
-                    f"md search: tree symmetry rule on ({sum(map(bool, swaps))} "
-                    "vertices have a smaller image)",
-                    file=sys.stderr,
-                )
-    return ResolveOutcome(
-        OutcomeKind.INFINITE,
-        certificate=InfiniteCertificate(CertificateKind.EXHAUSTIVE_SEARCH),
-    )
+    if len(witness) == 2:
+        raise RuntimeError(
+            f"found a 2-element resolving set {witness}; "
+            "no graph admits one, this is a solver bug"
+        )
+    return ResolveOutcome(OutcomeKind.FINITE, value=len(witness), witness=witness)
 
 
 def compute_md(g: Graph, cfg: SearchConfig = SearchConfig()) -> ResolveOutcome:
@@ -329,6 +354,8 @@ def compute_md(g: Graph, cfg: SearchConfig = SearchConfig()) -> ResolveOutcome:
     two infiniteness detectors, then the cut depth-first search of every
     size upward from the structural lower bound.  Reaching size n with no
     witness proves infiniteness because the cut only drops failing sets.
+    Raises SearchAborted when the search is needed and the graph exceeds
+    ``cfg.max_vertices``.
     """
     dm = all_pairs_distances(g)
     return _md_search(g, dm, twin_partition(g), major_vertex_report(g, dm), cfg)
@@ -339,29 +366,25 @@ def compute_dim(
 ) -> tuple[int, tuple[int, ...]]:
     """Exact metric dimension with its lexicographically least witness.
 
-    Runs ``level_search`` in ordered mode for ascending sizes from a proved
-    lower bound and returns the first hit.  Ordered distance vectors ARE
-    monotone under supersets, so V itself always resolves and the walk
-    ends by size n; the minimum comes from visiting sizes in ascending
-    order, and no size below a ``dim_lower_bound`` rule can hold a hit.
-    The walk starts at ``dim_distance_rules``, which read only the
-    distances.  ``dim_structure_rules`` need the twin partition and the
-    major-vertex report, about n^2 steps, so they are computed only once
-    a size with more than n^2 candidate sets has failed, and may lift the
-    walk from there.  On graphs of order 7 or less no size is that large,
-    and on small graphs those two inputs cost more than the whole search;
-    a graph whose dimension is the first such size never pays for them.
-    With ``progress`` each size walked is noted on stderr.
+    Walks sizes upward in ordered mode from a proved lower bound and
+    returns the first hit.  Ordered distance vectors ARE monotone under
+    supersets, so V itself always resolves and the walk ends by size n;
+    the minimum comes from visiting sizes in ascending order, and no size
+    below a ``dim_lower_bound`` rule can hold a hit.  The walk starts at
+    ``dim_distance_rules``, which read only the distances.
+    ``dim_structure_rules`` need the twin partition and the major-vertex
+    report, about n^2 steps, so they are the walk's ``lift``: computed only
+    once a size with more than n^2 candidate sets has failed.  On graphs
+    of order 7 or less no size is that large, and on small graphs those
+    two inputs cost more than the whole search; a graph whose dimension is
+    the first such size never pays for them.  Raises SearchAborted above
+    ``cfg.max_vertices``.
     """
     dm = all_pairs_distances(g)
-    if g.n > cfg.max_vertices:
-        raise SearchAborted(
-            f"{g.n} vertices exceeds the exhaustive-search cap of {cfg.max_vertices}"
-        )
-    return _dim_search(
-        level_search(dm, ordered=True),
+    w = _walk(
+        dm,
+        True,
         max(dim_distance_rules(g, dm).values()),
-        g.n,
         cfg,
         lambda: (
             max(
@@ -372,33 +395,9 @@ def compute_dim(
             subtree_swap_masks(g),
         ),
     )
-
-
-def _dim_search(
-    least: Callable[..., tuple[int, ...] | None],
-    lb: int,
-    n: int,
-    cfg: SearchConfig,
-    lift: Callable[[], tuple[int, tuple[tuple[int, ...], ...]]] | None = None,
-) -> tuple[int, tuple[int, ...]]:
-    """First hit of the ordered ``least`` over sizes lb..n.  ``lift``, if
-    given, returns a further lower bound and the graph's swap table; it
-    is called once, after the first size k with comb(n, k) > n^2 has
-    failed, and the table is used from then on; see compute_dim."""
-    k = lb
-    swaps = None
-    while k <= n:
-        if cfg.progress:
-            print(f"dim search: size {k} of up to {n}", file=sys.stderr)
-        w = least(k, swaps)
-        if w is not None:
-            return k, w
-        k += 1
-        if lift is not None and comb(n, k - 1) > n * n:
-            bound, swaps = lift()
-            k = max(k, bound)
-            lift = None
-    raise AssertionError("a connected graph is always metric-resolved by V itself")
+    if w is None:
+        raise AssertionError("a connected graph is always metric-resolved by V itself")
+    return len(w), w
 
 
 def verify_witness(g: Graph, w: Iterable[int]) -> WitnessReport:

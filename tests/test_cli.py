@@ -213,6 +213,21 @@ class TestExitCodes:
     def test_no_input(self, capsys):
         assert main(["md"]) == EXIT_BAD_GRAPH
 
+    def test_md_aborts_like_dim(self, capsys):
+        for command in ("md", "dim"):
+            argv = [command, "--family", "cycle:9", "--max-vertices", "4", "--json"]
+            assert main(argv) == EXIT_ABORTED
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "mdim: aborted: 9 vertices exceeds the exhaustive-search cap of 4\n"
+            )
+
+    @pytest.mark.parametrize("k", ["0", "-1", "x"])
+    def test_parallel_below_one_is_usage_error(self, k, capsys):
+        assert main(["scan", "--n", "4", "--parallel", k]) == EXIT_USAGE
+        assert "--parallel" in capsys.readouterr().err
+
     def test_aborted(self, capsys):
         assert main(["md", "--family", "cycle:9", "--max-vertices", "4"]) == EXIT_ABORTED
         assert main(["dim", "--family", "cycle:9", "--max-vertices", "4"]) == EXIT_ABORTED

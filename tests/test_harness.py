@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import mdim
-from mdim import SearchAborted, SearchConfig, build_graph, compute_md
+from mdim import SearchAborted, SearchConfig, build_graph, compute_md, is_connected
 from mdim.harness import (
+    STATUS_ABORTED,
     STATUS_FINDING,
     STATUS_PASS,
     STATUS_VIOLATION,
@@ -22,7 +23,6 @@ from mdim.harness import (
     scan_small_graphs,
     spider_probe,
     table_mismatches,
-    _mask_connected,
     _perm_bit_tables,
 )
 
@@ -108,6 +108,31 @@ class TestScan:
         parallel = scan_small_graphs(5, cfg=SearchConfig(workers=3))
         assert serial.to_dict() == parallel.to_dict()
 
+    def test_pool_starts_no_more_workers_than_shards(self, monkeypatch):
+        # under fork a pool starts all max_workers at once; order 4 is one
+        # shard, so 500 requested workers must start one process
+        import concurrent.futures
+
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        pooled = scan_small_graphs(4, cfg=SearchConfig(workers=500))
+        assert sizes == [1]
+        assert pooled.to_dict() == scan_small_graphs(4).to_dict()
+
     def test_serial_import_loads_no_multiprocessing(self):
         # only a parallel scan needs the process pool, so importing the
         # package, the harness or the CLI must not pay for it
@@ -133,10 +158,11 @@ class TestScan:
         tables = _perm_bit_tables(n, pairs)
         class_md: dict[int, object] = {}
         for mask in range(1 << len(pairs)):
-            if not _mask_connected(n, mask, pairs):
+            g = build_graph(n, list(mask_to_edges(mask, pairs)))
+            if not is_connected(g):
                 continue
             canon = canonical_code(mask, tables)
-            outcome = compute_md(build_graph(n, list(mask_to_edges(mask, pairs))))
+            outcome = compute_md(g)
             key = outcome.value if outcome.is_finite else "infinite"
             assert class_md.setdefault(canon, key) == key
         dedup = scan_small_graphs(n, dedup=True)
@@ -176,6 +202,22 @@ class TestSuite:
         text = render_checks(checks)
         assert "petersen-infinite" in text
         assert "checks:" in text.splitlines()[-1]  # summary line present
+
+    def test_capped_items_recorded_as_aborted(self):
+        checks = run_reproduction_suite(SearchConfig(max_vertices=10), scan_n=4)
+        by_id = {c.check_id: c for c in checks}
+        grid = by_id["family-md:grid:4x5"]
+        assert grid.status == STATUS_ABORTED
+        assert "20 vertices exceeds the exhaustive-search cap of 10" in grid.details["reason"]
+        assert by_id["family-md:petersen"].status == STATUS_PASS
+        assert by_id["detector-incompleteness"].status == STATUS_PASS
+        assert by_id["scan:4"].status == STATUS_PASS
+        # the 10-vertex pendant-pair tree needs the search, so a cap of 9
+        # aborts that check instead of calling it a violation
+        checks = run_reproduction_suite(SearchConfig(max_vertices=9), scan_n=4)
+        by_id = {c.check_id: c for c in checks}
+        assert by_id["detector-incompleteness"].status == STATUS_ABORTED
+        assert not [c for c in checks if c.status == STATUS_VIOLATION]
 
     def test_checks_serialize(self):
         import json

@@ -6,7 +6,6 @@ import pytest
 
 from mdim import (
     CertificateKind,
-    OutcomeKind,
     SearchAborted,
     SearchConfig,
     all_pairs_distances,
@@ -25,7 +24,8 @@ from mdim import (
 from mdim.families import FamilySpec, generate
 from mdim.graph import subtree_swap_masks
 from mdim.resolving import first_collision, least_resolving_set
-from mdim.search import level_search
+from mdim import search
+from mdim.search import _walk, level_search
 from helpers import (
     all_connected_graphs,
     complete_graph,
@@ -85,9 +85,8 @@ class TestComputeMd:
         assert not is_m_resolving(dm, (0, 3)).resolving
 
     def test_cap_aborts(self):
-        outcome = compute_md(cycle_graph(9), SearchConfig(max_vertices=4))
-        assert outcome.kind is OutcomeKind.ABORTED
-        assert "cap" in outcome.reason
+        with pytest.raises(SearchAborted, match="cap"):
+            compute_md(cycle_graph(9), SearchConfig(max_vertices=4))
 
     def test_detectors_answer_above_cap(self):
         # certificates need no subset search, so the cap does not gag them
@@ -227,6 +226,43 @@ class TestLevelSearch:
         w = level_search(all_pairs_distances(g))(3)
         assert w is not None
         assert all(len(set(w) & pair) == 1 for pair in ({3, 4}, {5, 6}))
+
+
+class TestWalk:
+    """The one size walk behind md, dim and the scan."""
+
+    def test_cap_raises_before_any_table(self, monkeypatch):
+        monkeypatch.setattr(search, "level_search", lambda *a: pytest.fail("table built"))
+        dm = all_pairs_distances(cycle_graph(9))
+        with pytest.raises(SearchAborted, match="cap of 4"):
+            _walk(dm, False, 3, SearchConfig(max_vertices=4))
+
+    def test_lifts_once_after_first_large_failed_size(self, monkeypatch):
+        # substar:8x2 (17 vertices) has no resolving set at any size, and
+        # comb(17, 3) = 680 is the first count above 17^2 = 289
+        g = generate(FamilySpec.subdivided_star(8, 2))
+        seen, lifts = [], []
+        build = search.level_search
+
+        def recording(dm, ordered=False):
+            least = build(dm, ordered)
+
+            def wrapped(k, swaps=None):
+                seen.append((k, swaps is not None))
+                return least(k, swaps)
+
+            return wrapped
+
+        def lift():
+            lifts.append(len(seen))
+            return 5, subtree_swap_masks(g)
+
+        monkeypatch.setattr(search, "level_search", recording)
+        assert _walk(all_pairs_distances(g), False, 1, SearchConfig(), lift) is None
+        assert lifts == [3]
+        assert seen == [(1, False), (2, False), (3, False)] + [
+            (k, True) for k in range(5, 18)
+        ]
 
 
 class TestSwapRule:
