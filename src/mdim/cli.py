@@ -17,7 +17,6 @@ from .graph import (
     GraphError,
     all_pairs_distances,
     build_graph,
-    diameter,
     major_vertex_report,
     twin_partition,
 )
@@ -180,7 +179,7 @@ def _cmd_bounds(args) -> int:
     payload = {
         "command": "bounds",
         "n": g.n,
-        "diameter": diameter(dm),
+        "diameter": dm.diameter,
         "lower_bound": lb.value,
         "bounds": lb.bounds,
         "achieved_by": list(lb.achieved_by),
@@ -278,7 +277,8 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    report = harness.scan_small_graphs(args.n, dedup=args.dedup, cfg=_config(args))
+    cfg = SearchConfig(workers=args.parallel, progress=args.progress)
+    report = harness.scan_small_graphs(args.n, dedup=args.dedup, cfg=cfg)
     text = [
         f"scan n={report.n} dedup={report.dedup}: "
         f"{report.graphs_connected} connected of {report.graphs_total} enumerated",
@@ -315,14 +315,24 @@ def _worker_count(text: str) -> int:
     return int(text)
 
 
-def _add_common(sub: argparse.ArgumentParser, graph_input: bool = True) -> None:
+def _add_common(
+    sub: argparse.ArgumentParser,
+    graph_input: bool = True,
+    search: bool = False,
+    cap: bool = False,
+) -> None:
+    """Add --json and the options the subcommand reads: the graph input,
+    ``search`` for --parallel and --progress, ``cap`` for --max-vertices."""
     sub.add_argument("--json", action="store_true", help="structured output")
-    sub.add_argument("--parallel", type=_worker_count, default=1, metavar="K",
-                     help="worker processes for scans; one md or dim solve "
-                     "runs in one process (default 1)")
-    sub.add_argument("--max-vertices", type=int, default=24, metavar="N",
-                     help="exhaustive-search cap (default 24)")
-    sub.add_argument("--progress", action="store_true", help="progress notes on stderr")
+    if search:
+        sub.add_argument("--parallel", type=_worker_count, default=1, metavar="K",
+                         help="worker processes for scans; one md or dim solve "
+                         "runs in one process (default 1)")
+        sub.add_argument("--progress", action="store_true",
+                         help="progress notes on stderr")
+    if cap:
+        sub.add_argument("--max-vertices", type=int, default=24, metavar="N",
+                         help="exhaustive-search cap (default 24)")
     if graph_input:
         sub.add_argument("input", nargs="?", help="edge-list file")
         sub.add_argument("--family", metavar="SPEC",
@@ -334,11 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("md", help="exact multiset dimension")
-    _add_common(p)
+    _add_common(p, search=True, cap=True)
     p.set_defaults(func=_cmd_md)
 
     p = subs.add_parser("dim", help="exact metric dimension")
-    _add_common(p)
+    _add_common(p, search=True, cap=True)
     p.set_defaults(func=_cmd_dim)
 
     p = subs.add_parser("verify", help="check one vertex set both ways")
@@ -362,15 +372,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tables)
 
     p = subs.add_parser("scan", help="solve every connected graph of one order")
-    _add_common(p, graph_input=False)
-    p.add_argument("--n", type=int, default=6, help="order to scan (2..7, default 6)")
+    _add_common(p, graph_input=False, search=True)
+    p.add_argument("--n", type=int, choices=harness.SCAN_ORDERS, default=6,
+                   metavar="N", help="order to scan (2..7, default 6)")
     p.add_argument("--dedup", action="store_true",
                    help="one representative per isomorphism class")
     p.set_defaults(func=_cmd_scan)
 
     p = subs.add_parser("suite", help="run the full reproduction suite")
-    _add_common(p, graph_input=False)
-    p.add_argument("--scan-n", type=int, default=6, help="scan order (default 6)")
+    _add_common(p, graph_input=False, search=True, cap=True)
+    p.add_argument("--scan-n", type=int, choices=harness.SCAN_ORDERS, default=6,
+                   metavar="N", help="scan order (2..7, default 6)")
     p.add_argument("--dedup", action="store_true", help="dedup the suite scan")
     p.set_defaults(func=_cmd_suite)
 

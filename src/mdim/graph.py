@@ -73,10 +73,17 @@ class Graph:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """All-pairs hop counts of a connected graph; ``d[u][v]`` is the distance."""
+    """All-pairs hop counts of a connected graph; ``d[u][v]`` is the distance.
+
+    ``diameter`` is the largest entry, stored when the matrix is built so
+    that no caller scans it again.  ``diameter == n - 1`` exactly when the
+    graph is the path P_n: a geodesic of length n - 1 visits every vertex,
+    and any edge off it would join two of its vertices and shorten it.
+    """
 
     n: int
     d: tuple[tuple[int, ...], ...]
+    diameter: int
 
 
 @dataclass(frozen=True)
@@ -181,12 +188,12 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
                 f"vertices {s} and {dist.index(-1)} are in different components"
             )
         rows.append(tuple(dist))
-    return DistanceMatrix(g.n, tuple(rows))
+    return DistanceMatrix(g.n, tuple(rows), max(map(max, rows)))
 
 
 def diameter(dm: DistanceMatrix) -> int:
     """Largest entry of the distance matrix (0 for the one-vertex graph)."""
-    return max((max(row) for row in dm.d), default=0)
+    return dm.diameter
 
 
 def is_path(g: Graph) -> bool:

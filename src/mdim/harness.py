@@ -17,21 +17,20 @@ from itertools import combinations, permutations
 from . import families
 from .families import ExpectedMd, FamilySpec, MdKind, NoKnownWitness
 from .graph import Graph, build_graph, is_connected
-from .graph import all_pairs_distances, diameter, is_path, major_vertex_report, twin_partition
+from .graph import all_pairs_distances, major_vertex_report, twin_partition
 from .resolving import (
     CertificateKind,
     Multiset,
     detect_infinite,
     dim_lower_bound,
     least_resolving_set,
-    order_diameter_lower_bound,
+    md_lower_bound,
     representation,
 )
 from .search import (
     ResolveOutcome,
     SearchAborted,
     SearchConfig,
-    _md_search,
     _walk,
     brute_force_md,
     compute_md,
@@ -217,6 +216,10 @@ class ScanReport:
         }
 
 
+# the orders scan_small_graphs enumerates
+SCAN_ORDERS = range(2, 8)
+
+
 def edge_pairs(n: int) -> list[tuple[int, int]]:
     """Bit order for encoding an n-vertex graph as an edge bitmask."""
     return list(combinations(range(n), 2))
@@ -274,14 +277,12 @@ def _scan_mask_range(args) -> dict:
         if dedup and canonical_code(mask, perm_tables) != mask:
             continue
         dm = all_pairs_distances(g)
-        diam = diameter(dm)
         tp = twin_partition(g)
         mr = major_vertex_report(g, dm)
         connected += 1
-        if diam <= 2:
+        if dm.diameter <= 2:
             diam2 += 1
 
-        md = _md_search(g, dm, tp, mr, cfg)
         # metric resolving is monotone under supersets, so a resolving set
         # below the bound would show at size lb - 1, where the walk starts
         dim_lb = dim_lower_bound(g, dm, tp, mr).value
@@ -290,31 +291,30 @@ def _scan_mask_range(args) -> dict:
         def flag(claim: str) -> None:
             violations.append((claim, edges))
 
-        if md.is_finite:
-            key = md.value
-            if md.value == 2:
-                flag("no-md-2")
-            if md.value == 1 and not is_path(g):
-                flag("path-characterization")
-            if md.value < dim_value:
+        cert = detect_infinite(g, dm, tp)
+        # md walks every size from 1, so a set below any rule of
+        # md_lower_bound (a 2-set, or a 1-set on a non-path) is flagged
+        witness = None if cert is not None else _walk(dm, False, 1, cfg)
+        if witness is not None:
+            md = key = len(witness)
+            if md < md_lower_bound(g, dm, tp, mr).value:
+                flag("md-lower-bound")
+            if md < dim_value:
                 flag("md-ge-dim")
-            if md.value < order_diameter_lower_bound(n, max(diam, 1)):
-                flag("order-diameter-bound")
             for cls in tp.pair_classes:
-                if len(set(md.witness) & set(cls)) != 1:
+                if len(set(witness) & set(cls)) != 1:
                     flag("twin-pair-membership")
                     break
-            if md.value > n - 1:
-                conjecture_hits.append((md.value, edges))
-            if md.value not in spectrum:
-                spectrum[md.value] = edges
+            if md > n - 1:
+                conjecture_hits.append((md, edges))
+            if md not in spectrum:
+                spectrum[md] = edges
         else:
             key = "infinite"
-            if md.certificate.kind is not CertificateKind.EXHAUSTIVE_SEARCH:
-                # detector soundness: the shortcut verdict must agree with
-                # full exhaustion
-                if least_resolving_set(dm) is not None:
-                    flag("detector-soundness")
+            # detector soundness: the shortcut verdict must agree with
+            # full exhaustion
+            if cert is not None and least_resolving_set(dm) is not None:
+                flag("detector-soundness")
         if dim_value < dim_lb:
             flag("dim-lower-bound")
         hist[key] = hist.get(key, 0) + 1
@@ -334,13 +334,17 @@ def scan_small_graphs(
 ) -> ScanReport:
     """Solve every connected graph on n vertices and check each claim.
 
-    Enumerates all 2^C(n,2) labelled graphs (n in 2..7), optionally keeping
-    one representative per isomorphism class (least bitmask over all vertex
-    permutations).  Violations land in the report; an empty violation list
-    is the expected outcome for every proved bound.
+    Enumerates all 2^C(n,2) labelled graphs (n in 2..7, else ValueError),
+    optionally keeping one representative per isomorphism class (least
+    bitmask over all vertex permutations).  md is walked from size 1 and
+    dim from one below ``dim_lower_bound``, so every bound rule is checked
+    rather than assumed.  Violations land in the report, tagged
+    md-lower-bound, md-ge-dim, twin-pair-membership, detector-soundness or
+    dim-lower-bound; an empty violation list is the expected outcome for
+    every proved bound.
     """
-    if not 2 <= n <= 7:
-        raise SearchAborted(f"scan supports n in 2..7, got {n}")
+    if n not in SCAN_ORDERS:
+        raise ValueError(f"scan supports n in 2..7, got {n}")
     total_masks = 1 << len(edge_pairs(n))
 
     if cfg.workers > 1:
@@ -639,23 +643,20 @@ def run_reproduction_suite(
     checks.append(spider_probe())
     checks.append(_detector_incompleteness_check(cfg))
     checks.append(_petersen_check(cfg))
-    try:
-        report = scan_small_graphs(scan_n, dedup=scan_dedup, cfg=cfg)
-        checks.append(
-            Check(
-                f"scan:{scan_n}",
-                STATUS_PASS if not report.violations else STATUS_VIOLATION,
-                details={
-                    "graphs_connected": report.graphs_connected,
-                    "md_histogram": report.md_histogram,
-                    "diameter2_fraction": round(report.diameter2_fraction, 4),
-                    "violations": report.violations,
-                },
-            )
+    report = scan_small_graphs(scan_n, dedup=scan_dedup, cfg=cfg)
+    checks.append(
+        Check(
+            f"scan:{scan_n}",
+            STATUS_PASS if not report.violations else STATUS_VIOLATION,
+            details={
+                "graphs_connected": report.graphs_connected,
+                "md_histogram": report.md_histogram,
+                "diameter2_fraction": round(report.diameter2_fraction, 4),
+                "violations": report.violations,
+            },
         )
-        checks.extend(report.conjecture_findings)
-    except SearchAborted as exc:
-        checks.append(Check(f"scan:{scan_n}", STATUS_ABORTED, details={"reason": str(exc)}))
+    )
+    checks.extend(report.conjecture_findings)
     return checks
 
 

@@ -21,8 +21,6 @@ from .graph import (
     MajorVertexReport,
     TwinPartition,
     VertexOutOfRange,
-    diameter,
-    is_path,
 )
 
 # A distance multiset is stored as its ascending sorted tuple: equality of
@@ -185,10 +183,11 @@ def md_lower_bound(
         so md is at least the number of size-2 twin classes.
     """
     bounds = {"trivial": 1}
-    if not is_path(g):
+    d = dm.diameter
+    # the diameter is n - 1 exactly on the path (see DistanceMatrix)
+    if d != dm.n - 1:
         bounds["non-path"] = 3
     bounds["terminal-count"] = mr.sigma - mr.ex
-    d = diameter(dm)
     if d >= 1:
         bounds["order-diameter"] = order_diameter_lower_bound(g.n, d)
     bounds["twin-pairs"] = len(tp.pair_classes)
@@ -219,18 +218,24 @@ def dim_lower_bound(
         so two twins outside W collide and W leaves out at most one vertex
         of each class, which makes dim >= sum(|c| - 1).
     """
-    bounds = {**dim_distance_rules(g, dm), **dim_structure_rules(g, tp, mr)}
+    bounds = {
+        **dim_distance_rules(g, dm),
+        "terminal-count": mr.sigma - mr.ex,
+        # sum(|c| - 1) over the classes, which partition the n vertices
+        "twin-classes": g.n - len(tp.classes),
+    }
     return LowerBoundReport(value=max(bounds.values()), bounds=bounds)
 
 
 def dim_distance_rules(g: Graph, dm: DistanceMatrix) -> dict[str, int]:
     """The rules of dim_lower_bound that read only the graph and its
     distances (trivial, non-path, order-diameter); see there for why each
-    is sound."""
+    is sound.  The diameter is n - 1 exactly on the path (see
+    DistanceMatrix)."""
     bounds = {"trivial": 1}
-    if not is_path(g):
+    d = dm.diameter
+    if d != dm.n - 1:
         bounds["non-path"] = 2
-    d = diameter(dm)
     if d >= 1:
         # k = n always qualifies, so the loop stops at the least k
         for k in range(1, g.n + 1):
@@ -238,19 +243,6 @@ def dim_distance_rules(g: Graph, dm: DistanceMatrix) -> dict[str, int]:
                 break
         bounds["order-diameter"] = k
     return bounds
-
-
-def dim_structure_rules(
-    g: Graph, tp: TwinPartition, mr: MajorVertexReport
-) -> dict[str, int]:
-    """The rules of dim_lower_bound that need the major-vertex report and
-    the twin partition (terminal-count, twin-classes); see there for why
-    each is sound."""
-    return {
-        "terminal-count": mr.sigma - mr.ex,
-        # sum(|c| - 1) over the classes, which partition the n vertices
-        "twin-classes": g.n - len(tp.classes),
-    }
 
 
 def detect_infinite(
@@ -263,8 +255,9 @@ def detect_infinite(
     twin class of 3+ vertices (two of them always end up on the same side
     of any candidate set and collide).  Absence of a certificate does NOT
     imply the dimension is finite; only exhaustive search settles that.
+    The diameter is n - 1 exactly on the path (see DistanceMatrix).
     """
-    if diameter(dm) <= 2 and not is_path(g):
+    if dm.diameter <= 2 and dm.diameter != dm.n - 1:
         return InfiniteCertificate(CertificateKind.DIAMETER_TWO_NON_PATH)
     for cls in tp.large_classes:
         return InfiniteCertificate(CertificateKind.LARGE_TWIN_CLASS, twin_class=cls)

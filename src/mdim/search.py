@@ -35,8 +35,9 @@ cut: it is the unpruned walk ``resolving.least_resolving_set`` on the one
 resolve kernel ``resolving.first_collision``, and the tests compare both
 modes of the search against that walk.
 
-One walk, ``_walk``, visits the sizes for md, dim and the scan.  It
-builds the swap table, and dim's structure bounds, once per solve, after
+One walk, ``_walk``, visits the sizes for md, dim and the scan, which
+walks md from size 1 to check the bounds that ``compute_md`` starts at.  It
+builds the swap table, and dim's full lower bound, once per solve, after
 the first size with more than n^2 candidate sets has failed: solves that
 end earlier never pay for them.  Above ``SearchConfig.max_vertices`` it
 raises ``SearchAborted``, the only way any search reports the cap.
@@ -55,10 +56,7 @@ from typing import Callable, Iterable
 from .graph import (
     DistanceMatrix,
     Graph,
-    MajorVertexReport,
-    TwinPartition,
     all_pairs_distances,
-    is_path,
     major_vertex_report,
     path_endpoints,
     subtree_swap_masks,
@@ -71,7 +69,7 @@ from .resolving import (
     Multiset,
     detect_infinite,
     dim_distance_rules,
-    dim_structure_rules,
+    dim_lower_bound,
     is_m_resolving,
     is_metric_resolving,
     least_resolving_set,
@@ -307,18 +305,24 @@ def _walk(
     return None
 
 
-def _md_search(
-    g: Graph,
-    dm: DistanceMatrix,
-    tp: TwinPartition,
-    mr: MajorVertexReport,
-    cfg: SearchConfig,
-) -> ResolveOutcome:
-    """Full pipeline below the connectivity check; see compute_md."""
-    if is_path(g):
+def compute_md(g: Graph, cfg: SearchConfig = SearchConfig()) -> ResolveOutcome:
+    """Exact multiset dimension of a connected graph.
+
+    Pipeline: path fast-path (dimension 1, least pendant as witness; the
+    graph is a path exactly when its diameter is n - 1, see
+    DistanceMatrix), the two infiniteness detectors, then the cut
+    depth-first search of every size upward from ``md_lower_bound``.
+    Reaching size n with no witness proves infiniteness because the cut
+    only drops failing sets.  Each graph fact is computed once, and only
+    when a step needs it.  Raises SearchAborted when the search is needed
+    and the graph exceeds ``cfg.max_vertices``.
+    """
+    dm = all_pairs_distances(g)
+    if dm.diameter == dm.n - 1:
         return ResolveOutcome(
             OutcomeKind.FINITE, value=1, witness=(min(path_endpoints(g)),)
         )
+    tp = twin_partition(g)
     cert = detect_infinite(g, dm, tp)
     if cert is not None:
         return ResolveOutcome(OutcomeKind.INFINITE, certificate=cert)
@@ -333,32 +337,14 @@ def _md_search(
             )
         return 0, swaps
 
-    witness = _walk(dm, False, md_lower_bound(g, dm, tp, mr).value, cfg, lift)
+    lb = md_lower_bound(g, dm, tp, major_vertex_report(g, dm)).value
+    witness = _walk(dm, False, lb, cfg, lift)
     if witness is None:
         return ResolveOutcome(
             OutcomeKind.INFINITE,
             certificate=InfiniteCertificate(CertificateKind.EXHAUSTIVE_SEARCH),
         )
-    if len(witness) == 2:
-        raise RuntimeError(
-            f"found a 2-element resolving set {witness}; "
-            "no graph admits one, this is a solver bug"
-        )
     return ResolveOutcome(OutcomeKind.FINITE, value=len(witness), witness=witness)
-
-
-def compute_md(g: Graph, cfg: SearchConfig = SearchConfig()) -> ResolveOutcome:
-    """Exact multiset dimension of a connected graph.
-
-    Pipeline: path fast-path (dimension 1, least pendant as witness), the
-    two infiniteness detectors, then the cut depth-first search of every
-    size upward from the structural lower bound.  Reaching size n with no
-    witness proves infiniteness because the cut only drops failing sets.
-    Raises SearchAborted when the search is needed and the graph exceeds
-    ``cfg.max_vertices``.
-    """
-    dm = all_pairs_distances(g)
-    return _md_search(g, dm, twin_partition(g), major_vertex_report(g, dm), cfg)
 
 
 def compute_dim(
@@ -371,9 +357,9 @@ def compute_dim(
     supersets, so V itself always resolves and the walk ends by size n;
     the minimum comes from visiting sizes in ascending order, and no size
     below a ``dim_lower_bound`` rule can hold a hit.  The walk starts at
-    ``dim_distance_rules``, which read only the distances.
-    ``dim_structure_rules`` need the twin partition and the major-vertex
-    report, about n^2 steps, so they are the walk's ``lift``: computed only
+    ``dim_distance_rules``, which read only the distances.  The full
+    ``dim_lower_bound`` also needs the twin partition and the major-vertex
+    report, about n^2 steps, so it is the walk's ``lift``: computed only
     once a size with more than n^2 candidate sets has failed.  On graphs
     of order 7 or less no size is that large, and on small graphs those
     two inputs cost more than the whole search; a graph whose dimension is
@@ -387,11 +373,7 @@ def compute_dim(
         max(dim_distance_rules(g, dm).values()),
         cfg,
         lambda: (
-            max(
-                dim_structure_rules(
-                    g, twin_partition(g), major_vertex_report(g, dm)
-                ).values()
-            ),
+            dim_lower_bound(g, dm, twin_partition(g), major_vertex_report(g, dm)).value,
             subtree_swap_masks(g),
         ),
     )

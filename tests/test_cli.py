@@ -110,6 +110,11 @@ class TestCommands:
         assert payload["lower_bound"] == 4
         assert payload["bounds"]["twin-pairs"] == 4
 
+    def test_bounds_names_certificate(self, capsys):
+        assert main(["bounds", "--family", "petersen"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "infinite: yes (non-path graph of diameter at most 2)" in out
+
     def test_bounds_reports_dim(self, capsys):
         assert main(["bounds", "--family", "karytree:2x3", "--json"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
@@ -228,10 +233,23 @@ class TestExitCodes:
         assert main(["scan", "--n", "4", "--parallel", k]) == EXIT_USAGE
         assert "--parallel" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tables", "cycle:8", "--parallel", "2"],
+            ["verify", "--family", "cycle:8", "--set", "0,1", "--progress"],
+            ["scan", "--n", "4", "--max-vertices", "10"],
+        ],
+    )
+    def test_unread_option_is_usage_error(self, argv, capsys):
+        # a subcommand takes only the options it reads
+        assert main(argv) == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_aborted(self, capsys):
         assert main(["md", "--family", "cycle:9", "--max-vertices", "4"]) == EXIT_ABORTED
         assert main(["dim", "--family", "cycle:9", "--max-vertices", "4"]) == EXIT_ABORTED
-        assert main(["scan", "--n", "9"]) == EXIT_ABORTED
+        assert main(["scan", "--n", "9"]) == EXIT_USAGE
 
 
 class TestDeterminism:

@@ -94,6 +94,11 @@ class TestDistances:
         assert diameter(all_pairs_distances(complete_graph(4))) == 1
         assert diameter(all_pairs_distances(cycle_graph(6))) == 3
 
+    def test_diameter_n_minus_1_exactly_on_paths(self):
+        # md, dim and the detectors test for a path this way, not by is_path
+        for g in connected_graphs_up_to(6):
+            assert (all_pairs_distances(g).diameter == g.n - 1) == is_path(g)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_matrix_invariants_random(self, seed):
         rng = Random(seed)

@@ -98,10 +98,29 @@ class TestScan:
         assert report.violations == []
 
     def test_out_of_range(self):
-        with pytest.raises(SearchAborted):
+        with pytest.raises(ValueError):
             scan_small_graphs(8)
-        with pytest.raises(SearchAborted):
+        with pytest.raises(ValueError):
             scan_small_graphs(1)
+
+    def test_claim_checks_can_fail(self, monkeypatch):
+        # overstate both lower bounds by one, then let the detectors
+        # certify every graph: the matching checks must report graphs
+        from mdim import harness
+        from mdim.resolving import CertificateKind, InfiniteCertificate, LowerBoundReport
+
+        def overstated(bound):
+            return lambda *args: LowerBoundReport(bound(*args).value + 1, {})
+
+        monkeypatch.setattr(harness, "md_lower_bound", overstated(harness.md_lower_bound))
+        monkeypatch.setattr(harness, "dim_lower_bound", overstated(harness.dim_lower_bound))
+        claims = {claim for claim, _ in scan_small_graphs(4).violations}
+        assert claims == {"md-lower-bound", "dim-lower-bound"}
+        monkeypatch.undo()
+        certify = InfiniteCertificate(CertificateKind.DIAMETER_TWO_NON_PATH)
+        monkeypatch.setattr(harness, "detect_infinite", lambda *args: certify)
+        claims = {claim for claim, _ in scan_small_graphs(4).violations}
+        assert claims == {"detector-soundness"}
 
     def test_parallel_scan_identical(self):
         serial = scan_small_graphs(5)
