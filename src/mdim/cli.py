@@ -93,9 +93,9 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     raise ParseError("no input: give a file path or --family")
 
 
-def _config(args: argparse.Namespace) -> SearchConfig:
+def _config(args: argparse.Namespace, workers: int = 1) -> SearchConfig:
     return SearchConfig(
-        max_vertices=args.max_vertices, workers=args.parallel, progress=args.progress
+        max_vertices=args.max_vertices, workers=workers, progress=args.progress
     )
 
 
@@ -293,7 +293,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_suite(args) -> int:
     checks = harness.run_reproduction_suite(
-        _config(args), scan_n=args.scan_n, scan_dedup=args.dedup
+        _config(args, args.parallel), scan_n=args.scan_n, scan_dedup=args.dedup
     )
     _emit(
         args,
@@ -318,16 +318,18 @@ def _worker_count(text: str) -> int:
 def _add_common(
     sub: argparse.ArgumentParser,
     graph_input: bool = True,
-    search: bool = False,
+    parallel: bool = False,
+    progress: bool = False,
     cap: bool = False,
 ) -> None:
     """Add --json and the options the subcommand reads: the graph input,
-    ``search`` for --parallel and --progress, ``cap`` for --max-vertices."""
+    ``parallel`` for --parallel, ``progress`` for --progress and ``cap``
+    for --max-vertices."""
     sub.add_argument("--json", action="store_true", help="structured output")
-    if search:
+    if parallel:
         sub.add_argument("--parallel", type=_worker_count, default=1, metavar="K",
-                         help="worker processes for scans; one md or dim solve "
-                         "runs in one process (default 1)")
+                         help="worker processes for the scan (default 1)")
+    if progress:
         sub.add_argument("--progress", action="store_true",
                          help="progress notes on stderr")
     if cap:
@@ -344,11 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("md", help="exact multiset dimension")
-    _add_common(p, search=True, cap=True)
+    _add_common(p, progress=True, cap=True)
     p.set_defaults(func=_cmd_md)
 
     p = subs.add_parser("dim", help="exact metric dimension")
-    _add_common(p, search=True, cap=True)
+    _add_common(p, progress=True, cap=True)
     p.set_defaults(func=_cmd_dim)
 
     p = subs.add_parser("verify", help="check one vertex set both ways")
@@ -372,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tables)
 
     p = subs.add_parser("scan", help="solve every connected graph of one order")
-    _add_common(p, graph_input=False, search=True)
+    _add_common(p, graph_input=False, parallel=True, progress=True)
     p.add_argument("--n", type=int, choices=harness.SCAN_ORDERS, default=6,
                    metavar="N", help="order to scan (2..7, default 6)")
     p.add_argument("--dedup", action="store_true",
@@ -380,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scan)
 
     p = subs.add_parser("suite", help="run the full reproduction suite")
-    _add_common(p, graph_input=False, search=True, cap=True)
+    _add_common(p, graph_input=False, parallel=True, progress=True, cap=True)
     p.add_argument("--scan-n", type=int, choices=harness.SCAN_ORDERS, default=6,
                    metavar="N", help="scan order (2..7, default 6)")
     p.add_argument("--dedup", action="store_true", help="dedup the suite scan")

@@ -8,8 +8,8 @@ and, where a concrete construction exists, an explicit witness set.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .graph import Graph, build_graph, cartesian_product
 
@@ -34,8 +34,7 @@ class FamilyKind(Enum):
     COUNTEREXAMPLE_TREE = "cextree"
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """A family plus its parameters, e.g. grid:4x5 or cycle:9."""
 
     kind: FamilyKind
@@ -123,8 +122,7 @@ class MdKind(Enum):
     UNSPECIFIED = "unspecified"
 
 
-@dataclass(frozen=True)
-class ExpectedMd:
+class ExpectedMd(NamedTuple):
     """Known multiset dimension of a family instance, if any."""
 
     kind: MdKind

@@ -1,16 +1,16 @@
 """Simple undirected graphs over dense integer ids 0..n-1.
 
 Everything downstream (distance multisets, subset search, family
-generators) works on these three immutable structures: the graph itself,
-its all-pairs hop-count matrix, and the partition of vertices into twin
-classes.  Vertices are dense ints so that vertex subsets stay cheap to
-enumerate, compare and hash.
+generators) works on immutable named tuples: the graph itself, its
+all-pairs hop-count matrix, the partition of vertices into twin classes
+and the major-vertex report.  Vertices are dense ints so that vertex
+subsets stay cheap to enumerate, compare and hash.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class GraphError(ValueError):
@@ -47,8 +47,7 @@ class RelationNotTransitive(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """Simple undirected graph: ``adjacency[v]`` is the ascending neighbor list.
 
     Instances are immutable and hashable; two graphs are equal iff they
@@ -64,15 +63,14 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as ascending (u, v) pairs with u < v, sorted."""
-        return [(u, v) for u in range(self.n) for v in self.adjacency[u] if u < v]
+        return [(u, v) for u, nbrs in enumerate(self.adjacency) for v in nbrs if u < v]
 
     @property
     def edge_count(self) -> int:
         return sum(len(nbrs) for nbrs in self.adjacency) // 2
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
+class DistanceMatrix(NamedTuple):
     """All-pairs hop counts of a connected graph; ``d[u][v]`` is the distance.
 
     ``diameter`` is the largest entry, stored when the matrix is built so
@@ -86,8 +84,7 @@ class DistanceMatrix:
     diameter: int
 
 
-@dataclass(frozen=True)
-class TwinPartition:
+class TwinPartition(NamedTuple):
     """Partition of the vertices into twin classes.
 
     Two distinct vertices u, v are twins when ``N(u) - {v} == N(v) - {u}``;
@@ -108,8 +105,7 @@ class TwinPartition:
         return tuple(c for c in self.classes if len(c) >= 3)
 
 
-@dataclass(frozen=True)
-class MajorVertexReport:
+class MajorVertexReport(NamedTuple):
     """Major vertices (degree >= 3) and the pendant vertices they own.
 
     A pendant u is a terminal of major v when u is strictly closer to v
@@ -118,7 +114,7 @@ class MajorVertexReport:
     """
 
     majors: tuple[int, ...]
-    terminals: dict[int, tuple[int, ...]] = field(compare=False)
+    terminals: dict[int, tuple[int, ...]]
     sigma: int = 0
     ex: int = 0
 
@@ -154,13 +150,14 @@ def build_graph(n: int, edges: list[tuple[int, int]]) -> Graph:
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
     """Hop counts from ``source`` to every vertex; -1 for unreachable ones."""
+    adj = g.adjacency
     dist = [-1] * g.n
     dist[source] = 0
     queue = deque([source])
     while queue:
         u = queue.popleft()
         du = dist[u]
-        for v in g.adjacency[u]:
+        for v in adj[u]:
             if dist[v] < 0:
                 dist[v] = du + 1
                 queue.append(v)
@@ -202,7 +199,7 @@ def is_path(g: Graph) -> bool:
         return False
     if g.n == 1:
         return True
-    degs = [g.degree(v) for v in range(g.n)]
+    degs = list(map(len, g.adjacency))
     if degs.count(1) != 2 or degs.count(2) != g.n - 2:
         return False
     return is_connected(g)
@@ -212,7 +209,7 @@ def path_endpoints(g: Graph) -> tuple[int, ...]:
     """Ascending ids of the degree-1 vertices (the single vertex for n=1)."""
     if g.n == 1:
         return (0,)
-    return tuple(v for v in range(g.n) if g.degree(v) == 1)
+    return tuple(v for v, nbrs in enumerate(g.adjacency) if len(nbrs) == 1)
 
 
 def major_vertex_report(g: Graph, dm: DistanceMatrix) -> MajorVertexReport:
@@ -221,13 +218,15 @@ def major_vertex_report(g: Graph, dm: DistanceMatrix) -> MajorVertexReport:
     A pendant with no strictly-closest major (tie, or no majors at all) is
     a terminal of nobody and does not count toward sigma.
     """
-    majors = tuple(v for v in range(g.n) if g.degree(v) >= 3)
+    degs = list(map(len, g.adjacency))
+    majors = tuple(v for v, deg in enumerate(degs) if deg >= 3)
     terminals: dict[int, list[int]] = {v: [] for v in majors}
     if majors:
-        pendants = [v for v in range(g.n) if g.degree(v) == 1]
-        for u in pendants:
-            best = min(majors, key=lambda w: dm.d[u][w])
-            if all(dm.d[u][best] < dm.d[u][w] for w in majors if w != best):
+        for u, row in enumerate(dm.d):
+            if degs[u] != 1:
+                continue
+            best = min(majors, key=row.__getitem__)
+            if all(row[best] < row[w] for w in majors if w != best):
                 terminals[best].append(u)
     terms = {v: tuple(sorted(us)) for v, us in terminals.items()}
     sigma = sum(len(us) for us in terms.values())
@@ -255,18 +254,18 @@ def subtree_swap_masks(g: Graph) -> tuple[tuple[int, ...], ...]:
     root would make the swaps automorphisms; the centre, which every
     automorphism fixes, makes equal keys mean the same orbit.
     """
-    n = g.n
+    n, adj = g.n, g.adjacency
     if n < 3 or g.edge_count != n - 1 or not is_connected(g):
         return ((),) * n
     # strip leaves layer by layer down to the one or two central vertices
-    degree = list(map(len, g.adjacency))
+    degree = list(map(len, adj))
     layer = [v for v in range(n) if degree[v] == 1]
     left = n
     while left > 2:
         left -= len(layer)
         inner = []
         for v in layer:
-            for u in g.adjacency[v]:
+            for u in adj[v]:
                 degree[u] -= 1
                 if degree[u] == 1:
                     inner.append(u)
@@ -277,7 +276,7 @@ def subtree_swap_masks(g: Graph) -> tuple[tuple[int, ...], ...]:
     for c in layer:
         parent[c] = n
     for v in order:
-        for u in g.adjacency[v]:
+        for u in adj[v]:
             if parent[u] < 0:
                 parent[u] = v
                 order.append(u)
@@ -314,7 +313,7 @@ def subtree_swap_masks(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(swaps)
 
 
-def _are_twins(g: Graph, nbr_sets: dict[int, set[int]], u: int, v: int) -> bool:
+def _are_twins(nbr_sets: dict[int, set[int]], u: int, v: int) -> bool:
     return nbr_sets[u] - {v} == nbr_sets[v] - {u}
 
 
@@ -333,10 +332,11 @@ def twin_partition(g: Graph) -> TwinPartition:
     """
     # label[v] is the least member of v's class: the first vertex seen
     # with v's open neighbourhood or, failing that, with its closed one
+    adj = g.adjacency
     label = list(range(g.n))
     first_open: dict[tuple[int, ...], int] = {}
     first_closed: dict[tuple[int, ...], int] = {}
-    for v, nbrs in enumerate(g.adjacency):
+    for v, nbrs in enumerate(adj):
         u = first_open.setdefault(nbrs, v)
         if u == v:
             u = first_closed.setdefault(tuple(sorted((v, *nbrs))), v)
@@ -346,11 +346,11 @@ def twin_partition(g: Graph) -> TwinPartition:
         members.setdefault(least, []).append(v)
     classes = tuple(map(tuple, members.values()))
 
-    nbr_sets = {v: set(g.adjacency[v]) for cls in classes if len(cls) > 1 for v in cls}
+    nbr_sets = {v: set(adj[v]) for cls in classes if len(cls) > 1 for v in cls}
     for cls in classes:
         for i, u in enumerate(cls):
             for v in cls[i + 1:]:
-                if not _are_twins(g, nbr_sets, u, v):
+                if not _are_twins(nbr_sets, u, v):
                     raise RelationNotTransitive(
                         f"vertices {u} and {v} share class {cls} but are not twins"
                     )
@@ -360,14 +360,15 @@ def twin_partition(g: Graph) -> TwinPartition:
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Cartesian product: (a, b) ~ (a', b') iff equal in one coordinate and
     adjacent in the other.  Vertex (a, b) gets id ``a * h.n + b``."""
+    hn = h.n
     edges: list[tuple[int, int]] = []
-    for a in range(g.n):
-        for b in range(h.n):
-            vid = a * h.n + b
-            for b2 in h.adjacency[b]:
+    for a, g_nbrs in enumerate(g.adjacency):
+        for b, h_nbrs in enumerate(h.adjacency):
+            vid = a * hn + b
+            for b2 in h_nbrs:
                 if b2 > b:
-                    edges.append((vid, a * h.n + b2))
-            for a2 in g.adjacency[a]:
+                    edges.append((vid, a * hn + b2))
+            for a2 in g_nbrs:
                 if a2 > a:
-                    edges.append((vid, a2 * h.n + b))
-    return build_graph(g.n * h.n, edges)
+                    edges.append((vid, a2 * hn + b))
+    return build_graph(g.n * hn, edges)

@@ -11,8 +11,8 @@ a *pass*.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from itertools import combinations, permutations
+from typing import NamedTuple
 
 from . import families
 from .families import ExpectedMd, FamilySpec, MdKind, NoKnownWitness
@@ -44,6 +44,9 @@ STATUS_ABORTED = "aborted"
 
 
 def _jsonable(x):
+    # a record is a tuple too: write its fields as an object, not a list
+    if hasattr(x, "_asdict"):
+        x = x._asdict()
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -51,22 +54,19 @@ def _jsonable(x):
     return x
 
 
-@dataclass
-class Check:
-    """One harness verdict: what was checked, how it went, on which graph."""
+class Check(NamedTuple):
+    """One harness verdict: what was checked, how it went, on which graph.
+
+    ``details`` has no default, so no two checks share one dict.
+    """
 
     check_id: str
     status: str
+    details: dict
     graph: tuple[tuple[int, int], ...] | None = None
-    details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "status": self.status,
-            "graph": _jsonable(self.graph),
-            "details": _jsonable(self.details),
-        }
+        return _jsonable(self._asdict())
 
     def render(self) -> str:
         extra = ""
@@ -79,8 +79,7 @@ class Check:
 # Closed-form representation tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     vertex: int
     computed: Multiset
     closed_form: Multiset
@@ -185,8 +184,7 @@ def table_mismatches(rows: list[TableRow]) -> list[TableRow]:
 # Exhaustive scan of all small connected graphs
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ScanReport:
+class ScanReport(NamedTuple):
     """Aggregate of solving every (connected) graph of one order.
 
     ``graphs_total`` counts all enumerated labelled graphs; with dedup on,
@@ -204,16 +202,7 @@ class ScanReport:
     diameter2_fraction: float
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "dedup": self.dedup,
-            "graphs_total": self.graphs_total,
-            "graphs_connected": self.graphs_connected,
-            "md_histogram": _jsonable(self.md_histogram),
-            "violations": _jsonable(self.violations),
-            "conjecture_findings": [c.to_dict() for c in self.conjecture_findings],
-            "diameter2_fraction": self.diameter2_fraction,
-        }
+        return _jsonable(self._asdict())
 
 
 # the orders scan_small_graphs enumerates
@@ -551,7 +540,7 @@ def _table_check(check_id: str, rows: list[TableRow]) -> Check:
     listing each mismatching row."""
     bad = table_mismatches(rows)
     if not bad:
-        return Check(check_id, STATUS_PASS)
+        return Check(check_id, STATUS_PASS, details={})
     mismatches = [
         {"vertex": r.vertex, "computed": list(r.computed), "closed_form": list(r.closed_form)}
         for r in bad

@@ -10,10 +10,9 @@ alongside the lower bounds that seed the exact search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .graph import (
     DistanceMatrix,
@@ -28,8 +27,7 @@ from .graph import (
 Multiset = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CollisionReport:
+class CollisionReport(NamedTuple):
     """Outcome of a resolving check.
 
     ``resolving`` is True iff no two vertices share a representation;
@@ -47,8 +45,7 @@ class CertificateKind(Enum):
     EXHAUSTIVE_SEARCH = "exhaustive-search"
 
 
-@dataclass(frozen=True, slots=True)
-class InfiniteCertificate:
+class InfiniteCertificate(NamedTuple):
     """Machine-checkable reason why no multiset-resolving set exists."""
 
     kind: CertificateKind
@@ -62,8 +59,7 @@ class InfiniteCertificate:
         return "all vertex subsets exhausted without finding a resolving set"
 
 
-@dataclass(frozen=True)
-class LowerBoundReport:
+class LowerBoundReport(NamedTuple):
     """Best known lower bound on md(G) or dim(G), with per-rule attribution."""
 
     value: int

@@ -46,12 +46,11 @@ raises ``SearchAborted``, the only way any search reports the cap.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from itertools import count, repeat
 from math import comb
 from operator import add, mul
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .graph import (
     DistanceMatrix,
@@ -87,8 +86,7 @@ class SearchAborted(RuntimeError):
     exceeds the exhaustive-search cap, and the CLI maps it to exit 3."""
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(NamedTuple):
     """Knobs for the exact search.
 
     ``max_vertices`` caps the subset search: above it the walk raises
@@ -104,15 +102,14 @@ class SearchConfig:
     progress: bool = False
 
 
-@dataclass(frozen=True, slots=True)
-class ResolveOutcome:
+class ResolveOutcome(NamedTuple):
     """Result of a multiset-dimension computation.
 
     Finite(k, witness): witness is the lexicographically least resolving
     set among those of minimum size k.  Infinite carries the certificate.
     There is no aborted outcome: a capped search raises SearchAborted.
-    Slotted, with no per-instance dict, because callers that keep every
-    answer of a long run pay this object's size once per solve.
+    A tuple has no per-instance dict, which matters to callers that keep
+    every answer of a long run and pay this object's size once per solve.
     """
 
     kind: OutcomeKind
@@ -134,8 +131,7 @@ class ResolveOutcome:
         return f"md = infinite ({self.certificate.kind.value} certificate)"
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     """Full verification of one candidate set: both resolving checks plus
     every vertex's representation, for diffing against published tables."""
 
@@ -388,8 +384,8 @@ def verify_witness(g: Graph, w: Iterable[int]) -> WitnessReport:
     w = tuple(sorted(set(w)))
     multiset = is_m_resolving(dm, w)
     metric = is_metric_resolving(dm, w)
-    reps = tuple(tuple(sorted(dm.d[v][x] for x in w)) for v in range(g.n))
-    vecs = tuple(tuple(dm.d[v][x] for x in w) for v in range(g.n))
+    vecs = tuple(tuple(row[x] for x in w) for row in dm.d)
+    reps = tuple(tuple(sorted(vec)) for vec in vecs)
     return WitnessReport(
         witness=w, multiset=multiset, metric=metric, representations=reps, vectors=vecs
     )

@@ -239,6 +239,8 @@ class TestExitCodes:
             ["tables", "cycle:8", "--parallel", "2"],
             ["verify", "--family", "cycle:8", "--set", "0,1", "--progress"],
             ["scan", "--n", "4", "--max-vertices", "10"],
+            ["md", "--family", "cycle:8", "--parallel", "3"],
+            ["dim", "--family", "cycle:8", "--parallel", "3"],
         ],
     )
     def test_unread_option_is_usage_error(self, argv, capsys):
@@ -280,9 +282,3 @@ class TestDeterminism:
         assert main(argv) == EXIT_OK
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-    def test_parallel_flag_same_output(self, capsys):
-        main(["md", "--family", "karytree:2x2", "--json"])
-        serial = capsys.readouterr().out
-        main(["md", "--family", "karytree:2x2", "--json", "--parallel", "3"])
-        assert capsys.readouterr().out == serial

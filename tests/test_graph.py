@@ -174,7 +174,7 @@ class TestStructure:
 
         fake = {(0, 1): True, (1, 2): True, (0, 2): False}
 
-        def broken(g, nbr_sets, u, v):
+        def broken(nbr_sets, u, v):
             return fake.get((u, v), False)
 
         monkeypatch.setattr(graph_mod, "_are_twins", broken)

@@ -122,6 +122,35 @@ class TestScan:
         claims = {claim for claim, _ in scan_small_graphs(4).violations}
         assert claims == {"detector-soundness"}
 
+    def test_md_ge_dim_can_fail(self, monkeypatch):
+        # an ordered walk that answers the whole vertex set overstates dim
+        # above every finite md of order 4
+        from mdim import harness
+
+        walk = harness._walk
+
+        def overstated(dm, ordered, *args):
+            return tuple(range(dm.n)) if ordered else walk(dm, ordered, *args)
+
+        monkeypatch.setattr(harness, "_walk", overstated)
+        claims = {claim for claim, _ in scan_small_graphs(4).violations}
+        assert claims == {"md-ge-dim"}
+
+    def test_twin_pair_membership_can_fail(self, monkeypatch):
+        # a made-up pair class {0, 1}: a least witness that holds both or
+        # neither of them must be reported
+        from mdim import harness
+        from mdim.graph import TwinPartition
+
+        partition = harness.twin_partition
+
+        def with_pair(g):
+            return TwinPartition(partition(g).classes + ((0, 1),))
+
+        monkeypatch.setattr(harness, "twin_partition", with_pair)
+        claims = {claim for claim, _ in scan_small_graphs(4).violations}
+        assert claims == {"twin-pair-membership"}
+
     def test_parallel_scan_identical(self):
         serial = scan_small_graphs(5)
         parallel = scan_small_graphs(5, cfg=SearchConfig(workers=3))
@@ -159,6 +188,24 @@ class TestScan:
         code = (
             "import sys, mdim, mdim.harness, mdim.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "[]"
+
+    def test_import_loads_no_code_generation(self):
+        # the records are named tuples, so importing the package, the
+        # harness or the CLI loads neither dataclasses nor its inspect
+        # and ast imports
+        src = str(Path(mdim.__file__).resolve().parents[1])
+        code = (
+            "import sys, mdim, mdim.harness, mdim.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))"
         )
         out = subprocess.run(
             [sys.executable, "-c", code],
