@@ -255,50 +255,57 @@ def subtree_swap_masks(g: Graph) -> tuple[tuple[int, ...], ...]:
     automorphism fixes, makes equal keys mean the same orbit.
     """
     n, adj = g.n, g.adjacency
-    if n < 3 or g.edge_count != n - 1 or not is_connected(g):
+    if n < 3 or g.edge_count != n - 1:
         return ((),) * n
-    # strip leaves layer by layer down to the one or two central vertices
+    # Strip leaves layer by layer down to the one or two central vertices,
+    # which hang from a virtual root n.  This roots the tree at its centre:
+    # a vertex is stripped after its children, and its one neighbour left
+    # is its parent.  A graph with n - 1 edges that is not a tree has a
+    # cycle, whose vertices never become leaves, so its layers run out.
     degree = list(map(len, adj))
     layer = [v for v in range(n) if degree[v] == 1]
+    parent = [-1] * n + [n]
+    order: list[int] = []
     left = n
     while left > 2:
+        if not layer:
+            return ((),) * n
         left -= len(layer)
         inner = []
         for v in layer:
             for u in adj[v]:
-                degree[u] -= 1
-                if degree[u] == 1:
-                    inner.append(u)
+                if parent[u] < 0:
+                    parent[v] = u
+                    degree[u] -= 1
+                    if degree[u] == 1:
+                        inner.append(u)
+        order += layer
         layer = inner
-    # the central vertices hang from a virtual root n
-    parent = [-1] * n + [n]
-    order = list(layer)
     for c in layer:
         parent[c] = n
-    for v in order:
-        for u in adj[v]:
-            if parent[u] < 0:
-                parent[u] = v
-                order.append(u)
+    order += layer
+    # children come before their parent in order
     codes: dict[tuple[int, ...], int] = {}
     code = [0] * n
     kids: list[list[int]] = [[] for _ in range(n + 1)]
     mask = [0] * (n + 1)
-    for v in reversed(order):
-        code[v] = codes.setdefault(tuple(sorted(kids[v])), len(codes))
-        kids[parent[v]].append(code[v])
-        mask[v] |= 1 << v
-        mask[parent[v]] |= mask[v]
+    for v in order:
+        p = parent[v]
+        c = code[v] = codes.setdefault(tuple(sorted(kids[v])), len(codes))
+        kids[p].append(c)
+        m = mask[v] = mask[v] | 1 << v
+        mask[p] |= m
     keys: dict[tuple[int, int], int] = {}
     key = [0] * n + [-1]
-    for v in order:
+    for v in reversed(order):
         key[v] = keys.setdefault((key[parent[v]], code[v]), len(keys))
     same: dict[int, list[int]] = {}
     for v in range(n):
         same.setdefault(key[v], []).append(v)
     swaps: list[tuple[int, ...]] = [()] * n
     for members in same.values():
-        for i, x in enumerate(members):
+        for i in range(1, len(members)):
+            x = members[i]
             found = set()
             for y in members[:i]:
                 a, b = x, y

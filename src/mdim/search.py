@@ -7,7 +7,8 @@ non-resolving supersets), so minimality genuinely requires visiting sizes in
 order, and an infiniteness verdict requires exhausting every size.
 
 Each size is one depth-first search over ascending landmark ids
-(``level_search``) with one cut: a prefix is dropped once two vertices
+(``level_search``; md searches its sizes after the first large one in a
+single pass, see below) with one cut: a prefix is dropped once two vertices
 collide on it and are equidistant from every id that can still be added,
 because they then collide in every extension.  The cut drops only failing
 sets, so the first hit is the least one and "every size exhausted" remains
@@ -36,11 +37,29 @@ resolve kernel ``resolving.first_collision``, and the tests compare both
 modes of the search against that walk.
 
 One walk, ``_walk``, visits the sizes for md, dim and the scan, which
-walks md from size 1 to check the bounds that ``compute_md`` starts at.  It
-builds the swap table, and dim's full lower bound, once per solve, after
-the first size with more than n^2 candidate sets has failed: solves that
-end earlier never pay for them.  Above ``SearchConfig.max_vertices`` it
-raises ``SearchAborted``, the only way any search reports the cap.
+walks md from size 1 to check the bounds that ``compute_md`` starts at.
+The first size with more than n^2 candidate sets is its turning point:
+solves that end earlier never pay for what comes after it.  md builds
+the swap table just before that size, and if the size fails, searches
+every size left in one branch-and-bound pass (``_bound``).  The pass
+visits each prefix that survives the cut once, not once per size, keeps
+the least set found so far as the incumbent, and expands a prefix only
+while its children are smaller than the incumbent.  It is sound because:
+
+- the cut and the swap rule do not depend on the size, so each still
+  drops only sets that are not the least one;
+- the bound drops only sets no smaller than the incumbent;
+- a preorder walk with ascending children visits the sets of one size in
+  lexicographic order, and no set of size m is dropped by the bound
+  before the incumbent reaches m, so the first set of size m found is
+  the least one;
+- with no incumbent the bound drops nothing, so "every size exhausted"
+  stays a certificate.
+
+dim, whose resolving sets are monotone, keeps the size-by-size walk and
+builds the swap table, with its full lower bound, once that size has
+failed.  Above ``SearchConfig.max_vertices`` the walk raises
+``SearchAborted``, the only way any search reports the cap.
 """
 
 from __future__ import annotations
@@ -142,6 +161,30 @@ class WitnessReport(NamedTuple):
     vectors: tuple[tuple[int, ...], ...]
 
 
+# the subtree_swap_masks table of a tree: per vertex, its swap masks
+SwapTable = tuple[tuple[int, ...], ...]
+
+
+def _swap_bits(swaps: SwapTable, n: int) -> tuple[list[int], list[int]]:
+    """The swap table as bitsets over its distinct masks S_0, S_1, ...:
+    bit j of ``need[x]`` is set when S_j is a swap mask of x, and bit j of
+    ``hitby[y]`` when y lies in S_j.  If ``hit`` is the union of ``hitby``
+    over the chosen landmarks, they miss some swap mask of x exactly when
+    ``need[x] & ~hit`` is non-zero."""
+    index: dict[int, int] = {}
+    need = [0] * n
+    for x, masks in enumerate(swaps):
+        for s in masks:
+            need[x] |= 1 << index.setdefault(s, len(index))
+    hitby = [0] * n
+    for s, j in index.items():
+        while s:
+            low = s & -s
+            hitby[low.bit_length() - 1] |= 1 << j
+            s ^= low
+    return need, hitby
+
+
 def _extend(
     code: tuple[int, ...],
     start: int,
@@ -149,25 +192,31 @@ def _extend(
     n: int,
     weights: list[tuple[int, ...]],
     tails: list[tuple[int, ...]],
-    swaps: tuple[tuple[int, ...], ...],
-    mask: int,
+    need: list[int],
+    hitby: list[int],
+    hit: int,
 ) -> tuple[int, ...]:
-    """Complete the landmarks in ``mask`` with ``left`` more ids from
-    ``start`` on; return the ids added, or () if no completion resolves.
+    """Complete the chosen landmarks, whose vertex codes are ``code``, with
+    ``left`` more ids from ``start`` on; return the ids added, or () if no
+    completion resolves.
 
-    Candidate x is skipped, before any test, when a swap S in ``swaps[x]``
-    misses ``mask``: that automorphism fixes every chosen landmark and maps
-    x to a smaller id, so by the lex-leader rule no least resolving set
-    continues with x (see level_search)."""
+    Candidate x is skipped, before any test, when ``need[x] & ~hit`` is
+    non-zero (see _swap_bits): the chosen landmarks miss a swap mask S of
+    x, that automorphism fixes every chosen landmark and maps x to a
+    smaller id, so by the lex-leader rule no least resolving set continues
+    with x (see level_search).  The test reads ``need[x]`` first: with no
+    table every entry is 0, and that graph pays one falsy int per
+    candidate."""
+    miss = ~hit
     if left == 1:
         for x in range(start, n):
-            if swaps[x] and 0 in map(mask.__and__, swaps[x]):
+            if need[x] and need[x] & miss:
                 continue
             if len(set(map(add, code, weights[x]))) == n:
                 return (x,)
         return ()
     for x in range(start, n - left + 1):
-        if swaps[x] and 0 in map(mask.__and__, swaps[x]):
+        if need[x] and need[x] & miss:
             continue
         if len(set(zip(code, tails[x]))) < n:
             return ()
@@ -178,20 +227,86 @@ def _extend(
             n,
             weights,
             tails,
-            swaps,
-            mask | 1 << x,
+            need,
+            hitby,
+            hit | hitby[x],
         )
         if found:
             return (x, *found)
     return ()
 
 
+def _bound(
+    code: tuple[int, ...],
+    start: int,
+    size: int,
+    lo: int,
+    hi: int,
+    n: int,
+    weights: list[tuple[int, ...]],
+    tails: list[tuple[int, ...]],
+    need: list[int],
+    hitby: list[int],
+    hit: int,
+) -> tuple[int, ...]:
+    """The branch-and-bound pass over sizes ``lo``..``hi``: extend the
+    ``size - 1`` chosen landmarks, whose vertex codes are ``code``, by ids
+    from ``start`` on; return the ids added to the least resolving set of
+    the fewest landmarks from lo to hi, or () if none resolves.
+
+    Each candidate x makes a child of ``size`` landmarks, with the swap
+    rule of _extend.  At the last allowed size, ``size == hi``, the child
+    gets the resolve test alone.  Below it the cut runs first, and a child
+    of at least ``lo`` landmarks that resolves is returned at once: it is
+    the incumbent, and its later siblings and its supersets are no
+    smaller.  Otherwise the child is expanded, and a set found below it
+    becomes the incumbent, which lowers ``hi`` to one less than its size
+    for the remaining siblings; once ``hi`` is below ``lo`` nothing is
+    left to find (see level_search for why this is sound).
+    """
+    best: tuple[int, ...] = ()
+    miss = ~hit
+    for x in range(start, n - max(lo - size, 0)):
+        if need[x] and need[x] & miss:
+            continue
+        if size == hi:
+            if len(set(map(add, code, weights[x]))) == n:
+                return (x,)
+            continue
+        if len(set(zip(code, tails[x]))) < n:
+            break
+        child = tuple(map(add, code, weights[x]))
+        if size >= lo and len(set(child)) == n:
+            return (x,)
+        found = _bound(
+            child,
+            x + 1,
+            size + 1,
+            lo,
+            hi,
+            n,
+            weights,
+            tails,
+            need,
+            hitby,
+            hit | hitby[x],
+        )
+        if found:
+            best = (x, *found)
+            hi = size + len(found) - 1
+            if hi < lo:
+                break
+    return best
+
+
 def level_search(
     dm: DistanceMatrix, ordered: bool = False
 ) -> Callable[..., tuple[int, ...] | None]:
-    """Build the landmark tables of one graph; return ``least(k, swaps)``,
-    the lexicographically least resolving set of size k (1 <= k <= n), or
-    None.  Sets resolve by distance multisets, or with ``ordered`` by
+    """Build the landmark tables of one graph; return
+    ``least(k, swaps, last)``, the lexicographically least resolving set
+    of size k (1 <= k <= n), or None.  With ``last`` it is the least set
+    of the fewest landmarks from k to last, found by one branch-and-bound
+    pass.  Sets resolve by distance multisets, or with ``ordered`` by
     distance vectors (metric resolving).  ``swaps``, if given, is the
     ``graph.subtree_swap_masks`` table of the same graph; it changes no
     answer, only how many sets are visited.
@@ -232,13 +347,31 @@ def level_search(
     chosen landmark, and maps x to a smaller id, so x is never the next
     landmark of W.  The rule drops only sets that are not the least one,
     so each size still returns its least witness or None, and a None at
-    every size still proves that no resolving set exists.
+    every size still proves that no resolving set exists.  The test is
+    one AND of two bitsets per candidate (see _swap_bits).
 
-    The recursion is the module-level ``_extend``, which returns the ids it
-    adds and carries the chosen ones as an int mask for the rule: a nested
-    function that calls itself is a reference cycle, which would leave
-    every solve's tables to the cycle collector, whose pauses showed in
-    per-graph scan latencies.
+    The pass over sizes k..last (``_bound``) walks the tree of ascending
+    prefixes once for all those sizes, instead of once per size.
+    A resolving prefix of at least k landmarks becomes the incumbent and
+    drops its later siblings, and a node is expanded only while its
+    children are smaller than the incumbent.  Its answer equals the first
+    hit of ``least`` over the sizes k, k + 1, ..., last:
+      - the cut and the swap rule do not depend on the size, so each
+        still drops only sets that are not the least one of their size;
+      - the bound drops only sets no smaller than the incumbent;
+      - a preorder walk with ascending children visits the sets of one
+        size in lexicographic order, and no set of size m is dropped by
+        the bound before the incumbent reaches size m, so the first set
+        of size m found is the least one;
+      - with no incumbent the bound drops nothing, so a None from the
+        pass still proves that no size from k to last holds a resolving
+        set.
+
+    The recursions are the module-level ``_extend`` and ``_bound``, which
+    return the ids they add and carry the chosen ones as the ``hit``
+    bitset of the rule: a nested function that calls itself is a reference
+    cycle, which would leave every solve's tables to the cycle collector,
+    whose pauses showed in per-graph scan latencies.
     """
     d, n = dm.d, dm.n
     if ordered:
@@ -254,12 +387,16 @@ def level_search(
     for s in range(n - 1, -1, -1):
         tails[s] = tuple(map(ids.setdefault, zip(d[s], tails[s + 1]), fresh))
 
-    blank = ((),) * n
+    blank = [0] * n, [0] * n
 
     def least(
-        k: int, swaps: tuple[tuple[int, ...], ...] | None = None
+        k: int, swaps: SwapTable | None = None, last: int | None = None
     ) -> tuple[int, ...] | None:
-        return _extend((0,) * n, 0, k, n, weights, tails, swaps or blank, 0) or None
+        need, hitby = _swap_bits(swaps, n) if swaps and any(swaps) else blank
+        if last is None:
+            return _extend((0,) * n, 0, k, n, weights, tails, need, hitby, 0) or None
+        found = _bound((0,) * n, 0, 1, k, last, n, weights, tails, need, hitby, 0)
+        return found or None
 
     return least
 
@@ -269,15 +406,28 @@ def _walk(
     ordered: bool,
     k: int,
     cfg: SearchConfig,
-    lift: Callable[[], tuple[int, tuple[tuple[int, ...], ...]]] | None = None,
+    lift: Callable[[], SwapTable] | Callable[[], tuple[int, SwapTable]] | None = None,
 ) -> tuple[int, ...] | None:
-    """Least resolving set of the first size from k to n that holds one,
-    or None, which proves that none does: sizes are visited in ascending
+    """Least resolving set of the fewest landmarks from k to n, or None,
+    which proves that no size holds one: sizes are visited in ascending
     order by ``level_search`` in the given mode.  Raises SearchAborted
-    above ``cfg.max_vertices``, before any table is built.  ``lift``, if
-    given, returns a proved lower bound and the ``subtree_swap_masks``
-    table; it is called once, after the first failed size k with
-    comb(n, k) > n^2, and neither changes an answer (see level_search).
+    above ``cfg.max_vertices``, before any table is built.
+
+    The first size k with comb(n, k) > n^2 is where the two modes part.
+    In multiset mode (md) ``lift``, if given, returns the
+    ``subtree_swap_masks`` table and is called before that size is
+    searched.  If the size fails, the sizes k + 1..n are searched by one
+    branch-and-bound pass: multiset resolvability is not monotone, so
+    every size must be searched, and the pass visits each prefix that
+    survives the cut once instead of once per size.  It returns what the
+    per-size walk would, by the four points in level_search: the cut and
+    the swap rule do not depend on the size, the bound drops only sets no
+    smaller than the incumbent, the first set of each size found is the
+    least one, and with no incumbent the bound drops nothing, so None
+    still proves that no size holds a resolving set.  In ordered mode
+    (dim) ``lift``, if given, returns a proved lower bound and the table
+    and is called after that size fails, and the walk goes on size by
+    size from the bound.  Neither changes an answer.
     """
     n = dm.n
     if n > cfg.max_vertices:
@@ -287,6 +437,9 @@ def _walk(
     least = level_search(dm, ordered)
     swaps = None
     while k <= n:
+        large = comb(n, k) > n * n
+        if large and lift is not None and not ordered:
+            swaps = lift()
         if cfg.progress:
             print(f"{'dim' if ordered else 'md'} search: size {k} of up to {n}",
                   file=sys.stderr)
@@ -294,7 +447,12 @@ def _walk(
         if w is not None:
             return w
         k += 1
-        if lift is not None and comb(n, k - 1) > n * n:
+        if large and not ordered:
+            if cfg.progress:
+                print(f"md search: size {k} to {n} in one branch-and-bound pass",
+                      file=sys.stderr)
+            return least(k, swaps, n)
+        if large and lift is not None:
             bound, swaps = lift()
             k = max(k, bound)
             lift = None
@@ -307,11 +465,14 @@ def compute_md(g: Graph, cfg: SearchConfig = SearchConfig()) -> ResolveOutcome:
     Pipeline: path fast-path (dimension 1, least pendant as witness; the
     graph is a path exactly when its diameter is n - 1, see
     DistanceMatrix), the two infiniteness detectors, then the cut
-    depth-first search of every size upward from ``md_lower_bound``.
-    Reaching size n with no witness proves infiniteness because the cut
-    only drops failing sets.  Each graph fact is computed once, and only
-    when a step needs it.  Raises SearchAborted when the search is needed
-    and the graph exceeds ``cfg.max_vertices``.
+    depth-first search of every size upward from ``md_lower_bound``, the
+    sizes after the first large one in one branch-and-bound pass, with
+    the swap table built just before that size (see _walk).  Reaching
+    size n with no witness proves infiniteness because the cut, the swap
+    rule and the bound only drop sets that are not the least one.  Each
+    graph fact is computed once, and only when a step needs it.  Raises
+    SearchAborted when the search is needed and the graph exceeds
+    ``cfg.max_vertices``.
     """
     dm = all_pairs_distances(g)
     if dm.diameter == dm.n - 1:
@@ -323,7 +484,7 @@ def compute_md(g: Graph, cfg: SearchConfig = SearchConfig()) -> ResolveOutcome:
     if cert is not None:
         return ResolveOutcome(OutcomeKind.INFINITE, certificate=cert)
 
-    def lift() -> tuple[int, tuple[tuple[int, ...], ...]]:
+    def lift() -> SwapTable:
         swaps = subtree_swap_masks(g)
         if cfg.progress and any(swaps):
             print(
@@ -331,7 +492,7 @@ def compute_md(g: Graph, cfg: SearchConfig = SearchConfig()) -> ResolveOutcome:
                 "vertices have a smaller image)",
                 file=sys.stderr,
             )
-        return 0, swaps
+        return swaps
 
     lb = md_lower_bound(g, dm, tp, major_vertex_report(g, dm)).value
     witness = _walk(dm, False, lb, cfg, lift)

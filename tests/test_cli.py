@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -143,18 +144,22 @@ class TestCommands:
         assert captured.out.strip() == "dim = 7, witness = {1, 3, 5, 7, 9, 11, 13}"
 
     def test_md_progress_notes_symmetry_rule(self, capsys):
-        # size 6 (74,613 > 22^2 sets) fails, so the swap table is built and
-        # the 18 vertices outside substar:7x3's first leg have a smaller image
+        # size 6 (74,613 > 22^2 sets) is the first large size, so the swap
+        # table is built before it, and the 18 vertices outside
+        # substar:7x3's first leg have a smaller image; once size 6 fails,
+        # one branch-and-bound pass searches sizes 7 to 22
         assert main(["md", "--family", "substar:7x3", "--progress"]) == EXIT_OK
         captured = capsys.readouterr()
         assert captured.err == (
-            "md search: size 6 of up to 22\n"
             "md search: tree symmetry rule on (18 vertices have a smaller image)\n"
-            + "".join(f"md search: size {k} of up to 22\n" for k in (7, 8, 9))
+            "md search: size 6 of up to 22\n"
+            "md search: size 7 to 22 in one branch-and-bound pass\n"
         )
         assert captured.out.strip() == "md = 9, witness = {1, 2, 4, 6, 7, 11, 12, 14, 18}"
-        # tools that time the levels read "size <k>" from each note
-        assert "size" not in captured.err.splitlines()[1]
+        # tools that time the levels read "size <k>" from each note, so the
+        # pass names its first size once and the rule note names none
+        sizes = [re.findall(r"size (\d+)", line) for line in captured.err.splitlines()]
+        assert sizes == [[], ["6"], ["7"]]
 
     def test_family_emit_round_trips(self, capsys):
         assert main(["family", "path:4"]) == EXIT_OK

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import mdim
-from mdim import SearchAborted, SearchConfig, build_graph, compute_md, is_connected
+from mdim import SearchConfig, build_graph, compute_md, is_connected
 from mdim.harness import (
     STATUS_ABORTED,
     STATUS_FINDING,

@@ -72,8 +72,9 @@ class TestComputeMd:
 
     def test_substar_7x4(self):
         # 29 vertices, past the default cap; the lower bound is 6 and sizes
-        # 6 and 7 hold no resolving set, so this costs about 4 s without the
-        # tree symmetry rule and about 1 s with it
+        # 6 and 7 hold no resolving set: size 6 alone, then sizes 7 to 29 in
+        # one branch-and-bound pass, cost about 3.7 s without the tree
+        # symmetry rule and about 0.5 s with it
         outcome = compute_md(
             generate(FamilySpec.subdivided_star(7, 4)), SearchConfig(max_vertices=29)
         )
@@ -237,9 +238,11 @@ class TestWalk:
         with pytest.raises(SearchAborted, match="cap of 4"):
             _walk(dm, False, 3, SearchConfig(max_vertices=4))
 
-    def test_lifts_once_after_first_large_failed_size(self, monkeypatch):
+    def test_table_before_first_large_size_then_one_pass(self, monkeypatch):
         # substar:8x2 (17 vertices) has no resolving set at any size, and
-        # comb(17, 3) = 680 is the first count above 17^2 = 289
+        # comb(17, 3) = 680 is the first count above 17^2 = 289: the swap
+        # table is built before size 3, and once it fails one pass
+        # searches sizes 4 to 17
         g = generate(FamilySpec.subdivided_star(8, 2))
         seen, lifts = [], []
         build = search.level_search
@@ -247,21 +250,21 @@ class TestWalk:
         def recording(dm, ordered=False):
             least = build(dm, ordered)
 
-            def wrapped(k, swaps=None):
-                seen.append((k, swaps is not None))
-                return least(k, swaps)
+            def wrapped(k, swaps=None, last=None):
+                seen.append((k, swaps is not None, last))
+                return least(k, swaps, last)
 
             return wrapped
 
         def lift():
             lifts.append(len(seen))
-            return 5, subtree_swap_masks(g)
+            return subtree_swap_masks(g)
 
         monkeypatch.setattr(search, "level_search", recording)
         assert _walk(all_pairs_distances(g), False, 1, SearchConfig(), lift) is None
-        assert lifts == [3]
-        assert seen == [(1, False), (2, False), (3, False)] + [
-            (k, True) for k in range(5, 18)
+        assert lifts == [2]
+        assert seen == [
+            (1, False, None), (2, False, None), (3, True, None), (4, True, 17)
         ]
 
 
@@ -284,6 +287,75 @@ class TestSwapRule:
                 for k in range(1, t.n + 1):
                     assert least(k, swaps) == least(k), (t.edges(), k, ordered)
         assert symmetric >= 150
+
+
+class TestBoundPass:
+    """The branch-and-bound pass that searches md's sizes after the first
+    large one: against the unpruned reference walk, and against the
+    size-by-size search it replaces, including graphs where no size
+    resolves, which an "infinite by exhaustion" verdict rests on."""
+
+    @staticmethod
+    def record(monkeypatch):
+        """Spy on ``search._bound``: one entry per frame, the frame's
+        child size and the size of the set it returns (0 for none)."""
+        frames, bound = [], search._bound
+
+        def recording(code, start, size, *rest):
+            ids = bound(code, start, size, *rest)
+            frames.append((size, size - 1 + len(ids) if ids else 0))
+            return ids
+
+        monkeypatch.setattr(search, "_bound", recording)
+        return frames
+
+    def test_matches_brute_force_on_orders_10_to_12(self, monkeypatch):
+        frames = self.record(monkeypatch)
+        rng = Random(12)
+        for i in range(400):
+            n = rng.randint(10, 12)
+            if i % 2:
+                g = random_symmetric_tree(rng, n)
+            else:
+                g = random_connected_graph(rng, n, extra=rng.choice([0.0, 0.05, 0.1]))
+            fast, slow = compute_md(g), brute_force_md(g)
+            assert fast.kind == slow.kind, g.edges()
+            assert (fast.value, fast.witness) == (slow.value, slow.witness), g.edges()
+        # the pass starts once per solve, with a child size of 1
+        assert sum(size == 1 for size, _ in frames) >= 50
+
+    def test_incumbent_shrinks(self, monkeypatch):
+        # a tree of order 9 whose lower bound, 3, is its first large size
+        # (84 > 9^2 sets); once it fails, the pass finds a 5-set before
+        # the least 4-set
+        g = build_graph(
+            9, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 8), (2, 7), (3, 6)]
+        )
+        frames = self.record(monkeypatch)
+        outcome = compute_md(g)
+        assert sorted({m for _, m in frames if m}) == [4, 5]
+        slow = brute_force_md(g)
+        assert (outcome.value, outcome.witness) == (slow.value, slow.witness)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_per_size_search_on_swap_rule_trees(self, seed):
+        # the TestSwapRule corpus, where least(k, swaps) == least(k): the
+        # pass from every size k equals the first hit of least(k),
+        # least(k + 1), ..., least(n), and in ordered mode the pass over
+        # every size finds the least metric-resolving set
+        rng = Random(seed)
+        for _ in range(200):
+            t = random_symmetric_tree(rng, rng.randint(3, rng.choice([11, 16])))
+            dm = all_pairs_distances(t)
+            swaps = subtree_swap_masks(t)
+            least = level_search(dm)
+            sizes = [least(k, swaps) for k in range(1, t.n + 1)]
+            for k in range(1, t.n + 1):
+                first = next((w for w in sizes[k - 1:] if w is not None), None)
+                assert least(k, swaps, t.n) == first, (t.edges(), k)
+            least = level_search(dm, ordered=True)
+            first = next(filter(None, (least(k, swaps) for k in range(1, t.n + 1))))
+            assert least(1, swaps, t.n) == first, t.edges()
 
 
 class TestAgainstBruteForce:
