@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import families, harness
-from .families import InvalidParameter, NoKnownWitness, parse_family_spec
+from .families import FamilyKind, InvalidParameter, NoKnownWitness, parse_family_spec
 from .graph import (
     Graph,
     GraphError,
@@ -245,20 +245,17 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    sel = args.selector
+    spec = parse_family_spec(args.selector)
+    table = {FamilyKind.CYCLE: harness.cycle_table, FamilyKind.GRID: harness.grid_table}
+    if spec.kind not in table:
+        raise ParseError(f"selector must be cycle:N or grid:MxN, got {args.selector!r}")
     try:
-        if sel.startswith("cycle:"):
-            rows = harness.cycle_table(int(sel.split(":", 1)[1]))
-        elif sel.startswith("grid:"):
-            m, n = (int(x) for x in sel.split(":", 1)[1].split("x"))
-            rows = harness.grid_table(m, n)
-        else:
-            raise ValueError(f"selector must be cycle:N or grid:MxN, got {sel!r}")
+        rows = table[spec.kind](*spec.params)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
     payload = {
         "command": "tables",
-        "selector": sel,
+        "selector": args.selector,
         "rows": [
             {"vertex": r.vertex, "computed": list(r.computed),
              "closed_form": list(r.closed_form), "match": r.match}

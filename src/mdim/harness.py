@@ -31,9 +31,9 @@ from .search import (
     ResolveOutcome,
     SearchAborted,
     SearchConfig,
-    _walk,
     brute_force_md,
     compute_md,
+    level_search,
     verify_witness,
 )
 
@@ -251,7 +251,6 @@ def _scan_mask_range(args) -> dict:
     n, lo, hi, dedup = args
     pairs = edge_pairs(n)
     perm_tables = _perm_bit_tables(n, pairs) if dedup else None
-    cfg = SearchConfig()
     hist: dict = {}
     violations: list = []
     conjecture_hits: list = []
@@ -273,17 +272,20 @@ def _scan_mask_range(args) -> dict:
             diam2 += 1
 
         # metric resolving is monotone under supersets, so a resolving set
-        # below the bound would show at size lb - 1, where the walk starts
+        # below the bound would show at size lb - 1, where the search starts
         dim_lb = dim_lower_bound(g, dm, tp, mr).value
-        dim_value = len(_walk(dm, True, max(1, dim_lb - 1), cfg))
+        least = level_search(dm, True)
+        dim_value = next(k for k in range(max(1, dim_lb - 1), n + 1) if least(k))
 
         def flag(claim: str) -> None:
             violations.append((claim, edges))
 
         cert = detect_infinite(g, dm, tp)
-        # md walks every size from 1, so a set below any rule of
+        # md is searched at every size from 1, so a set below any rule of
         # md_lower_bound (a 2-set, or a 1-set on a non-path) is flagged
-        witness = None if cert is not None else _walk(dm, False, 1, cfg)
+        witness = None
+        if cert is None:
+            witness = next(filter(None, map(level_search(dm), range(1, n + 1))), None)
         if witness is not None:
             md = key = len(witness)
             if md < md_lower_bound(g, dm, tp, mr).value:

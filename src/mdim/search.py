@@ -36,30 +36,18 @@ cut: it is the unpruned walk ``resolving.least_resolving_set`` on the one
 resolve kernel ``resolving.first_collision``, and the tests compare both
 modes of the search against that walk.
 
-One walk, ``_walk``, visits the sizes for md, dim and the scan, which
-walks md from size 1 to check the bounds that ``compute_md`` starts at.
-The first size with more than n^2 candidate sets is its turning point:
-solves that end earlier never pay for what comes after it.  md builds
-the swap table just before that size, and if the size fails, searches
-every size left in one branch-and-bound pass (``_bound``).  The pass
-visits each prefix that survives the cut once, not once per size, keeps
-the least set found so far as the incumbent, and expands a prefix only
-while its children are smaller than the incumbent.  It is sound because:
-
-- the cut and the swap rule do not depend on the size, so each still
-  drops only sets that are not the least one;
-- the bound drops only sets no smaller than the incumbent;
-- a preorder walk with ascending children visits the sets of one size in
-  lexicographic order, and no set of size m is dropped by the bound
-  before the incumbent reaches m, so the first set of size m found is
-  the least one;
-- with no incumbent the bound drops nothing, so "every size exhausted"
-  stays a certificate.
-
-dim, whose resolving sets are monotone, keeps the size-by-size walk and
-builds the swap table, with its full lower bound, once that size has
-failed.  Above ``SearchConfig.max_vertices`` the walk raises
-``SearchAborted``, the only way any search reports the cap.
+md and dim each spell out their own size schedule in ascending order,
+and both turn at the first size with more than n^2 candidate sets
+(``_turn``): solves that end earlier never pay for what comes after it.
+md builds the swap table just before that size and, if the size fails,
+searches every size left in one branch-and-bound pass, which visits each
+prefix that survives the cut once instead of once per size; level_search
+states the four points that make the pass return what the size-by-size
+search would.  dim, whose resolving sets are monotone, goes on size by
+size once that size has failed, from its full lower bound and with the
+swap table.  Above ``SearchConfig.max_vertices`` a solve raises
+``SearchAborted`` before any table is built, the only way any search
+reports the cap.
 """
 
 from __future__ import annotations
@@ -163,6 +151,8 @@ class WitnessReport(NamedTuple):
 
 # the subtree_swap_masks table of a tree: per vertex, its swap masks
 SwapTable = tuple[tuple[int, ...], ...]
+# what level_search returns: least(k, swaps, last), a resolving set or None
+Least = Callable[..., tuple[int, ...] | None]
 
 
 def _swap_bits(swaps: SwapTable, n: int) -> tuple[list[int], list[int]]:
@@ -299,9 +289,7 @@ def _bound(
     return best
 
 
-def level_search(
-    dm: DistanceMatrix, ordered: bool = False
-) -> Callable[..., tuple[int, ...] | None]:
+def level_search(dm: DistanceMatrix, ordered: bool = False) -> Least:
     """Build the landmark tables of one graph; return
     ``least(k, swaps, last)``, the lexicographically least resolving set
     of size k (1 <= k <= n), or None.  With ``last`` it is the least set
@@ -401,61 +389,43 @@ def level_search(
     return least
 
 
-def _walk(
-    dm: DistanceMatrix,
-    ordered: bool,
-    k: int,
-    cfg: SearchConfig,
-    lift: Callable[[], SwapTable] | Callable[[], tuple[int, SwapTable]] | None = None,
-) -> tuple[int, ...] | None:
-    """Least resolving set of the fewest landmarks from k to n, or None,
-    which proves that no size holds one: sizes are visited in ascending
-    order by ``level_search`` in the given mode.  Raises SearchAborted
-    above ``cfg.max_vertices``, before any table is built.
-
-    The first size k with comb(n, k) > n^2 is where the two modes part.
-    In multiset mode (md) ``lift``, if given, returns the
-    ``subtree_swap_masks`` table and is called before that size is
-    searched.  If the size fails, the sizes k + 1..n are searched by one
-    branch-and-bound pass: multiset resolvability is not monotone, so
-    every size must be searched, and the pass visits each prefix that
-    survives the cut once instead of once per size.  It returns what the
-    per-size walk would, by the four points in level_search: the cut and
-    the swap rule do not depend on the size, the bound drops only sets no
-    smaller than the incumbent, the first set of each size found is the
-    least one, and with no incumbent the bound drops nothing, so None
-    still proves that no size holds a resolving set.  In ordered mode
-    (dim) ``lift``, if given, returns a proved lower bound and the table
-    and is called after that size fails, and the walk goes on size by
-    size from the bound.  Neither changes an answer.
-    """
-    n = dm.n
-    if n > cfg.max_vertices:
+def _capped_search(dm: DistanceMatrix, ordered: bool, cfg: SearchConfig) -> Least:
+    """``level_search(dm, ordered)`` for one solve; raises SearchAborted
+    above ``cfg.max_vertices``, before the table is built."""
+    if dm.n > cfg.max_vertices:
         raise SearchAborted(
-            f"{n} vertices exceeds the exhaustive-search cap of {cfg.max_vertices}"
+            f"{dm.n} vertices exceeds the exhaustive-search cap of {cfg.max_vertices}"
         )
-    least = level_search(dm, ordered)
-    swaps = None
-    while k <= n:
-        large = comb(n, k) > n * n
-        if large and lift is not None and not ordered:
-            swaps = lift()
+    return level_search(dm, ordered)
+
+
+def _turn(n: int, k: int) -> int:
+    """The first size from k with more than n^2 candidate sets, where md
+    and dim change their schedule, or n + 1 if no size is that large.  A
+    plain loop, since a generator here made compute_dim about 3% slower
+    on the connected graphs of order 6 (Python 3.11)."""
+    for s in range(k, n):
+        if comb(n, s) > n * n:
+            return s
+    return n + 1
+
+
+def _first_hit(
+    least: Least,
+    mode: str,
+    sizes: range,
+    n: int,
+    cfg: SearchConfig,
+    swaps: SwapTable | None = None,
+) -> tuple[int, ...] | None:
+    """The first set ``least(k, swaps)`` finds over the ascending
+    ``sizes``, or None, with one ``--progress`` note per size searched."""
+    for k in sizes:
         if cfg.progress:
-            print(f"{'dim' if ordered else 'md'} search: size {k} of up to {n}",
-                  file=sys.stderr)
+            print(f"{mode} search: size {k} of up to {n}", file=sys.stderr)
         w = least(k, swaps)
         if w is not None:
             return w
-        k += 1
-        if large and not ordered:
-            if cfg.progress:
-                print(f"md search: size {k} to {n} in one branch-and-bound pass",
-                      file=sys.stderr)
-            return least(k, swaps, n)
-        if large and lift is not None:
-            bound, swaps = lift()
-            k = max(k, bound)
-            lift = None
     return None
 
 
@@ -465,17 +435,19 @@ def compute_md(g: Graph, cfg: SearchConfig = SearchConfig()) -> ResolveOutcome:
     Pipeline: path fast-path (dimension 1, least pendant as witness; the
     graph is a path exactly when its diameter is n - 1, see
     DistanceMatrix), the two infiniteness detectors, then the cut
-    depth-first search of every size upward from ``md_lower_bound``, the
-    sizes after the first large one in one branch-and-bound pass, with
-    the swap table built just before that size (see _walk).  Reaching
-    size n with no witness proves infiniteness because the cut, the swap
-    rule and the bound only drop sets that are not the least one.  Each
-    graph fact is computed once, and only when a step needs it.  Raises
-    SearchAborted when the search is needed and the graph exceeds
-    ``cfg.max_vertices``.
+    depth-first search of each size upward from ``md_lower_bound`` until
+    the first large one (see _turn).  The swap table is built just before
+    that size, and if it fails, one branch-and-bound pass searches every
+    size left.  Multiset resolvability is not monotone, so no size may be
+    skipped; reaching size n with no witness proves infiniteness because
+    the cut, the swap rule and the bound only drop sets that are not the
+    least one.  Each graph fact is computed once, and only when a step
+    needs it.  Raises SearchAborted when the search is needed and the
+    graph exceeds ``cfg.max_vertices``.
     """
     dm = all_pairs_distances(g)
-    if dm.diameter == dm.n - 1:
+    n = dm.n
+    if dm.diameter == n - 1:
         return ResolveOutcome(
             OutcomeKind.FINITE, value=1, witness=(min(path_endpoints(g)),)
         )
@@ -483,8 +455,11 @@ def compute_md(g: Graph, cfg: SearchConfig = SearchConfig()) -> ResolveOutcome:
     cert = detect_infinite(g, dm, tp)
     if cert is not None:
         return ResolveOutcome(OutcomeKind.INFINITE, certificate=cert)
-
-    def lift() -> SwapTable:
+    lb = md_lower_bound(g, dm, tp, major_vertex_report(g, dm)).value
+    least = _capped_search(dm, False, cfg)
+    big = _turn(n, lb)
+    witness = _first_hit(least, "md", range(lb, big), n, cfg)
+    if witness is None and big <= n:
         swaps = subtree_swap_masks(g)
         if cfg.progress and any(swaps):
             print(
@@ -492,10 +467,12 @@ def compute_md(g: Graph, cfg: SearchConfig = SearchConfig()) -> ResolveOutcome:
                 "vertices have a smaller image)",
                 file=sys.stderr,
             )
-        return swaps
-
-    lb = md_lower_bound(g, dm, tp, major_vertex_report(g, dm)).value
-    witness = _walk(dm, False, lb, cfg, lift)
+        witness = _first_hit(least, "md", range(big, big + 1), n, cfg, swaps)
+        if witness is None:
+            if cfg.progress:
+                print(f"md search: size {big + 1} to {n} in one branch-and-bound pass",
+                      file=sys.stderr)
+            witness = least(big + 1, swaps, n)
     if witness is None:
         return ResolveOutcome(
             OutcomeKind.INFINITE,
@@ -509,31 +486,31 @@ def compute_dim(
 ) -> tuple[int, tuple[int, ...]]:
     """Exact metric dimension with its lexicographically least witness.
 
-    Walks sizes upward in ordered mode from a proved lower bound and
+    Searches sizes upward in ordered mode from a proved lower bound and
     returns the first hit.  Ordered distance vectors ARE monotone under
-    supersets, so V itself always resolves and the walk ends by size n;
+    supersets, so V itself always resolves and the search ends by size n;
     the minimum comes from visiting sizes in ascending order, and no size
-    below a ``dim_lower_bound`` rule can hold a hit.  The walk starts at
-    ``dim_distance_rules``, which read only the distances.  The full
+    below a ``dim_lower_bound`` rule can hold a hit.  The search starts at
+    ``dim_distance_rules``, which read only the distances, and runs
+    through the first large size (see _turn).  The full
     ``dim_lower_bound`` also needs the twin partition and the major-vertex
-    report, about n^2 steps, so it is the walk's ``lift``: computed only
-    once a size with more than n^2 candidate sets has failed.  On graphs
+    report, about n^2 steps, so it is computed, with the swap table, only
+    once that size has failed, and the search goes on from it.  On graphs
     of order 7 or less no size is that large, and on small graphs those
     two inputs cost more than the whole search; a graph whose dimension is
     the first such size never pays for them.  Raises SearchAborted above
     ``cfg.max_vertices``.
     """
     dm = all_pairs_distances(g)
-    w = _walk(
-        dm,
-        True,
-        max(dim_distance_rules(g, dm).values()),
-        cfg,
-        lambda: (
-            dim_lower_bound(g, dm, twin_partition(g), major_vertex_report(g, dm)).value,
-            subtree_swap_masks(g),
-        ),
-    )
+    n = dm.n
+    k = max(dim_distance_rules(g, dm).values())
+    least = _capped_search(dm, True, cfg)
+    big = _turn(n, k)
+    w = _first_hit(least, "dim", range(k, min(big, n) + 1), n, cfg)
+    if w is None:
+        bound = dim_lower_bound(g, dm, twin_partition(g), major_vertex_report(g, dm)).value
+        sizes = range(max(big + 1, bound), n + 1)
+        w = _first_hit(least, "dim", sizes, n, cfg, subtree_swap_masks(g))
     if w is None:
         raise AssertionError("a connected graph is always metric-resolved by V itself")
     return len(w), w

@@ -116,6 +116,20 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "infinite: yes (non-path graph of diameter at most 2)" in out
 
+    def test_bounds_names_twin_class_certificate(self, capsys):
+        # karytree:3x2 has diameter 4, so only its twin class {4, 5, 6}
+        # certifies it
+        assert main(["bounds", "--family", "karytree:3x2", "--json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["diameter"], payload["infinite_certificate"]) == (
+            4, "large-twin-class"
+        )
+        assert main(["bounds", "--family", "karytree:3x2"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == (
+            "infinite: yes (twin class {4, 5, 6} has 3 or more vertices)"
+        )
+
     def test_bounds_reports_dim(self, capsys):
         assert main(["bounds", "--family", "karytree:2x3", "--json"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
@@ -223,6 +237,41 @@ class TestExitCodes:
     def test_no_input(self, capsys):
         assert main(["md"]) == EXIT_BAD_GRAPH
 
+    @pytest.mark.parametrize(
+        "selector,message",
+        [
+            ("grid:3", "family 'grid' takes 2 parameter(s), got 1"),
+            ("cycle:x", "unparseable family spec 'cycle:x'"),
+            ("path:4", "selector must be cycle:N or grid:MxN, got 'path:4'"),
+            ("cycle:5", "cycle table needs n >= 6, got 5"),
+        ],
+    )
+    def test_tables_bad_selector(self, selector, message, capsys):
+        assert main(["tables", selector]) == EXIT_BAD_GRAPH
+        assert capsys.readouterr().err == f"mdim: {message}\n"
+
+    @pytest.mark.parametrize(
+        "ids,message",
+        [
+            ("0,9", "vertex id 9 outside 0..5"),
+            ("0,x", "bad vertex set '0,x'; expected comma-separated ids"),
+        ],
+    )
+    def test_verify_bad_set(self, ids, message, capsys):
+        assert main(["verify", "--family", "cycle:6", "--set", ids]) == EXIT_BAD_GRAPH
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"mdim: {message}\n")
+
+    @pytest.mark.parametrize(
+        "count,message",
+        [("n=abc", "bad vertex count 'n=abc'"), ("n=-1", "negative vertex count")],
+    )
+    def test_bad_vertex_count_line(self, count, message, tmp_path, capsys):
+        p = tmp_path / "bad.edges"
+        p.write_text(f"{count}\n0 1\n")
+        assert main(["md", str(p)]) == EXIT_BAD_GRAPH
+        assert capsys.readouterr().err == f"mdim: line 1: {message}\n"
+
     def test_md_aborts_like_dim(self, capsys):
         for command in ("md", "dim"):
             argv = [command, "--family", "cycle:9", "--max-vertices", "4", "--json"]
@@ -273,6 +322,12 @@ class TestDeterminism:
         first = capsys.readouterr().out
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out == first
+
+    def test_parallel_scan_prints_serial_bytes(self, capsys):
+        assert main(["scan", "--n", "4", "--json"]) == EXIT_OK
+        serial = capsys.readouterr().out
+        assert main(["scan", "--n", "4", "--parallel", "2", "--json"]) == EXIT_OK
+        assert capsys.readouterr().out == serial
 
     @pytest.mark.parametrize(
         "argv,digest",

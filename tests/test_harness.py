@@ -10,6 +10,7 @@ import mdim
 from mdim import SearchConfig, build_graph, compute_md, is_connected
 from mdim.harness import (
     STATUS_ABORTED,
+    Check,
     STATUS_FINDING,
     STATUS_PASS,
     STATUS_VIOLATION,
@@ -123,18 +124,49 @@ class TestScan:
         assert claims == {"detector-soundness"}
 
     def test_md_ge_dim_can_fail(self, monkeypatch):
-        # an ordered walk that answers the whole vertex set overstates dim
-        # above every finite md of order 4
+        # an ordered search that first resolves at the whole vertex set
+        # overstates dim above every finite md of order 4
         from mdim import harness
 
-        walk = harness._walk
+        build = harness.level_search
 
-        def overstated(dm, ordered, *args):
-            return tuple(range(dm.n)) if ordered else walk(dm, ordered, *args)
+        def overstated(dm, ordered=False):
+            if not ordered:
+                return build(dm)
+            return lambda k: tuple(range(dm.n)) if k == dm.n else None
 
-        monkeypatch.setattr(harness, "_walk", overstated)
+        monkeypatch.setattr(harness, "level_search", overstated)
         claims = {claim for claim, _ in scan_small_graphs(4).violations}
         assert claims == {"md-ge-dim"}
+
+    def test_md_le_n_1_finding_can_fire(self, monkeypatch):
+        # a multiset search that first resolves at the whole vertex set
+        # gives each path of order 3 md 3 > n - 1; the triangle stays
+        # certified, and the whole set holds both ends of each path, a twin
+        # pair, so only that flag fires alongside the finding
+        from mdim import harness
+
+        build = harness.level_search
+
+        def overstated(dm, ordered=False):
+            if ordered:
+                return build(dm, True)
+            return lambda k: tuple(range(dm.n)) if k == dm.n else None
+
+        monkeypatch.setattr(harness, "level_search", overstated)
+        report = scan_small_graphs(3)
+        paths = [((0, 1), (0, 2)), ((0, 1), (1, 2)), ((0, 2), (1, 2))]
+        assert report.conjecture_findings[:3] == [
+            Check(
+                "conjecture-md-le-n-1",
+                STATUS_FINDING,
+                graph=edges,
+                details={"n": 3, "md": 3, "note": "exceeds n-1"},
+            )
+            for edges in paths
+        ]
+        assert report.conjecture_findings[3].check_id == "md-spectrum"
+        assert report.violations == [("twin-pair-membership", e) for e in paths]
 
     def test_twin_pair_membership_can_fail(self, monkeypatch):
         # a made-up pair class {0, 1}: a least witness that holds both or
@@ -268,6 +300,32 @@ class TestSuite:
         text = render_checks(checks)
         assert "petersen-infinite" in text
         assert "checks:" in text.splitlines()[-1]  # summary line present
+
+    def test_table_mismatch_is_a_finding(self, monkeypatch):
+        # a wrong closed form for vertex 0 of C6: the suite lists that row,
+        # and no other table check changes
+        from mdim import harness
+
+        forms = harness._cycle_closed_forms
+        monkeypatch.setattr(
+            harness,
+            "_cycle_closed_forms",
+            lambda n: [(9, 9, 9)] + forms(n)[1:] if n == 6 else forms(n),
+        )
+        checks = run_reproduction_suite(SearchConfig(), scan_n=2)
+        tables = [c for c in checks if "-table:" in c.check_id]
+        assert len(tables) == 20
+        assert [c for c in tables if c.status != STATUS_PASS] == [
+            Check(
+                "cycle-table:6",
+                STATUS_FINDING,
+                details={
+                    "mismatches": [
+                        {"vertex": 0, "computed": [0, 1, 3], "closed_form": [9, 9, 9]}
+                    ]
+                },
+            )
+        ]
 
     def test_capped_items_recorded_as_aborted(self):
         checks = run_reproduction_suite(SearchConfig(max_vertices=10), scan_n=4)

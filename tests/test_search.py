@@ -25,7 +25,7 @@ from mdim.families import FamilySpec, generate
 from mdim.graph import subtree_swap_masks
 from mdim.resolving import first_collision, least_resolving_set
 from mdim import search
-from mdim.search import _walk, level_search
+from mdim.search import level_search
 from helpers import (
     all_connected_graphs,
     complete_graph,
@@ -230,22 +230,21 @@ class TestLevelSearch:
 
 
 class TestWalk:
-    """The one size walk behind md, dim and the scan."""
+    """The size schedules of md and dim: which sizes each searches, with
+    or without the swap table, and where the table is built."""
 
     def test_cap_raises_before_any_table(self, monkeypatch):
         monkeypatch.setattr(search, "level_search", lambda *a: pytest.fail("table built"))
-        dm = all_pairs_distances(cycle_graph(9))
-        with pytest.raises(SearchAborted, match="cap of 4"):
-            _walk(dm, False, 3, SearchConfig(max_vertices=4))
+        for solve in (compute_md, compute_dim):
+            with pytest.raises(SearchAborted, match="cap of 4"):
+                solve(cycle_graph(9), SearchConfig(max_vertices=4))
 
-    def test_table_before_first_large_size_then_one_pass(self, monkeypatch):
-        # substar:8x2 (17 vertices) has no resolving set at any size, and
-        # comb(17, 3) = 680 is the first count above 17^2 = 289: the swap
-        # table is built before size 3, and once it fails one pass
-        # searches sizes 4 to 17
-        g = generate(FamilySpec.subdivided_star(8, 2))
-        seen, lifts = [], []
-        build = search.level_search
+    @staticmethod
+    def record(monkeypatch):
+        """Spy on one solve: one entry per ``least`` call, (k, whether a
+        swap table was passed, last), and "table" where the swap table is
+        built."""
+        seen, build, swap_masks = [], search.level_search, search.subtree_swap_masks
 
         def recording(dm, ordered=False):
             least = build(dm, ordered)
@@ -256,16 +255,37 @@ class TestWalk:
 
             return wrapped
 
-        def lift():
-            lifts.append(len(seen))
-            return subtree_swap_masks(g)
+        def table(g):
+            seen.append("table")
+            return swap_masks(g)
 
         monkeypatch.setattr(search, "level_search", recording)
-        assert _walk(all_pairs_distances(g), False, 1, SearchConfig(), lift) is None
-        assert lifts == [2]
-        assert seen == [
-            (1, False, None), (2, False, None), (3, True, None), (4, True, 17)
-        ]
+        monkeypatch.setattr(search, "subtree_swap_masks", table)
+        return seen
+
+    def test_table_before_first_large_size_then_one_pass(self, monkeypatch):
+        # an order-8 graph with no resolving set at any size: md starts at
+        # its lower bound, 3, and comb(8, 4) = 70 is the first count above
+        # 8^2 = 64, so size 3 is searched without the swap table, the table
+        # is built before size 4, and once it fails one pass searches sizes
+        # 5 to 8
+        g = build_graph(
+            8, [(0, 1), (0, 6), (1, 2), (1, 5), (1, 7), (2, 3), (2, 4), (3, 4), (6, 7)]
+        )
+        assert brute_force_md(g).is_infinite
+        seen = self.record(monkeypatch)
+        outcome = compute_md(g)
+        assert outcome.certificate.kind is CertificateKind.EXHAUSTIVE_SEARCH
+        assert seen == [(3, False, None), "table", (4, True, None), (5, True, 8)]
+
+    def test_dim_bound_and_table_after_first_large_size(self, monkeypatch):
+        # substar:8x2 (17 vertices): the distance rules give 2, and
+        # comb(17, 3) = 680 is the first count above 17^2 = 289; once size
+        # 3 fails, the full bound (7) and the swap table are computed and
+        # the search goes on size by size from 7
+        seen = self.record(monkeypatch)
+        assert compute_dim(generate(FamilySpec.subdivided_star(8, 2)))[0] == 7
+        assert seen == [(2, False, None), (3, False, None), "table", (7, True, None)]
 
 
 class TestSwapRule:
