@@ -29,6 +29,16 @@ landmarks miss some S of x.  The rule drops only sets that are not the
 least one, so each size still returns its least witness or None, and
 "every size exhausted" stays a valid infiniteness certificate.
 
+On every graph the search also applies the leg rule behind the
+terminal-count bound (Khuller, Raghavachari & Rosenfeld 1996; Chartrand,
+Eroh, Johnson & Oellermann 2000): a resolving set holds a vertex on every
+leg but one of each major, a leg being the path of degree-2 vertices from
+a terminal pendant (``graph.pendant_legs``).  The legs are disjoint, so a
+prefix owes the unhit legs a count of landmarks that each added landmark
+lowers by at most one, and the search drops a prefix that owes more than
+it may still add.  The rule too drops only sets that do not resolve (see
+level_search).
+
 The metric dimension runs on the same search in ordered mode, where a
 code stands for the distance vector instead of the multiset; the cut's
 argument holds word for word.  The reference ``brute_force_md`` takes no
@@ -39,13 +49,13 @@ modes of the search against that walk.
 md and dim each spell out their own size schedule in ascending order,
 and both turn at the first size with more than n^2 candidate sets
 (``_turn``): solves that end earlier never pay for what comes after it.
-md builds the swap table just before that size and, if the size fails,
+md builds the swap and leg tables just before that size and, if it fails,
 searches every size left in one branch-and-bound pass, which visits each
 prefix that survives the cut once instead of once per size; level_search
 states the four points that make the pass return what the size-by-size
 search would.  dim, whose resolving sets are monotone, goes on size by
-size once that size has failed, from its full lower bound and with the
-swap table.  Above ``SearchConfig.max_vertices`` a solve raises
+size once that size has failed, from its full lower bound and with both
+tables.  Above ``SearchConfig.max_vertices`` a solve raises
 ``SearchAborted`` before any table is built, the only way any search
 reports the cap.
 """
@@ -65,6 +75,7 @@ from .graph import (
     all_pairs_distances,
     major_vertex_report,
     path_endpoints,
+    pendant_legs,
     subtree_swap_masks,
     twin_partition,
 )
@@ -151,19 +162,42 @@ class WitnessReport(NamedTuple):
 
 # the subtree_swap_masks table of a tree: per vertex, its swap masks
 SwapTable = tuple[tuple[int, ...], ...]
-# what level_search returns: least(k, swaps, last), a resolving set or None
+# the pendant_legs table: per major with two or more terminals, its legs
+LegTable = dict[int, tuple[tuple[int, ...], ...]]
+
+
+class Table(NamedTuple):
+    """What lets the search skip candidates (see level_search): the swap
+    masks of a tree and the legs of the majors with two or more
+    terminals."""
+
+    swaps: SwapTable
+    legs: LegTable
+
+
+# what level_search returns: least(k, table, last), a resolving set or None
 Least = Callable[..., tuple[int, ...] | None]
 
 
-def _swap_bits(swaps: SwapTable, n: int) -> tuple[list[int], list[int]]:
-    """The swap table as bitsets over its distinct masks S_0, S_1, ...:
-    bit j of ``need[x]`` is set when S_j is a swap mask of x, and bit j of
-    ``hitby[y]`` when y lies in S_j.  If ``hit`` is the union of ``hitby``
-    over the chosen landmarks, they miss some swap mask of x exactly when
-    ``need[x] & ~hit`` is non-zero."""
+def _table_bits(
+    table: Table, n: int
+) -> tuple[list[int], list[int], list[int], list[int], int]:
+    """The table as bitsets ``need, hitby, own, rest`` and the count
+    ``owed``.  Swaps: over the distinct swap masks S_0, S_1, ..., bit j of
+    ``need[x]`` is set when S_j is a swap mask of x, and bit j of
+    ``hitby[y]`` when y lies in S_j.  Legs: each leg gets one bit above
+    those of the swap masks; ``hitby[y]`` and ``own[y]`` hold the bit of
+    y's leg, and ``rest[y]`` the bits of the other legs of its major.  If
+    ``hit`` is the union of ``hitby`` over the chosen landmarks, they miss
+    some swap mask of x exactly when ``need[x] & ~hit`` is non-zero, and
+    adding x lowers by one the landmarks the unhit legs are owed (one on
+    every unhit leg but one of each major) exactly when ``own[x] & ~hit``
+    and ``rest[x] & ~hit`` are both non-zero.  ``owed`` is that count
+    before any landmark is chosen, the sum of ``len(legs) - 1`` over the
+    majors."""
     index: dict[int, int] = {}
     need = [0] * n
-    for x, masks in enumerate(swaps):
+    for x, masks in enumerate(table.swaps):
         for s in masks:
             need[x] |= 1 << index.setdefault(s, len(index))
     hitby = [0] * n
@@ -172,7 +206,28 @@ def _swap_bits(swaps: SwapTable, n: int) -> tuple[list[int], list[int]]:
             low = s & -s
             hitby[low.bit_length() - 1] |= 1 << j
             s ^= low
-    return need, hitby
+    own, rest = [0] * n, [0] * n
+    bit, owed = len(index), 0
+    for group in table.legs.values():
+        every = ((1 << len(group)) - 1) << bit
+        for j, leg in enumerate(group):
+            b = 1 << (bit + j)
+            for y in leg:
+                own[y] = b
+                rest[y] = every ^ b
+                hitby[y] |= b
+        bit += len(group)
+        owed += len(group) - 1
+    return need, hitby, own, rest, owed
+
+
+def _paying(xs: range, own: list[int], rest: list[int], miss: int) -> list[int]:
+    """The candidates in ``xs`` that lower the count the legs are owed
+    (see _table_bits).  A module-level function, since a comprehension in
+    _extend would turn the locals it reads into cells there: that made
+    compute_md and compute_dim about 1.5% slower on order-6 graphs, which
+    never build a table (Python 3.11)."""
+    return [x for x in xs if own[x] & miss and rest[x] & miss]
 
 
 def _extend(
@@ -185,27 +240,39 @@ def _extend(
     need: list[int],
     hitby: list[int],
     hit: int,
+    own: list[int],
+    rest: list[int],
+    owed: int,
 ) -> tuple[int, ...]:
     """Complete the chosen landmarks, whose vertex codes are ``code``, with
     ``left`` more ids from ``start`` on; return the ids added, or () if no
     completion resolves.
 
     Candidate x is skipped, before any test, when ``need[x] & ~hit`` is
-    non-zero (see _swap_bits): the chosen landmarks miss a swap mask S of
+    non-zero (see _table_bits): the chosen landmarks miss a swap mask S of
     x, that automorphism fixes every chosen landmark and maps x to a
     smaller id, so by the lex-leader rule no least resolving set continues
     with x (see level_search).  The test reads ``need[x]`` first: with no
     table every entry is 0, and that graph pays one falsy int per
-    candidate."""
+    candidate.
+
+    The unhit legs are owed ``owed`` more landmarks (the leg rule, see
+    level_search).  When that is all ``left`` of them, only the candidates
+    that pay one off are tried, listed once for the frame, and when it is
+    more, none is; no other frame pays anything per candidate for the
+    rule."""
     miss = ~hit
+    xs = range(start, n - left + 1)
+    if owed >= left:
+        xs = _paying(xs, own, rest, miss) if owed == left else ()
     if left == 1:
-        for x in range(start, n):
+        for x in xs:
             if need[x] and need[x] & miss:
                 continue
             if len(set(map(add, code, weights[x]))) == n:
                 return (x,)
         return ()
-    for x in range(start, n - left + 1):
+    for x in xs:
         if need[x] and need[x] & miss:
             continue
         if len(set(zip(code, tails[x]))) < n:
@@ -220,6 +287,9 @@ def _extend(
             need,
             hitby,
             hit | hitby[x],
+            own,
+            rest,
+            owed and owed - ((own[x] & miss and rest[x] & miss) > 0),
         )
         if found:
             return (x, *found)
@@ -238,6 +308,9 @@ def _bound(
     need: list[int],
     hitby: list[int],
     hit: int,
+    own: list[int],
+    rest: list[int],
+    owed: int,
 ) -> tuple[int, ...]:
     """The branch-and-bound pass over sizes ``lo``..``hi``: extend the
     ``size - 1`` chosen landmarks, whose vertex codes are ``code``, by ids
@@ -245,19 +318,28 @@ def _bound(
     the fewest landmarks from lo to hi, or () if none resolves.
 
     Each candidate x makes a child of ``size`` landmarks, with the swap
-    rule of _extend.  At the last allowed size, ``size == hi``, the child
-    gets the resolve test alone.  Below it the cut runs first, and a child
-    of at least ``lo`` landmarks that resolves is returned at once: it is
-    the incumbent, and its later siblings and its supersets are no
-    smaller.  Otherwise the child is expanded, and a set found below it
-    becomes the incumbent, which lowers ``hi`` to one less than its size
-    for the remaining siblings; once ``hi`` is below ``lo`` nothing is
-    left to find (see level_search for why this is sound).
+    rule of _extend and the leg rule: the child is skipped when its unhit
+    legs are owed more than the ``hi - size`` landmarks it may still
+    take.  The legs are owed at most one more than that on entry, and
+    only then (``tight``) does a candidate that pays none off get
+    skipped.  At the last allowed size, ``size == hi``, the child gets the
+    resolve test alone.  Below it the cut runs first, and a child of at
+    least ``lo`` landmarks that resolves is returned at once: it is the
+    incumbent, and its later siblings and its supersets are no smaller.
+    A child whose legs are still owed a landmark gets no resolve test,
+    since two unhit legs of one major collide.  Otherwise the child is
+    expanded, and a set found below it becomes the incumbent, which
+    lowers ``hi`` to one less than its size for the remaining siblings;
+    once ``hi`` is below ``lo``, or below what the legs are owed, nothing
+    is left to find (see level_search for why this is sound).
     """
     best: tuple[int, ...] = ()
     miss = ~hit
+    tight = owed > hi - size
     for x in range(start, n - max(lo - size, 0)):
         if need[x] and need[x] & miss:
+            continue
+        if tight and not (own[x] & miss and rest[x] & miss):
             continue
         if size == hi:
             if len(set(map(add, code, weights[x]))) == n:
@@ -266,7 +348,8 @@ def _bound(
         if len(set(zip(code, tails[x]))) < n:
             break
         child = tuple(map(add, code, weights[x]))
-        if size >= lo and len(set(child)) == n:
+        after = owed and owed - ((own[x] & miss and rest[x] & miss) > 0)
+        if size >= lo and not after and len(set(child)) == n:
             return (x,)
         found = _bound(
             child,
@@ -280,24 +363,28 @@ def _bound(
             need,
             hitby,
             hit | hitby[x],
+            own,
+            rest,
+            after,
         )
         if found:
             best = (x, *found)
             hi = size + len(found) - 1
-            if hi < lo:
+            if hi < lo or owed > hi - size + 1:
                 break
+            tight = owed > hi - size
     return best
 
 
 def level_search(dm: DistanceMatrix, ordered: bool = False) -> Least:
     """Build the landmark tables of one graph; return
-    ``least(k, swaps, last)``, the lexicographically least resolving set
+    ``least(k, table, last)``, the lexicographically least resolving set
     of size k (1 <= k <= n), or None.  With ``last`` it is the least set
     of the fewest landmarks from k to last, found by one branch-and-bound
     pass.  Sets resolve by distance multisets, or with ``ordered`` by
-    distance vectors (metric resolving).  ``swaps``, if given, is the
-    ``graph.subtree_swap_masks`` table of the same graph; it changes no
-    answer, only how many sets are visited.
+    distance vectors (metric resolving).  ``table``, if given, holds the
+    ``graph.subtree_swap_masks`` and ``graph.pendant_legs`` tables of the
+    same graph; it changes no answer, only how many sets are visited.
 
     ``least`` is a depth-first search over ascending landmark ids.  A
     vertex's code is the sum of ``weights[x][v]`` over the chosen
@@ -325,18 +412,35 @@ def level_search(dm: DistanceMatrix, ordered: bool = False) -> Least:
     where the cut would cost as much as the test it saves.
 
     The lex-leader rule (Crawford, Ginsberg, Luks & Roy, KR 1996), with
-    ``swaps``: candidate x is skipped when the chosen landmarks miss some
-    swap mask S of x.  Let W be the least resolving set of size k.  Every
-    automorphism s maps W to a set s(W) that resolves too, by the same
-    distances, as multisets and as vectors alike.  If s fixes landmarks
-    w_1..w_{i-1} and maps w_i to y < w_i, then y is not in W and every
-    element of W that s(W) lacks is at least w_i, so s(W) < W, which is
-    impossible.  The swap of S fixes every vertex outside S, hence every
-    chosen landmark, and maps x to a smaller id, so x is never the next
-    landmark of W.  The rule drops only sets that are not the least one,
-    so each size still returns its least witness or None, and a None at
-    every size still proves that no resolving set exists.  The test is
-    one AND of two bitsets per candidate (see _swap_bits).
+    the swap masks of ``table``: candidate x is skipped when the chosen
+    landmarks miss some swap mask S of x.  Let W be the least resolving
+    set of size k.  Every automorphism s maps W to a set s(W) that
+    resolves too, by the same distances, as multisets and as vectors
+    alike.  If s fixes landmarks w_1..w_{i-1} and maps w_i to y < w_i,
+    then y is not in W and every element of W that s(W) lacks is at least
+    w_i, so s(W) < W, which is impossible.  The swap of S fixes every
+    vertex outside S, hence every chosen landmark, and maps x to a
+    smaller id, so x is never the next landmark of W.  The rule drops
+    only sets that are not the least one, so each size still returns its
+    least witness or None, and a None at every size still proves that no
+    resolving set exists.  The test is one AND of two bitsets per
+    candidate (see _table_bits).
+
+    The leg rule (Khuller, Raghavachari & Rosenfeld 1996; Chartrand,
+    Eroh, Johnson & Oellermann 2000), with the legs of ``table``: a leg
+    is a path of degree-2 vertices from a pendant to its major v, so every
+    path from a leg vertex to a vertex off the leg runs through v.  If two
+    legs of v hold no landmark, v's neighbours on them are both one step
+    further than v from every landmark and collide, as multisets and as
+    vectors alike.  A resolving set therefore holds a vertex on every leg
+    but one of each major, and since the legs are disjoint, a prefix is
+    owed ``sum(unhit legs - 1)`` over the majors more landmarks, which
+    goes down by at most one per landmark added.  Candidate x is skipped
+    when the landmarks still owed after x exceed those still allowed
+    (``left - 1``, or ``hi - size`` in the pass), and a set still owed a
+    landmark gets no resolve test.  The rule drops only sets that do not
+    resolve, so each size still returns its least witness or None, and a
+    None at every size still proves that no resolving set exists.
 
     The pass over sizes k..last (``_bound``) walks the tree of ascending
     prefixes once for all those sizes, instead of once per size.
@@ -344,8 +448,9 @@ def level_search(dm: DistanceMatrix, ordered: bool = False) -> Least:
     drops its later siblings, and a node is expanded only while its
     children are smaller than the incumbent.  Its answer equals the first
     hit of ``least`` over the sizes k, k + 1, ..., last:
-      - the cut and the swap rule do not depend on the size, so each
-        still drops only sets that are not the least one of their size;
+      - the cut, the swap rule and the leg rule do not depend on the
+        size, so each still drops only sets that are not the least one of
+        their size;
       - the bound drops only sets no smaller than the incumbent;
       - a preorder walk with ascending children visits the sets of one
         size in lexicographic order, and no set of size m is dropped by
@@ -357,9 +462,10 @@ def level_search(dm: DistanceMatrix, ordered: bool = False) -> Least:
 
     The recursions are the module-level ``_extend`` and ``_bound``, which
     return the ids they add and carry the chosen ones as the ``hit``
-    bitset of the rule: a nested function that calls itself is a reference
-    cycle, which would leave every solve's tables to the cycle collector,
-    whose pauses showed in per-graph scan latencies.
+    bitset of both rules, next to the count ``owed``: a nested function
+    that calls itself is a reference cycle, which would leave every
+    solve's tables to the cycle collector, whose pauses showed in
+    per-graph scan latencies.
     """
     d, n = dm.d, dm.n
     if ordered:
@@ -375,15 +481,24 @@ def level_search(dm: DistanceMatrix, ordered: bool = False) -> Least:
     for s in range(n - 1, -1, -1):
         tails[s] = tuple(map(ids.setdefault, zip(d[s], tails[s + 1]), fresh))
 
-    blank = [0] * n, [0] * n
+    zero = [0] * n
+    blank = zero, zero, zero, zero, 0
 
     def least(
-        k: int, swaps: SwapTable | None = None, last: int | None = None
+        k: int, table: Table | None = None, last: int | None = None
     ) -> tuple[int, ...] | None:
-        need, hitby = _swap_bits(swaps, n) if swaps and any(swaps) else blank
+        need, hitby, own, rest, owed = _table_bits(table, n) if table else blank
         if last is None:
-            return _extend((0,) * n, 0, k, n, weights, tails, need, hitby, 0) or None
-        found = _bound((0,) * n, 0, 1, k, last, n, weights, tails, need, hitby, 0)
+            found = _extend(
+                (0,) * n, 0, k, n, weights, tails, need, hitby, 0, own, rest, owed
+            )
+        elif owed > last:
+            return None
+        else:
+            found = _bound(
+                (0,) * n, 0, 1, k, last, n, weights, tails, need, hitby, 0, own, rest,
+                owed,
+            )
         return found or None
 
     return least
@@ -416,17 +531,33 @@ def _first_hit(
     sizes: range,
     n: int,
     cfg: SearchConfig,
-    swaps: SwapTable | None = None,
+    table: Table | None = None,
 ) -> tuple[int, ...] | None:
-    """The first set ``least(k, swaps)`` finds over the ascending
+    """The first set ``least(k, table)`` finds over the ascending
     ``sizes``, or None, with one ``--progress`` note per size searched."""
     for k in sizes:
         if cfg.progress:
             print(f"{mode} search: size {k} of up to {n}", file=sys.stderr)
-        w = least(k, swaps)
+        w = least(k, table)
         if w is not None:
             return w
     return None
+
+
+def _note_rules(table: Table) -> None:
+    """The ``--progress`` notes of the rules the table turns on.  They name
+    no "size <k>", which tools that time the levels read from the notes."""
+    swaps, legs = table
+    if any(swaps):
+        print(
+            f"md search: tree symmetry rule on ({sum(map(bool, swaps))} "
+            "vertices have a smaller image)",
+            file=sys.stderr,
+        )
+    if legs:
+        count = sum(map(len, legs.values()))
+        majors = f"{len(legs)} major" + "s" * (len(legs) > 1)
+        print(f"md search: leg rule on ({count} legs at {majors})", file=sys.stderr)
 
 
 def compute_md(g: Graph, cfg: SearchConfig = SearchConfig()) -> ResolveOutcome:
@@ -436,14 +567,14 @@ def compute_md(g: Graph, cfg: SearchConfig = SearchConfig()) -> ResolveOutcome:
     graph is a path exactly when its diameter is n - 1, see
     DistanceMatrix), the two infiniteness detectors, then the cut
     depth-first search of each size upward from ``md_lower_bound`` until
-    the first large one (see _turn).  The swap table is built just before
-    that size, and if it fails, one branch-and-bound pass searches every
-    size left.  Multiset resolvability is not monotone, so no size may be
-    skipped; reaching size n with no witness proves infiniteness because
-    the cut, the swap rule and the bound only drop sets that are not the
-    least one.  Each graph fact is computed once, and only when a step
-    needs it.  Raises SearchAborted when the search is needed and the
-    graph exceeds ``cfg.max_vertices``.
+    the first large one (see _turn).  The swap and leg tables are built
+    just before that size, and if it fails, one branch-and-bound pass
+    searches every size left.  Multiset resolvability is not monotone, so
+    no size may be skipped; reaching size n with no witness proves
+    infiniteness because the cut, the swap rule, the leg rule and the
+    bound only drop sets that are not the least one.  Each graph fact is
+    computed once, and only when a step needs it.  Raises SearchAborted
+    when the search is needed and the graph exceeds ``cfg.max_vertices``.
     """
     dm = all_pairs_distances(g)
     n = dm.n
@@ -455,24 +586,21 @@ def compute_md(g: Graph, cfg: SearchConfig = SearchConfig()) -> ResolveOutcome:
     cert = detect_infinite(g, dm, tp)
     if cert is not None:
         return ResolveOutcome(OutcomeKind.INFINITE, certificate=cert)
-    lb = md_lower_bound(g, dm, tp, major_vertex_report(g, dm)).value
+    mr = major_vertex_report(g, dm)
+    lb = md_lower_bound(g, dm, tp, mr).value
     least = _capped_search(dm, False, cfg)
     big = _turn(n, lb)
     witness = _first_hit(least, "md", range(lb, big), n, cfg)
     if witness is None and big <= n:
-        swaps = subtree_swap_masks(g)
-        if cfg.progress and any(swaps):
-            print(
-                f"md search: tree symmetry rule on ({sum(map(bool, swaps))} "
-                "vertices have a smaller image)",
-                file=sys.stderr,
-            )
-        witness = _first_hit(least, "md", range(big, big + 1), n, cfg, swaps)
+        table = Table(subtree_swap_masks(g), pendant_legs(g, mr))
+        if cfg.progress:
+            _note_rules(table)
+        witness = _first_hit(least, "md", range(big, big + 1), n, cfg, table)
         if witness is None:
             if cfg.progress:
                 print(f"md search: size {big + 1} to {n} in one branch-and-bound pass",
                       file=sys.stderr)
-            witness = least(big + 1, swaps, n)
+            witness = least(big + 1, table, n)
     if witness is None:
         return ResolveOutcome(
             OutcomeKind.INFINITE,
@@ -494,8 +622,9 @@ def compute_dim(
     ``dim_distance_rules``, which read only the distances, and runs
     through the first large size (see _turn).  The full
     ``dim_lower_bound`` also needs the twin partition and the major-vertex
-    report, about n^2 steps, so it is computed, with the swap table, only
-    once that size has failed, and the search goes on from it.  On graphs
+    report, about n^2 steps, so it is computed, with the swap and leg
+    tables, only once that size has failed, and the search goes on from
+    it.  On graphs
     of order 7 or less no size is that large, and on small graphs those
     two inputs cost more than the whole search; a graph whose dimension is
     the first such size never pays for them.  Raises SearchAborted above
@@ -508,9 +637,10 @@ def compute_dim(
     big = _turn(n, k)
     w = _first_hit(least, "dim", range(k, min(big, n) + 1), n, cfg)
     if w is None:
-        bound = dim_lower_bound(g, dm, twin_partition(g), major_vertex_report(g, dm)).value
-        sizes = range(max(big + 1, bound), n + 1)
-        w = _first_hit(least, "dim", sizes, n, cfg, subtree_swap_masks(g))
+        mr = major_vertex_report(g, dm)
+        bound = dim_lower_bound(g, dm, twin_partition(g), mr).value
+        table = Table(subtree_swap_masks(g), pendant_legs(g, mr))
+        w = _first_hit(least, "dim", range(max(big + 1, bound), n + 1), n, cfg, table)
     if w is None:
         raise AssertionError("a connected graph is always metric-resolved by V itself")
     return len(w), w

@@ -92,3 +92,27 @@ def random_symmetric_tree(rng: Random, n: int) -> Graph:
     for v in range(len(edges) + 1, n):
         edges.append((rng.randrange(v), v))
     return shuffled(rng, build_graph(n, edges))
+
+
+def random_legged_graph(rng: Random, n: int, extra: float = 0.0) -> Graph:
+    """Random connected graph of order n whose majors carry pendant paths: a
+    core of a third to a half of the vertices (a random spanning tree plus
+    independent extra edges, so cycles when ``extra`` > 0), then groups of
+    2 to 4 legs of 1 to 3 vertices, each group hung from one random core
+    vertex, until the order is reached.  The ids are shuffled."""
+    core = rng.randint(max(2, n // 3), n // 2)
+    edges = {(rng.randrange(v), v) for v in range(1, core)}
+    for u in range(core):
+        for v in range(u + 1, core):
+            if (u, v) not in edges and rng.random() < extra:
+                edges.add((u, v))
+    end = core
+    while end < n:
+        hub = rng.randrange(core)
+        for _ in range(rng.randint(2, 4)):
+            prev, stop = hub, min(end + rng.randint(1, 3), n)
+            for v in range(end, stop):
+                edges.add((prev, v))
+                prev = v
+            end = stop
+    return shuffled(rng, build_graph(n, sorted(edges)))

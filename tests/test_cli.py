@@ -159,21 +159,23 @@ class TestCommands:
 
     def test_md_progress_notes_symmetry_rule(self, capsys):
         # size 6 (74,613 > 22^2 sets) is the first large size, so the swap
-        # table is built before it, and the 18 vertices outside
-        # substar:7x3's first leg have a smaller image; once size 6 fails,
-        # one branch-and-bound pass searches sizes 7 to 22
+        # and leg tables are built before it: the 18 vertices outside
+        # substar:7x3's first leg have a smaller image, and its hub has 7
+        # legs; once size 6 fails, one branch-and-bound pass searches sizes
+        # 7 to 22
         assert main(["md", "--family", "substar:7x3", "--progress"]) == EXIT_OK
         captured = capsys.readouterr()
         assert captured.err == (
             "md search: tree symmetry rule on (18 vertices have a smaller image)\n"
+            "md search: leg rule on (7 legs at 1 major)\n"
             "md search: size 6 of up to 22\n"
             "md search: size 7 to 22 in one branch-and-bound pass\n"
         )
         assert captured.out.strip() == "md = 9, witness = {1, 2, 4, 6, 7, 11, 12, 14, 18}"
         # tools that time the levels read "size <k>" from each note, so the
-        # pass names its first size once and the rule note names none
+        # pass names its first size once and the rule notes name none
         sizes = [re.findall(r"size (\d+)", line) for line in captured.err.splitlines()]
-        assert sizes == [[], ["6"], ["7"]]
+        assert sizes == [[], [], ["6"], ["7"]]
 
     def test_family_emit_round_trips(self, capsys):
         assert main(["family", "path:4"]) == EXIT_OK

@@ -17,6 +17,8 @@ from mdim import (
     major_vertex_report,
     twin_partition,
 )
+from mdim.families import generate, parse_family_spec
+from mdim.graph import pendant_legs
 from helpers import (
     binary_tree,
     complete_graph,
@@ -24,6 +26,7 @@ from helpers import (
     cycle_graph,
     path_graph,
     random_connected_graph,
+    random_legged_graph,
     star_graph,
 )
 
@@ -209,6 +212,58 @@ class TestStructure:
                     for x in range(g.n):
                         if x not in (u, v):
                             assert dm.d[u][x] == dm.d[v][x]
+
+
+class TestPendantLegs:
+    """``pendant_legs``, the leg table of the search's leg rule: disjoint
+    paths from a pendant through degree-2 vertices to its major, one per
+    terminal of each major with two or more, which the terminal-count
+    bound ``sigma - ex`` counts."""
+
+    SPECS = [
+        "path:5", "cycle:6", "complete:4", "star:5", "substar:3x2", "substar:4x1",
+        "substar:7x3", "grid:3x4", "karytree:2x3", "karytree:3x2", "petersen",
+        "cextree",
+    ]
+
+    @staticmethod
+    def assert_legs(g):
+        mr = major_vertex_report(g, all_pairs_distances(g))
+        legs = pendant_legs(g, mr)
+        adj = g.adjacency
+        on_legs = [y for group in legs.values() for leg in group for y in leg]
+        assert len(on_legs) == len(set(on_legs)), g.edges()
+        for v, group in legs.items():
+            assert len(adj[v]) >= 3 and len(group) >= 2
+            assert tuple(leg[0] for leg in group) == mr.terminals[v]
+            for leg in group:
+                assert len(adj[leg[0]]) == 1
+                assert all(len(adj[y]) == 2 for y in leg[1:]), (g.edges(), leg)
+                steps = zip(leg, (*leg[1:], v))
+                assert all(b in adj[a] for a, b in steps), (g.edges(), leg)
+        assert sum(len(group) - 1 for group in legs.values()) == mr.sigma - mr.ex
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_family_corpus(self, spec):
+        self.assert_legs(generate(parse_family_spec(spec)))
+
+    def test_spider(self):
+        g = generate(parse_family_spec("substar:3x2"))
+        mr = major_vertex_report(g, all_pairs_distances(g))
+        assert pendant_legs(g, mr) == {0: ((2, 1), (4, 3), (6, 5))}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_graphs(self, seed):
+        rng = Random(seed)
+        for _ in range(50):
+            n = rng.randint(4, 16)
+            extra = rng.choice([0.0, 0.1, 0.3])
+            self.assert_legs(random_legged_graph(rng, n, extra))
+            self.assert_legs(random_connected_graph(rng, n, extra))
+
+    def test_every_connected_graph_up_to_6(self):
+        for g in connected_graphs_up_to(6):
+            self.assert_legs(g)
 
 
 class TestCartesianProduct:

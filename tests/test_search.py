@@ -22,16 +22,19 @@ from mdim import (
     verify_witness,
 )
 from mdim.families import FamilySpec, generate
-from mdim.graph import subtree_swap_masks
+from mdim.graph import pendant_legs, subtree_swap_masks
+from mdim.harness import scan_small_graphs
 from mdim.resolving import first_collision, least_resolving_set
 from mdim import search
-from mdim.search import level_search
+from mdim.search import Table, level_search
 from helpers import (
     all_connected_graphs,
     complete_graph,
+    connected_graphs_up_to,
     cycle_graph,
     path_graph,
     random_connected_graph,
+    random_legged_graph,
     random_symmetric_tree,
 )
 
@@ -73,8 +76,9 @@ class TestComputeMd:
     def test_substar_7x4(self):
         # 29 vertices, past the default cap; the lower bound is 6 and sizes
         # 6 and 7 hold no resolving set: size 6 alone, then sizes 7 to 29 in
-        # one branch-and-bound pass, cost about 3.7 s without the tree
-        # symmetry rule and about 0.5 s with it
+        # one branch-and-bound pass, cost about 3.7 s with neither rule,
+        # about 0.5 s with the tree symmetry rule and about 0.2 s with the
+        # leg rule too
         outcome = compute_md(
             generate(FamilySpec.subdivided_star(7, 4)), SearchConfig(max_vertices=29)
         )
@@ -242,16 +246,17 @@ class TestWalk:
     @staticmethod
     def record(monkeypatch):
         """Spy on one solve: one entry per ``least`` call, (k, whether a
-        swap table was passed, last), and "table" where the swap table is
-        built."""
-        seen, build, swap_masks = [], search.level_search, search.subtree_swap_masks
+        table was passed, last), "table" where the swap table is built and
+        "legs" where the leg table is."""
+        seen, build = [], search.level_search
+        swap_masks, legs = search.subtree_swap_masks, search.pendant_legs
 
         def recording(dm, ordered=False):
             least = build(dm, ordered)
 
-            def wrapped(k, swaps=None, last=None):
-                seen.append((k, swaps is not None, last))
-                return least(k, swaps, last)
+            def wrapped(k, table=None, last=None):
+                seen.append((k, table is not None, last))
+                return least(k, table, last)
 
             return wrapped
 
@@ -259,16 +264,21 @@ class TestWalk:
             seen.append("table")
             return swap_masks(g)
 
+        def leg_table(g, mr):
+            seen.append("legs")
+            return legs(g, mr)
+
         monkeypatch.setattr(search, "level_search", recording)
         monkeypatch.setattr(search, "subtree_swap_masks", table)
+        monkeypatch.setattr(search, "pendant_legs", leg_table)
         return seen
 
     def test_table_before_first_large_size_then_one_pass(self, monkeypatch):
         # an order-8 graph with no resolving set at any size: md starts at
         # its lower bound, 3, and comb(8, 4) = 70 is the first count above
-        # 8^2 = 64, so size 3 is searched without the swap table, the table
-        # is built before size 4, and once it fails one pass searches sizes
-        # 5 to 8
+        # 8^2 = 64, so size 3 is searched without a table, the swap and leg
+        # tables are built before size 4, and once it fails one pass
+        # searches sizes 5 to 8
         g = build_graph(
             8, [(0, 1), (0, 6), (1, 2), (1, 5), (1, 7), (2, 3), (2, 4), (3, 4), (6, 7)]
         )
@@ -276,16 +286,42 @@ class TestWalk:
         seen = self.record(monkeypatch)
         outcome = compute_md(g)
         assert outcome.certificate.kind is CertificateKind.EXHAUSTIVE_SEARCH
-        assert seen == [(3, False, None), "table", (4, True, None), (5, True, 8)]
+        assert seen == [
+            (3, False, None), "table", "legs", (4, True, None), (5, True, 8)
+        ]
 
     def test_dim_bound_and_table_after_first_large_size(self, monkeypatch):
         # substar:8x2 (17 vertices): the distance rules give 2, and
         # comb(17, 3) = 680 is the first count above 17^2 = 289; once size
-        # 3 fails, the full bound (7) and the swap table are computed and
+        # 3 fails, the full bound (7) and both tables are computed and
         # the search goes on size by size from 7
         seen = self.record(monkeypatch)
         assert compute_dim(generate(FamilySpec.subdivided_star(8, 2)))[0] == 7
-        assert seen == [(2, False, None), (3, False, None), "table", (7, True, None)]
+        assert seen == [
+            (2, False, None), (3, False, None), "table", "legs", (7, True, None)
+        ]
+
+    def test_no_table_up_to_order_7(self, monkeypatch):
+        # no size of a graph of order 7 or less holds more than n^2 sets
+        # (comb(7, 3) = 35 <= 49), so md and dim never build the swap or
+        # leg table there, and the scan never builds one at all: that work
+        # keeps its cost of one falsy int per candidate
+        def refuse(g, *rest):
+            raise AssertionError(f"table built for {g.edges()}")
+
+        monkeypatch.setattr(search, "subtree_swap_masks", refuse)
+        monkeypatch.setattr(search, "pendant_legs", refuse)
+        graphs = connected_graphs_up_to(6)
+        rng = Random(7)
+        sample = [random_connected_graph(rng, 7, rng.random()) for _ in range(100)]
+        for g in (
+            *(g for g in graphs if g.n <= 5),
+            *[g for g in graphs if g.n == 6][::40],
+            *sample,
+        ):
+            compute_md(g)
+            compute_dim(g)
+        assert scan_small_graphs(5).violations == []
 
 
 class TestSwapRule:
@@ -302,10 +338,11 @@ class TestSwapRule:
             dm = all_pairs_distances(t)
             swaps = subtree_swap_masks(t)
             symmetric += any(swaps)
+            table = Table(swaps, {})
             for ordered in (False, True):
                 least = level_search(dm, ordered)
                 for k in range(1, t.n + 1):
-                    assert least(k, swaps) == least(k), (t.edges(), k, ordered)
+                    assert least(k, table) == least(k), (t.edges(), k, ordered)
         assert symmetric >= 150
 
 
@@ -359,7 +396,7 @@ class TestBoundPass:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_per_size_search_on_swap_rule_trees(self, seed):
-        # the TestSwapRule corpus, where least(k, swaps) == least(k): the
+        # the TestSwapRule corpus, where least(k, table) == least(k): the
         # pass from every size k equals the first hit of least(k),
         # least(k + 1), ..., least(n), and in ordered mode the pass over
         # every size finds the least metric-resolving set
@@ -367,15 +404,70 @@ class TestBoundPass:
         for _ in range(200):
             t = random_symmetric_tree(rng, rng.randint(3, rng.choice([11, 16])))
             dm = all_pairs_distances(t)
-            swaps = subtree_swap_masks(t)
+            table = Table(subtree_swap_masks(t), {})
             least = level_search(dm)
-            sizes = [least(k, swaps) for k in range(1, t.n + 1)]
+            sizes = [least(k, table) for k in range(1, t.n + 1)]
             for k in range(1, t.n + 1):
                 first = next((w for w in sizes[k - 1:] if w is not None), None)
-                assert least(k, swaps, t.n) == first, (t.edges(), k)
+                assert least(k, table, t.n) == first, (t.edges(), k)
             least = level_search(dm, ordered=True)
-            first = next(filter(None, (least(k, swaps) for k in range(1, t.n + 1))))
-            assert least(1, swaps, t.n) == first, t.edges()
+            first = next(filter(None, (least(k, table) for k in range(1, t.n + 1))))
+            assert least(1, table, t.n) == first, t.edges()
+
+
+class TestLegRule:
+    """The leg rule changes no answer: against the unpruned reference walks
+    on graphs whose majors carry pendant paths, and against the search
+    without the leg table at every size, in both modes, including the
+    sizes where nothing resolves, which an "infinite by exhaustion"
+    verdict rests on."""
+
+    @staticmethod
+    def record(monkeypatch):
+        """Spy on ``search._table_bits``: one entry per table handed to
+        ``least``, the landmarks its legs are owed before any is chosen."""
+        owed, bits = [], search._table_bits
+
+        def recording(table, n):
+            out = bits(table, n)
+            owed.append(out[-1])
+            return out
+
+        monkeypatch.setattr(search, "_table_bits", recording)
+        return owed
+
+    def test_matches_brute_force_on_orders_10_to_12(self, monkeypatch):
+        owed = self.record(monkeypatch)
+        rng = Random(15)
+        reached = 0
+        for _ in range(360):
+            g = random_legged_graph(
+                rng, rng.randint(10, 12), extra=rng.choice([0.0, 0.0, 0.1, 0.25])
+            )
+            seen = len(owed)
+            fast, slow = compute_md(g), brute_force_md(g)
+            assert fast.kind == slow.kind, g.edges()
+            assert (fast.value, fast.witness) == (slow.value, slow.witness), g.edges()
+            w = least_resolving_set(all_pairs_distances(g), ordered=True)
+            assert compute_dim(g) == (len(w), w), g.edges()
+            reached += any(owed[seen:])
+        # 354 of the 360 reach the table with legs owed a landmark
+        assert reached >= 300
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_least_sets_with_and_without_legs(self, seed):
+        rng = Random(seed)
+        for _ in range(40):
+            g = random_legged_graph(rng, rng.randint(6, 10), rng.choice([0.0, 0.2]))
+            dm = all_pairs_distances(g)
+            legs = pendant_legs(g, major_vertex_report(g, dm))
+            table = Table(((),) * g.n, legs)
+            for ordered in (False, True):
+                least = level_search(dm, ordered)
+                sizes = [least(k) for k in range(1, g.n + 1)]
+                assert [least(k, table) for k in range(1, g.n + 1)] == sizes, g.edges()
+                first = next(filter(None, sizes), None)
+                assert least(1, table, g.n) == first, (g.edges(), ordered)
 
 
 class TestAgainstBruteForce:
