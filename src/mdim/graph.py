@@ -234,37 +234,35 @@ def major_vertex_report(g: Graph, dm: DistanceMatrix) -> MajorVertexReport:
     return MajorVertexReport(majors=majors, terminals=terms, sigma=sigma, ex=ex)
 
 
-def pendant_legs(
-    g: Graph, mr: MajorVertexReport
-) -> dict[int, tuple[tuple[int, ...], ...]]:
-    """The legs of each major with two or more terminals: one per terminal
-    u, the vertices on the path from u towards the major, which the leg
-    stops short of.
+def pendant_legs(g: Graph) -> dict[int, tuple[tuple[int, ...], ...]]:
+    """The legs of each major with two or more terminals, majors
+    ascending: one leg per terminal u, ascending, the vertices on the
+    path from u towards the major, which the leg stops short of.  Reads
+    no distances.
 
     The walk from a pendant along degree-2 vertices ends at the first
     vertex of degree 3 or more, and every path from the pendant to a
     vertex past it runs through it, so that major is strictly the closest
     one and owns the pendant (a walk that ends at a second pendant makes
-    the graph a path, which has no majors).  Every leg vertex but the
-    pendant has degree 2 and lies on exactly one such walk, so the legs
-    are disjoint, and ``sum(len(legs) - 1)`` over the majors is
-    ``mr.sigma - mr.ex``.
+    the graph a path, which has no majors).  The pendants the walks
+    assign to a major are therefore exactly its terminals in
+    ``major_vertex_report``.  Every leg vertex but the pendant has degree
+    2 and lies on exactly one such walk, so the legs are disjoint, and
+    ``sum(len(legs) - 1)`` over the majors is ``sigma - ex``.
     """
     adj = g.adjacency
-    legs: dict[int, tuple[tuple[int, ...], ...]] = {}
-    for v, terms in mr.terminals.items():
-        if len(terms) < 2:
+    groups: dict[int, list[tuple[int, ...]]] = {}
+    for u, nbrs in enumerate(adj):
+        if len(nbrs) != 1:
             continue
-        group = []
-        for u in terms:
-            leg, prev, cur = [u], u, adj[u][0]
-            while cur != v:
-                leg.append(cur)
-                a, b = adj[cur]
-                prev, cur = cur, b if a == prev else a
-            group.append(tuple(leg))
-        legs[v] = tuple(group)
-    return legs
+        leg, prev, cur = [u], u, nbrs[0]
+        while len(adj[cur]) == 2:
+            leg.append(cur)
+            a, b = adj[cur]
+            prev, cur = cur, b if a == prev else a
+        if len(adj[cur]) > 2:
+            groups.setdefault(cur, []).append(tuple(leg))
+    return {v: tuple(groups[v]) for v in sorted(groups) if len(groups[v]) > 1}
 
 
 def subtree_swap_masks(g: Graph) -> tuple[tuple[int, ...], ...]:

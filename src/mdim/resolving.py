@@ -132,7 +132,8 @@ def is_m_resolving(dm: DistanceMatrix, w: Iterable[int]) -> CollisionReport:
     """Does w multiset-resolve the graph behind dm?
 
     The empty set resolves only the one-vertex graph: with no landmarks
-    every vertex represents as the empty multiset.
+    every vertex represents as the empty multiset.  The searches still
+    count sizes from 1, so md(K1) is 1 with witness (0,), not 0.
     """
     w = tuple(sorted(set(w)))
     _check_ids(dm.n, w)
@@ -141,7 +142,12 @@ def is_m_resolving(dm: DistanceMatrix, w: Iterable[int]) -> CollisionReport:
 
 
 def is_metric_resolving(dm: DistanceMatrix, w: Iterable[int]) -> CollisionReport:
-    """Does the ordered distance vector to w distinguish all vertices?"""
+    """Does the ordered distance vector to w distinguish all vertices?
+
+    As with is_m_resolving, the empty set resolves only the one-vertex
+    graph, and the searches count sizes from 1: dim(K1) is 1 with witness
+    (0,), not 0.
+    """
     w = tuple(w)
     _check_ids(dm.n, w)
     collision = first_collision(dm.d, w, ordered=True)

@@ -47,17 +47,18 @@ resolve kernel ``resolving.first_collision``, and the tests compare both
 modes of the search against that walk.
 
 md and dim each spell out their own size schedule in ascending order,
-and both turn at the first size with more than n^2 candidate sets
-(``_turn``): solves that end earlier never pay for what comes after it.
-md builds the swap and leg tables just before that size and, if it fails,
-searches every size left in one branch-and-bound pass, which visits each
-prefix that survives the cut once instead of once per size; level_search
-states the four points that make the pass return what the size-by-size
-search would.  dim, whose resolving sets are monotone, goes on size by
-size once that size has failed, from its full lower bound and with both
-tables.  Above ``SearchConfig.max_vertices`` a solve raises
-``SearchAborted`` before any table is built, the only way any search
-reports the cap.
+both with the same shape: they turn at the first size with more than n^2
+candidate sets (``_turn``), so solves that end earlier never pay for
+what comes after it, and they take the swap and leg tables just before
+that size.  md searches that size and, if it fails, every size left in
+one branch-and-bound pass, which visits each prefix that survives the
+cut once instead of once per size; level_search states the four points
+that make the pass return what the size-by-size search would.  dim,
+whose resolving sets are monotone, walks the legs before the turn, starts
+no lower than their count ``sigma - ex``, and goes on size by size from
+the turn with both tables and its full lower bound.  Above
+``SearchConfig.max_vertices`` a solve raises ``SearchAborted`` before
+any table is built, the only way any search reports the cap.
 """
 
 from __future__ import annotations
@@ -516,7 +517,8 @@ def _capped_search(dm: DistanceMatrix, ordered: bool, cfg: SearchConfig) -> Leas
 
 def _turn(n: int, k: int) -> int:
     """The first size from k with more than n^2 candidate sets, where md
-    and dim change their schedule, or n + 1 if no size is that large.  A
+    and dim take their tables and change their schedule, or n + 1 if no
+    size is that large (every size of a graph of order 7 or less).  A
     plain loop, since a generator here made compute_dim about 3% slower
     on the connected graphs of order 6 (Python 3.11)."""
     for s in range(k, n):
@@ -544,20 +546,20 @@ def _first_hit(
     return None
 
 
-def _note_rules(table: Table) -> None:
+def _note_rules(table: Table, mode: str) -> None:
     """The ``--progress`` notes of the rules the table turns on.  They name
     no "size <k>", which tools that time the levels read from the notes."""
     swaps, legs = table
     if any(swaps):
         print(
-            f"md search: tree symmetry rule on ({sum(map(bool, swaps))} "
+            f"{mode} search: tree symmetry rule on ({sum(map(bool, swaps))} "
             "vertices have a smaller image)",
             file=sys.stderr,
         )
     if legs:
         count = sum(map(len, legs.values()))
         majors = f"{len(legs)} major" + "s" * (len(legs) > 1)
-        print(f"md search: leg rule on ({count} legs at {majors})", file=sys.stderr)
+        print(f"{mode} search: leg rule on ({count} legs at {majors})", file=sys.stderr)
 
 
 def compute_md(g: Graph, cfg: SearchConfig = SearchConfig()) -> ResolveOutcome:
@@ -572,7 +574,9 @@ def compute_md(g: Graph, cfg: SearchConfig = SearchConfig()) -> ResolveOutcome:
     searches every size left.  Multiset resolvability is not monotone, so
     no size may be skipped; reaching size n with no witness proves
     infiniteness because the cut, the swap rule, the leg rule and the
-    bound only drop sets that are not the least one.  Each graph fact is
+    bound only drop sets that are not the least one.  Sizes count from
+    1: the one-vertex graph, which the empty set vacuously resolves, is a
+    path and answers 1 with witness (0,).  Each graph fact is
     computed once, and only when a step needs it.  Raises SearchAborted
     when the search is needed and the graph exceeds ``cfg.max_vertices``.
     """
@@ -592,9 +596,9 @@ def compute_md(g: Graph, cfg: SearchConfig = SearchConfig()) -> ResolveOutcome:
     big = _turn(n, lb)
     witness = _first_hit(least, "md", range(lb, big), n, cfg)
     if witness is None and big <= n:
-        table = Table(subtree_swap_masks(g), pendant_legs(g, mr))
+        table = Table(subtree_swap_masks(g), pendant_legs(g))
         if cfg.progress:
-            _note_rules(table)
+            _note_rules(table, "md")
         witness = _first_hit(least, "md", range(big, big + 1), n, cfg, table)
         if witness is None:
             if cfg.progress:
@@ -618,29 +622,41 @@ def compute_dim(
     returns the first hit.  Ordered distance vectors ARE monotone under
     supersets, so V itself always resolves and the search ends by size n;
     the minimum comes from visiting sizes in ascending order, and no size
-    below a ``dim_lower_bound`` rule can hold a hit.  The search starts at
-    ``dim_distance_rules``, which read only the distances, and runs
-    through the first large size (see _turn).  The full
-    ``dim_lower_bound`` also needs the twin partition and the major-vertex
-    report, about n^2 steps, so it is computed, with the swap and leg
-    tables, only once that size has failed, and the search goes on from
-    it.  On graphs
-    of order 7 or less no size is that large, and on small graphs those
-    two inputs cost more than the whole search; a graph whose dimension is
-    the first such size never pays for them.  Raises SearchAborted above
-    ``cfg.max_vertices``.
+    below a ``dim_lower_bound`` rule can hold a hit.  Sizes count from 1:
+    the empty set resolves the one-vertex graph, whose answer is still
+    1 with witness (0,).
+
+    The schedule has md's shape.  The search starts at
+    ``dim_distance_rules``, which read only the distances.  If some size
+    is large (see _turn), the legs are walked first
+    (``graph.pendant_legs``, which reads no distances) and the start rises
+    to their count ``sigma - ex``, the terminal-count rule of
+    ``dim_lower_bound``; the sizes below the large one are searched plain.
+    If none resolves, the full ``dim_lower_bound``, which also needs the
+    twin partition and the major-vertex report (about n^2 steps), and the
+    swap table are computed, and the search goes on from the larger of
+    that size and the bound, with both tables.  On graphs of order 7 or
+    less no size is that large, and on small graphs those inputs cost
+    more than the whole search, so they are never computed there.  Raises
+    SearchAborted above ``cfg.max_vertices``, before any table is built.
     """
     dm = all_pairs_distances(g)
     n = dm.n
     k = max(dim_distance_rules(g, dm).values())
     least = _capped_search(dm, True, cfg)
     big = _turn(n, k)
-    w = _first_hit(least, "dim", range(k, min(big, n) + 1), n, cfg)
+    legs: LegTable = {}
+    if big <= n:
+        legs = pendant_legs(g)
+        k = max(k, sum(map(len, legs.values())) - len(legs))
+    w = _first_hit(least, "dim", range(k, big), n, cfg)
     if w is None:
         mr = major_vertex_report(g, dm)
         bound = dim_lower_bound(g, dm, twin_partition(g), mr).value
-        table = Table(subtree_swap_masks(g), pendant_legs(g, mr))
-        w = _first_hit(least, "dim", range(max(big + 1, bound), n + 1), n, cfg, table)
+        table = Table(subtree_swap_masks(g), legs)
+        if cfg.progress:
+            _note_rules(table, "dim")
+        w = _first_hit(least, "dim", range(max(big, bound), n + 1), n, cfg, table)
     if w is None:
         raise AssertionError("a connected graph is always metric-resolved by V itself")
     return len(w), w

@@ -147,13 +147,16 @@ class TestCommands:
         assert "dim lower bound = 4 (via terminal-count, twin-classes)" in out
 
     def test_dim_progress_names_levels_walked(self, capsys):
-        # the distance rules give 2; once size 3 (680 > 17^2 sets) fails,
-        # the full bound (7, terminal-count) is the dimension, so sizes
-        # 4..6 are never walked
+        # the distance rules give 2, and size 3 (680 > 17^2 sets) is the
+        # first large size, so the legs are walked before it: their count
+        # sigma - ex = 7 starts the search at size 7, and the full bound
+        # (7, terminal-count) and the swap table are computed before it
         assert main(["dim", "--family", "substar:8x2", "--progress"]) == EXIT_OK
         captured = capsys.readouterr()
-        assert captured.err == "".join(
-            f"dim search: size {k} of up to 17\n" for k in (2, 3, 7)
+        assert captured.err == (
+            "dim search: tree symmetry rule on (14 vertices have a smaller image)\n"
+            "dim search: leg rule on (8 legs at 1 major)\n"
+            "dim search: size 7 of up to 17\n"
         )
         assert captured.out.strip() == "dim = 7, witness = {1, 3, 5, 7, 9, 11, 13}"
 

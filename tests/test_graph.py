@@ -229,7 +229,7 @@ class TestPendantLegs:
     @staticmethod
     def assert_legs(g):
         mr = major_vertex_report(g, all_pairs_distances(g))
-        legs = pendant_legs(g, mr)
+        legs = pendant_legs(g)
         adj = g.adjacency
         on_legs = [y for group in legs.values() for leg in group for y in leg]
         assert len(on_legs) == len(set(on_legs)), g.edges()
@@ -249,8 +249,7 @@ class TestPendantLegs:
 
     def test_spider(self):
         g = generate(parse_family_spec("substar:3x2"))
-        mr = major_vertex_report(g, all_pairs_distances(g))
-        assert pendant_legs(g, mr) == {0: ((2, 1), (4, 3), (6, 5))}
+        assert pendant_legs(g) == {0: ((2, 1), (4, 3), (6, 5))}
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_graphs(self, seed):

@@ -6,6 +6,7 @@ import pytest
 
 from mdim import (
     CertificateKind,
+    OutcomeKind,
     SearchAborted,
     SearchConfig,
     all_pairs_distances,
@@ -16,6 +17,7 @@ from mdim import (
     detect_infinite,
     dim_lower_bound,
     is_m_resolving,
+    is_metric_resolving,
     is_path,
     major_vertex_report,
     twin_partition,
@@ -116,6 +118,19 @@ class TestComputeDim:
     def test_cap_raises(self):
         with pytest.raises(SearchAborted):
             compute_dim(cycle_graph(9), SearchConfig(max_vertices=4))
+
+
+def test_one_vertex_graph_counts_sizes_from_one():
+    # the empty set vacuously resolves K1 both ways, but every search
+    # counts sizes from 1
+    g = build_graph(1, [])
+    dm = all_pairs_distances(g)
+    assert is_m_resolving(dm, ()).resolving
+    assert is_metric_resolving(dm, ()).resolving
+    for md in (compute_md(g), brute_force_md(g)):
+        assert (md.kind, md.value, md.witness) == (OutcomeKind.FINITE, 1, (0,))
+    assert compute_dim(g) == (1, (0,))
+    assert least_resolving_set(dm, ordered=True) == (0,)
 
 
 def prufer_tree(rng: Random, n: int):
@@ -264,9 +279,9 @@ class TestWalk:
             seen.append("table")
             return swap_masks(g)
 
-        def leg_table(g, mr):
+        def leg_table(g):
             seen.append("legs")
-            return legs(g, mr)
+            return legs(g)
 
         monkeypatch.setattr(search, "level_search", recording)
         monkeypatch.setattr(search, "subtree_swap_masks", table)
@@ -292,14 +307,13 @@ class TestWalk:
 
     def test_dim_bound_and_table_after_first_large_size(self, monkeypatch):
         # substar:8x2 (17 vertices): the distance rules give 2, and
-        # comb(17, 3) = 680 is the first count above 17^2 = 289; once size
-        # 3 fails, the full bound (7) and both tables are computed and
-        # the search goes on size by size from 7
+        # comb(17, 3) = 680 is the first count above 17^2 = 289, so the
+        # legs are walked before size 3: their count sigma - ex = 7 leaves
+        # no size below 3 to search plain, and the full bound (7) and the
+        # swap table are computed before the search goes on from 7
         seen = self.record(monkeypatch)
         assert compute_dim(generate(FamilySpec.subdivided_star(8, 2)))[0] == 7
-        assert seen == [
-            (2, False, None), (3, False, None), "table", "legs", (7, True, None)
-        ]
+        assert seen == ["legs", "table", (7, True, None)]
 
     def test_no_table_up_to_order_7(self, monkeypatch):
         # no size of a graph of order 7 or less holds more than n^2 sets
@@ -460,7 +474,7 @@ class TestLegRule:
         for _ in range(40):
             g = random_legged_graph(rng, rng.randint(6, 10), rng.choice([0.0, 0.2]))
             dm = all_pairs_distances(g)
-            legs = pendant_legs(g, major_vertex_report(g, dm))
+            legs = pendant_legs(g)
             table = Table(((),) * g.n, legs)
             for ordered in (False, True):
                 least = level_search(dm, ordered)
