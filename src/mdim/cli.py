@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable
 
 from . import families, harness
 from .families import FamilyKind, InvalidParameter, NoKnownWitness, parse_family_spec
@@ -306,10 +307,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _worker_count(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a worker count of at least 1, got {text!r}")
-    return int(text)
+def _at_least_one(what: str) -> Callable[[str], int]:
+    """The argparse type of a count of at least 1, named ``what`` in errors."""
+
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < 1:
+            raise argparse.ArgumentTypeError(f"expected {what} of at least 1, got {text!r}")
+        return int(text)
+
+    return parse
 
 
 def _add_common(
@@ -324,14 +330,14 @@ def _add_common(
     for --max-vertices."""
     sub.add_argument("--json", action="store_true", help="structured output")
     if parallel:
-        sub.add_argument("--parallel", type=_worker_count, default=1, metavar="K",
-                         help="worker processes for the scan (default 1)")
+        sub.add_argument("--parallel", type=_at_least_one("a worker count"), default=1,
+                         metavar="K", help="worker processes for the scan (default 1)")
     if progress:
         sub.add_argument("--progress", action="store_true",
                          help="progress notes on stderr")
     if cap:
-        sub.add_argument("--max-vertices", type=int, default=24, metavar="N",
-                         help="exhaustive-search cap (default 24)")
+        sub.add_argument("--max-vertices", type=_at_least_one("a vertex cap"), default=24,
+                         metavar="N", help="exhaustive-search cap (default 24)")
     if graph_input:
         sub.add_argument("input", nargs="?", help="edge-list file")
         sub.add_argument("--family", metavar="SPEC",

@@ -109,14 +109,19 @@ class MajorVertexReport(NamedTuple):
     """Major vertices (degree >= 3) and the pendant vertices they own.
 
     A pendant u is a terminal of major v when u is strictly closer to v
-    than to every other major vertex.  ``sigma`` counts all terminals,
-    ``ex`` counts majors owning at least one.
+    than to every other major vertex.  ``terminals`` maps every major to
+    its terminals, ascending; ``sigma`` counts all terminals, ``ex`` the
+    majors owning at least one.  ``legs`` maps each major with two or
+    more terminals, ascending, to one leg per terminal u, ascending: the
+    vertices on the path from u towards the major, which the leg stops
+    short of.
     """
 
     majors: tuple[int, ...]
     terminals: dict[int, tuple[int, ...]]
-    sigma: int = 0
-    ex: int = 0
+    sigma: int
+    ex: int
+    legs: dict[int, tuple[tuple[int, ...], ...]]
 
 
 def build_graph(n: int, edges: list[tuple[int, int]]) -> Graph:
@@ -213,45 +218,22 @@ def path_endpoints(g: Graph) -> tuple[int, ...]:
 
 
 def major_vertex_report(g: Graph, dm: DistanceMatrix) -> MajorVertexReport:
-    """Classify majors (degree >= 3) and assign each pendant to its owner.
-
-    A pendant with no strictly-closest major (tie, or no majors at all) is
-    a terminal of nobody and does not count toward sigma.
-    """
-    degs = list(map(len, g.adjacency))
-    majors = tuple(v for v, deg in enumerate(degs) if deg >= 3)
-    terminals: dict[int, list[int]] = {v: [] for v in majors}
-    if majors:
-        for u, row in enumerate(dm.d):
-            if degs[u] != 1:
-                continue
-            best = min(majors, key=row.__getitem__)
-            if all(row[best] < row[w] for w in majors if w != best):
-                terminals[best].append(u)
-    terms = {v: tuple(sorted(us)) for v, us in terminals.items()}
-    sigma = sum(len(us) for us in terms.values())
-    ex = sum(1 for us in terms.values() if us)
-    return MajorVertexReport(majors=majors, terminals=terms, sigma=sigma, ex=ex)
-
-
-def pendant_legs(g: Graph) -> dict[int, tuple[tuple[int, ...], ...]]:
-    """The legs of each major with two or more terminals, majors
-    ascending: one leg per terminal u, ascending, the vertices on the
-    path from u towards the major, which the leg stops short of.  Reads
-    no distances.
+    """Classify majors (degree >= 3) and assign each pendant to its owner
+    by walking from it along degree-2 vertices.  ``dm`` is not read.
 
     The walk from a pendant along degree-2 vertices ends at the first
     vertex of degree 3 or more, and every path from the pendant to a
     vertex past it runs through it, so that major is strictly the closest
-    one and owns the pendant (a walk that ends at a second pendant makes
-    the graph a path, which has no majors).  The pendants the walks
-    assign to a major are therefore exactly its terminals in
-    ``major_vertex_report``.  Every leg vertex but the pendant has degree
-    2 and lies on exactly one such walk, so the legs are disjoint, and
-    ``sum(len(legs) - 1)`` over the majors is ``sigma - ex``.
+    one and owns the pendant.  A walk that ends at a second pendant makes
+    the graph a path, which has no majors, so no pendant has a strictly
+    closest major that its walk misses.  Every leg vertex but the pendant
+    has degree 2 and lies on exactly one such walk, so the legs are
+    disjoint, and ``sum(len(legs) - 1)`` over the majors is ``sigma - ex``.
     """
     adj = g.adjacency
-    groups: dict[int, list[tuple[int, ...]]] = {}
+    majors = tuple(v for v, nbrs in enumerate(adj) if len(nbrs) >= 3)
+    groups: dict[int, list[tuple[int, ...]]] = {v: [] for v in majors}
+    sigma = ex = 0
     for u, nbrs in enumerate(adj):
         if len(nbrs) != 1:
             continue
@@ -261,8 +243,12 @@ def pendant_legs(g: Graph) -> dict[int, tuple[tuple[int, ...], ...]]:
             a, b = adj[cur]
             prev, cur = cur, b if a == prev else a
         if len(adj[cur]) > 2:
-            groups.setdefault(cur, []).append(tuple(leg))
-    return {v: tuple(groups[v]) for v in sorted(groups) if len(groups[v]) > 1}
+            sigma += 1
+            ex += not groups[cur]
+            groups[cur].append(tuple(leg))
+    terminals = {v: tuple(leg[0] for leg in group) for v, group in groups.items()}
+    legs = {v: tuple(group) for v, group in groups.items() if len(group) > 1}
+    return MajorVertexReport(majors, terminals, sigma, ex, legs)
 
 
 def subtree_swap_masks(g: Graph) -> tuple[tuple[int, ...], ...]:

@@ -179,7 +179,8 @@ def md_lower_bound(
       - every graph needs at least 1 landmark;
       - a non-path needs at least 3 (no graph has multiset dimension 2,
         and dimension 1 characterizes paths);
-      - md >= dim >= sigma - ex (terminal pendants vs exterior majors);
+      - md >= dim >= sigma - ex (terminal pendants vs exterior majors,
+        with the terminals from the leg walk of ``major_vertex_report``);
       - md >= the order/diameter counting bound;
       - every resolving set takes exactly one vertex from each twin pair,
         so md is at least the number of size-2 twin classes.
@@ -215,7 +216,8 @@ def dim_lower_bound(
         Oellermann, 2000): the legs from a major v to its terminals are
         paths of degree-2 vertices, and the neighbours of v on two legs
         with no landmark collide, since every landmark reaches both
-        through v; so v needs a landmark on every leg but one;
+        through v; so v needs a landmark on every leg but one (the
+        terminals and legs come from the walk of ``major_vertex_report``);
       - ``twin-classes``: twins are equidistant from every other vertex,
         so two twins outside W collide and W leaves out at most one vertex
         of each class, which makes dim >= sum(|c| - 1).

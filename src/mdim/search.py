@@ -33,7 +33,9 @@ On every graph the search also applies the leg rule behind the
 terminal-count bound (Khuller, Raghavachari & Rosenfeld 1996; Chartrand,
 Eroh, Johnson & Oellermann 2000): a resolving set holds a vertex on every
 leg but one of each major, a leg being the path of degree-2 vertices from
-a terminal pendant (``graph.pendant_legs``).  The legs are disjoint, so a
+a terminal pendant.  ``graph.major_vertex_report`` finds the terminals and
+their legs in one walk from each pendant, which reads no distances, and
+every solve takes it at most once.  The legs are disjoint, so a
 prefix owes the unhit legs a count of landmarks that each added landmark
 lowers by at most one, and the search drops a prefix that owes more than
 it may still add.  The rule too drops only sets that do not resolve (see
@@ -54,9 +56,9 @@ that size.  md searches that size and, if it fails, every size left in
 one branch-and-bound pass, which visits each prefix that survives the
 cut once instead of once per size; level_search states the four points
 that make the pass return what the size-by-size search would.  dim,
-whose resolving sets are monotone, walks the legs before the turn, starts
-no lower than their count ``sigma - ex``, and goes on size by size from
-the turn with both tables and its full lower bound.  Above
+whose resolving sets are monotone, takes the major-vertex report before
+the turn, starts no lower than its count ``sigma - ex``, and goes on size
+by size from the turn with both tables and its full lower bound.  Above
 ``SearchConfig.max_vertices`` a solve raises ``SearchAborted`` before
 any table is built, the only way any search reports the cap.
 """
@@ -76,7 +78,6 @@ from .graph import (
     all_pairs_distances,
     major_vertex_report,
     path_endpoints,
-    pendant_legs,
     subtree_swap_masks,
     twin_partition,
 )
@@ -163,7 +164,7 @@ class WitnessReport(NamedTuple):
 
 # the subtree_swap_masks table of a tree: per vertex, its swap masks
 SwapTable = tuple[tuple[int, ...], ...]
-# the pendant_legs table: per major with two or more terminals, its legs
+# MajorVertexReport.legs: per major with two or more terminals, its legs
 LegTable = dict[int, tuple[tuple[int, ...], ...]]
 
 
@@ -384,8 +385,9 @@ def level_search(dm: DistanceMatrix, ordered: bool = False) -> Least:
     of the fewest landmarks from k to last, found by one branch-and-bound
     pass.  Sets resolve by distance multisets, or with ``ordered`` by
     distance vectors (metric resolving).  ``table``, if given, holds the
-    ``graph.subtree_swap_masks`` and ``graph.pendant_legs`` tables of the
-    same graph; it changes no answer, only how many sets are visited.
+    ``graph.subtree_swap_masks`` table and the legs of the
+    ``graph.major_vertex_report`` of the same graph; it changes no answer,
+    only how many sets are visited.
 
     ``least`` is a depth-first search over ascending landmark ids.  A
     vertex's code is the sum of ``weights[x][v]`` over the chosen
@@ -429,7 +431,9 @@ def level_search(dm: DistanceMatrix, ordered: bool = False) -> Least:
 
     The leg rule (Khuller, Raghavachari & Rosenfeld 1996; Chartrand,
     Eroh, Johnson & Oellermann 2000), with the legs of ``table``: a leg
-    is a path of degree-2 vertices from a pendant to its major v, so every
+    is a path of degree-2 vertices from a pendant to its major v, found by
+    the walk of ``graph.major_vertex_report`` that also gives the
+    terminals of the ``terminal-count`` bound, so every
     path from a leg vertex to a vertex off the leg runs through v.  If two
     legs of v hold no landmark, v's neighbours on them are both one step
     further than v from every landmark and collide, as multisets and as
@@ -596,7 +600,7 @@ def compute_md(g: Graph, cfg: SearchConfig = SearchConfig()) -> ResolveOutcome:
     big = _turn(n, lb)
     witness = _first_hit(least, "md", range(lb, big), n, cfg)
     if witness is None and big <= n:
-        table = Table(subtree_swap_masks(g), pendant_legs(g))
+        table = Table(subtree_swap_masks(g), mr.legs)
         if cfg.progress:
             _note_rules(table, "md")
         witness = _first_hit(least, "md", range(big, big + 1), n, cfg, table)
@@ -628,15 +632,15 @@ def compute_dim(
 
     The schedule has md's shape.  The search starts at
     ``dim_distance_rules``, which read only the distances.  If some size
-    is large (see _turn), the legs are walked first
-    (``graph.pendant_legs``, which reads no distances) and the start rises
-    to their count ``sigma - ex``, the terminal-count rule of
-    ``dim_lower_bound``; the sizes below the large one are searched plain.
-    If none resolves, the full ``dim_lower_bound``, which also needs the
-    twin partition and the major-vertex report (about n^2 steps), and the
-    swap table are computed, and the search goes on from the larger of
-    that size and the bound, with both tables.  On graphs of order 7 or
-    less no size is that large, and on small graphs those inputs cost
+    is large (see _turn), ``graph.major_vertex_report`` is taken first: it
+    finds the terminals and their legs by walking from each pendant, and
+    the start rises to their count ``sigma - ex``, the terminal-count rule
+    of ``dim_lower_bound``; the sizes below the large one are searched
+    plain.  If none resolves, the full ``dim_lower_bound``, which also
+    needs the twin partition (about n^2 steps), and the swap table are
+    computed, and the search goes on from the larger of that size and the
+    bound, with the swap table and the report's legs.  On graphs of order
+    7 or less no size is that large, and on small graphs those inputs cost
     more than the whole search, so they are never computed there.  Raises
     SearchAborted above ``cfg.max_vertices``, before any table is built.
     """
@@ -645,15 +649,14 @@ def compute_dim(
     k = max(dim_distance_rules(g, dm).values())
     least = _capped_search(dm, True, cfg)
     big = _turn(n, k)
-    legs: LegTable = {}
     if big <= n:
-        legs = pendant_legs(g)
-        k = max(k, sum(map(len, legs.values())) - len(legs))
+        mr = major_vertex_report(g, dm)
+        k = max(k, mr.sigma - mr.ex)
     w = _first_hit(least, "dim", range(k, big), n, cfg)
     if w is None:
-        mr = major_vertex_report(g, dm)
+        # with no large size, the sizes searched reach n, where V resolves
         bound = dim_lower_bound(g, dm, twin_partition(g), mr).value
-        table = Table(subtree_swap_masks(g), legs)
+        table = Table(subtree_swap_masks(g), mr.legs)
         if cfg.progress:
             _note_rules(table, "dim")
         w = _first_hit(least, "dim", range(max(big, bound), n + 1), n, cfg, table)

@@ -5,7 +5,7 @@ from functools import cache
 from itertools import combinations
 from random import Random
 
-from mdim import Graph, build_graph
+from mdim import DistanceMatrix, Graph, build_graph
 
 
 def path_graph(n: int) -> Graph:
@@ -56,6 +56,21 @@ def all_connected_graphs(n: int):
                     stack.append(w)
         if len(seen) == n:
             yield build_graph(n, edges)
+
+
+def terminals_by_distance(g: Graph, dm: DistanceMatrix) -> dict[int, tuple[int, ...]]:
+    """The terminals of each major (degree >= 3) by their definition, read
+    from the distance matrix ``dm``: the pendants strictly closer to it than
+    to every other major, ascending."""
+    majors = [v for v, nbrs in enumerate(g.adjacency) if len(nbrs) >= 3]
+    return {
+        v: tuple(
+            u
+            for u, row in enumerate(dm.d)
+            if len(g.adjacency[u]) == 1 and all(row[v] < row[w] for w in majors if w != v)
+        )
+        for v in majors
+    }
 
 
 @cache

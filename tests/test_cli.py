@@ -292,6 +292,26 @@ class TestExitCodes:
         assert main(["scan", "--n", "4", "--parallel", k]) == EXIT_USAGE
         assert "--parallel" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["md", "dim", "suite"])
+    @pytest.mark.parametrize("cap", ["0", "-1", "x"])
+    def test_cap_below_one_is_usage_error(self, command, cap, capsys):
+        # argparse rejects the cap before any graph is built or solved
+        argv = [command, "--max-vertices", cap]
+        if command != "suite":
+            argv += ["--family", "cycle:9"]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--max-vertices" in captured.err
+
+    def test_cap_of_one_still_answers_paths_and_certificates(self, capsys):
+        assert main(["md", "--family", "path:5", "--max-vertices", "1"]) == EXIT_OK
+        assert main(["md", "--family", "complete:5", "--max-vertices", "1"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "md = 1, witness = {0}\nmd = infinite (diameter-2-non-path certificate)\n"
+        )
+        assert main(["md", "--family", "cycle:9", "--max-vertices", "1"]) == EXIT_ABORTED
+
     @pytest.mark.parametrize(
         "argv",
         [

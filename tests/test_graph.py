@@ -18,7 +18,6 @@ from mdim import (
     twin_partition,
 )
 from mdim.families import generate, parse_family_spec
-from mdim.graph import pendant_legs
 from helpers import (
     binary_tree,
     complete_graph,
@@ -28,6 +27,7 @@ from helpers import (
     random_connected_graph,
     random_legged_graph,
     star_graph,
+    terminals_by_distance,
 )
 
 PETERSEN_EDGES = [
@@ -215,7 +215,9 @@ class TestStructure:
 
 
 class TestPendantLegs:
-    """``pendant_legs``, the leg table of the search's leg rule: disjoint
+    """The walk of ``major_vertex_report`` from each pendant: its
+    terminals, ``sigma`` and ``ex`` against their distance definition,
+    and its ``legs``, the leg table of the search's leg rule: disjoint
     paths from a pendant through degree-2 vertices to its major, one per
     terminal of each major with two or more, which the terminal-count
     bound ``sigma - ex`` counts."""
@@ -228,8 +230,15 @@ class TestPendantLegs:
 
     @staticmethod
     def assert_legs(g):
-        mr = major_vertex_report(g, all_pairs_distances(g))
-        legs = pendant_legs(g)
+        dm = all_pairs_distances(g)
+        mr = major_vertex_report(g, dm)
+        terminals = terminals_by_distance(g, dm)
+        assert mr.majors == tuple(terminals), g.edges()
+        assert mr.terminals == terminals, g.edges()
+        assert mr.sigma == sum(map(len, terminals.values())), g.edges()
+        assert mr.ex == sum(map(bool, terminals.values())), g.edges()
+        legs = mr.legs
+        assert list(legs) == [v for v, us in terminals.items() if len(us) > 1]
         adj = g.adjacency
         on_legs = [y for group in legs.values() for leg in group for y in leg]
         assert len(on_legs) == len(set(on_legs)), g.edges()
@@ -249,7 +258,8 @@ class TestPendantLegs:
 
     def test_spider(self):
         g = generate(parse_family_spec("substar:3x2"))
-        assert pendant_legs(g) == {0: ((2, 1), (4, 3), (6, 5))}
+        legs = major_vertex_report(g, all_pairs_distances(g)).legs
+        assert legs == {0: ((2, 1), (4, 3), (6, 5))}
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_graphs(self, seed):

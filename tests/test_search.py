@@ -24,7 +24,7 @@ from mdim import (
     verify_witness,
 )
 from mdim.families import FamilySpec, generate
-from mdim.graph import pendant_legs, subtree_swap_masks
+from mdim.graph import subtree_swap_masks
 from mdim.harness import scan_small_graphs
 from mdim.resolving import first_collision, least_resolving_set
 from mdim import search
@@ -38,6 +38,7 @@ from helpers import (
     random_connected_graph,
     random_legged_graph,
     random_symmetric_tree,
+    terminals_by_distance,
 )
 
 
@@ -152,12 +153,15 @@ def prufer_tree(rng: Random, n: int):
 
 class TestTreeFormula:
     """Khuller, Raghavachari & Rosenfeld (1996): every tree T that is not a
-    path has dim(T) = sigma(T) - ex(T), an oracle independent of the search."""
+    path has dim(T) = sigma(T) - ex(T), an oracle independent of the search.
+    The terminals come from their distance definition, not from the walk
+    of ``major_vertex_report`` that compute_dim starts from."""
 
     @staticmethod
     def assert_formula(t):
-        mr = major_vertex_report(t, all_pairs_distances(t))
-        assert compute_dim(t)[0] == mr.sigma - mr.ex, t.edges()
+        terminals = terminals_by_distance(t, all_pairs_distances(t)).values()
+        sigma, ex = sum(map(len, terminals)), sum(map(bool, terminals))
+        assert compute_dim(t)[0] == sigma - ex, t.edges()
 
     @pytest.mark.parametrize("n", range(4, 13))
     def test_random_trees(self, n):
@@ -262,9 +266,10 @@ class TestWalk:
     def record(monkeypatch):
         """Spy on one solve: one entry per ``least`` call, (k, whether a
         table was passed, last), "table" where the swap table is built and
-        "legs" where the leg table is."""
+        "report" where the major-vertex report, which carries the legs, is
+        taken."""
         seen, build = [], search.level_search
-        swap_masks, legs = search.subtree_swap_masks, search.pendant_legs
+        swap_masks, report = search.subtree_swap_masks, search.major_vertex_report
 
         def recording(dm, ordered=False):
             least = build(dm, ordered)
@@ -279,21 +284,21 @@ class TestWalk:
             seen.append("table")
             return swap_masks(g)
 
-        def leg_table(g):
-            seen.append("legs")
-            return legs(g)
+        def major_report(g, dm):
+            seen.append("report")
+            return report(g, dm)
 
         monkeypatch.setattr(search, "level_search", recording)
         monkeypatch.setattr(search, "subtree_swap_masks", table)
-        monkeypatch.setattr(search, "pendant_legs", leg_table)
+        monkeypatch.setattr(search, "major_vertex_report", major_report)
         return seen
 
     def test_table_before_first_large_size_then_one_pass(self, monkeypatch):
         # an order-8 graph with no resolving set at any size: md starts at
         # its lower bound, 3, and comb(8, 4) = 70 is the first count above
-        # 8^2 = 64, so size 3 is searched without a table, the swap and leg
-        # tables are built before size 4, and once it fails one pass
-        # searches sizes 5 to 8
+        # 8^2 = 64, so size 3 is searched without a table, the swap table
+        # is built before size 4, with the legs of the report taken for the
+        # lower bound, and once it fails one pass searches sizes 5 to 8
         g = build_graph(
             8, [(0, 1), (0, 6), (1, 2), (1, 5), (1, 7), (2, 3), (2, 4), (3, 4), (6, 7)]
         )
@@ -302,29 +307,31 @@ class TestWalk:
         outcome = compute_md(g)
         assert outcome.certificate.kind is CertificateKind.EXHAUSTIVE_SEARCH
         assert seen == [
-            (3, False, None), "table", "legs", (4, True, None), (5, True, 8)
+            "report", (3, False, None), "table", (4, True, None), (5, True, 8)
         ]
 
     def test_dim_bound_and_table_after_first_large_size(self, monkeypatch):
         # substar:8x2 (17 vertices): the distance rules give 2, and
         # comb(17, 3) = 680 is the first count above 17^2 = 289, so the
-        # legs are walked before size 3: their count sigma - ex = 7 leaves
-        # no size below 3 to search plain, and the full bound (7) and the
-        # swap table are computed before the search goes on from 7
+        # report is taken before size 3: its count sigma - ex = 7 leaves
+        # no size below 3 to search plain, and the full bound (7), from the
+        # same report, and the swap table are computed before the search
+        # goes on from 7
         seen = self.record(monkeypatch)
         assert compute_dim(generate(FamilySpec.subdivided_star(8, 2)))[0] == 7
-        assert seen == ["legs", "table", (7, True, None)]
+        assert seen == ["report", "table", (7, True, None)]
 
     def test_no_table_up_to_order_7(self, monkeypatch):
         # no size of a graph of order 7 or less holds more than n^2 sets
-        # (comb(7, 3) = 35 <= 49), so md and dim never build the swap or
-        # leg table there, and the scan never builds one at all: that work
-        # keeps its cost of one falsy int per candidate
+        # (comb(7, 3) = 35 <= 49), so md and dim never build the swap
+        # table or pass a table to least there, dim never takes the
+        # major-vertex report, and the scan never builds a table at all:
+        # that work keeps its cost of one falsy int per candidate
         def refuse(g, *rest):
             raise AssertionError(f"table built for {g.edges()}")
 
+        seen = self.record(monkeypatch)
         monkeypatch.setattr(search, "subtree_swap_masks", refuse)
-        monkeypatch.setattr(search, "pendant_legs", refuse)
         graphs = connected_graphs_up_to(6)
         rng = Random(7)
         sample = [random_connected_graph(rng, 7, rng.random()) for _ in range(100)]
@@ -334,7 +341,10 @@ class TestWalk:
             *sample,
         ):
             compute_md(g)
+            start = len(seen)
             compute_dim(g)
+            assert "report" not in seen[start:], g.edges()
+        assert not any(entry[1] for entry in seen if entry != "report")
         assert scan_small_graphs(5).violations == []
 
 
@@ -474,8 +484,7 @@ class TestLegRule:
         for _ in range(40):
             g = random_legged_graph(rng, rng.randint(6, 10), rng.choice([0.0, 0.2]))
             dm = all_pairs_distances(g)
-            legs = pendant_legs(g)
-            table = Table(((),) * g.n, legs)
+            table = Table(((),) * g.n, major_vertex_report(g, dm).legs)
             for ordered in (False, True):
                 least = level_search(dm, ordered)
                 sizes = [least(k) for k in range(1, g.n + 1)]
