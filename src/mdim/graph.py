@@ -329,12 +329,74 @@ def subtree_swap_masks(g: Graph) -> tuple[tuple[int, ...], ...]:
                 while parent[a] != parent[b]:
                     a, b = parent[a], parent[b]
                 found.add(mask[a] | mask[b])
-            kept: list[int] = []
-            for s in sorted(found, key=int.bit_count):
-                if all(t & s != t for t in kept):
-                    kept.append(s)
-            swaps[x] = tuple(kept)
+            swaps[x] = _least_masks(found)
     return tuple(swaps)
+
+
+def _least_masks(masks) -> tuple[int, ...]:
+    """The masks that contain no other mask, fewest vertices first (ties
+    in the given order); a repeated mask is kept once."""
+    kept: list[int] = []
+    for s in sorted(masks, key=int.bit_count):
+        if all(t & s != t for t in kept):
+            kept.append(s)
+    return tuple(kept)
+
+
+def symmetry_swap_masks(
+    g: Graph, tp: TwinPartition, mr: MajorVertexReport
+) -> tuple[tuple[int, ...], ...]:
+    """Swaps that move a vertex to a smaller id, on any connected graph.
+
+    Entry x holds vertex masks S, each the support of an automorphism of
+    g that fixes every vertex outside S and maps x to some y < x, with
+    masks that contain another mask of the same entry dropped.  The masks
+    are the union of three families:
+
+    - the sibling-subtree swaps of ``subtree_swap_masks`` (trees only);
+    - two legs of equal length at one major of ``mr.legs``, each a path
+      hanging from the major with every vertex but the pendant of degree
+      2: exchanging them position by position keeps every edge, so of
+      the two vertices at each position the larger id gets the mask of
+      both legs;
+    - two members u < v of one twin class of ``tp``: their transposition
+      keeps every edge, since N(u) - {v} = N(v) - {u}, so v gets
+      ``{u, v}``.
+
+    On a tree of order 3 or more the last two families add nothing that
+    survives the drop: two equal legs of a major, or two twin pendants,
+    are sibling subtrees of the centre-rooted tree (an automorphism fixes
+    the centre, so neither holds it), and ``subtree_swap_masks`` already
+    gives the larger vertex of each swapped pair their mask.  A tree
+    therefore takes the subtree swaps alone.
+    """
+    if g.edge_count == g.n - 1:
+        return subtree_swap_masks(g)
+    swaps = [()] * g.n
+    for x, masks in _leg_and_twin_masks(tp, mr).items():
+        swaps[x] = _least_masks(masks)
+    return tuple(swaps)
+
+
+def _leg_and_twin_masks(
+    tp: TwinPartition, mr: MajorVertexReport
+) -> dict[int, list[int]]:
+    """The equal-leg and twin swaps of symmetry_swap_masks, per vertex
+    that has any, before masks containing others are dropped."""
+    masks: dict[int, list[int]] = {}
+    for group in mr.legs.values():
+        for i, a in enumerate(group):
+            for b in group[i + 1:]:
+                if len(a) == len(b):
+                    s = sum(map((1).__lshift__, (*a, *b)))
+                    for pair in zip(a, b):
+                        masks.setdefault(max(pair), []).append(s)
+    for cls in tp.classes:
+        if len(cls) > 1:
+            for i, u in enumerate(cls):
+                for v in cls[i + 1:]:
+                    masks.setdefault(v, []).append(1 << u | 1 << v)
+    return masks
 
 
 def _are_twins(nbr_sets: dict[int, set[int]], u: int, v: int) -> bool:

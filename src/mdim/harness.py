@@ -230,19 +230,23 @@ def _perm_bit_tables(n: int, pairs: list[tuple[int, int]]) -> list[list[int]]:
     return tables
 
 
-def canonical_code(mask: int, perm_tables: list[list[int]]) -> int:
-    """Least edge bitmask over all vertex relabellings of the graph."""
-    best = mask
+def relabellings(mask: int, perm_tables: list[list[int]]) -> set[int]:
+    """The edge bitmasks of every vertex relabelling of the graph."""
+    out = set()
     for table in perm_tables:
-        out = 0
+        image = 0
         m = mask
         while m:
             low = m & -m
-            out |= 1 << table[low.bit_length() - 1]
+            image |= 1 << table[low.bit_length() - 1]
             m ^= low
-        if out < best:
-            best = out
-    return best
+        out.add(image)
+    return out
+
+
+def canonical_code(mask: int, perm_tables: list[list[int]]) -> int:
+    """Least edge bitmask over all vertex relabellings of the graph."""
+    return min(relabellings(mask, perm_tables))
 
 
 def _scan_mask_range(args) -> dict:
@@ -250,7 +254,10 @@ def _scan_mask_range(args) -> dict:
     so the scan can run the mask space across a process pool."""
     n, lo, hi, dedup = args
     pairs = edge_pairs(n)
-    perm_tables = _perm_bit_tables(n, pairs) if dedup else None
+    if dedup:
+        # seen[mask - lo] marks a relabelling of a graph already listed
+        perm_tables = _perm_bit_tables(n, pairs)
+        seen = bytearray(hi - lo)
     hist: dict = {}
     violations: list = []
     conjecture_hits: list = []
@@ -258,12 +265,22 @@ def _scan_mask_range(args) -> dict:
     connected = diam2 = 0
 
     for mask in range(lo, hi):
+        if dedup and seen[mask - lo]:
+            continue
         edges = mask_to_edges(mask, pairs)
         g = build_graph(n, list(edges))
         if not is_connected(g):
             continue
-        if dedup and canonical_code(mask, perm_tables) != mask:
-            continue
+        if dedup:
+            # the first mask of an orbit met in [lo, hi) lists the orbit
+            # once; it is kept only when no relabelling is smaller, so each
+            # class is kept in exactly the shard that holds its least mask
+            orbit = relabellings(mask, perm_tables)
+            for image in orbit:
+                if lo <= image < hi:
+                    seen[image - lo] = 1
+            if min(orbit) < mask:
+                continue
         dm = all_pairs_distances(g)
         tp = twin_partition(g)
         mr = major_vertex_report(g, dm)

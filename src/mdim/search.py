@@ -16,11 +16,12 @@ a valid infiniteness certificate.  It also covers the twin rule (a twin
 pair with both or neither member chosen collides), so no separate twin
 generator or distance-2 skip is needed.  A solve runs in one process.
 
-On trees the search also applies the lex-leader rule of Crawford,
-Ginsberg, Luks & Roy ("Symmetry-breaking predicates for search problems",
-KR 1996).  ``graph.subtree_swap_masks`` lists, for each vertex x, masks S
-of two isomorphic sibling subtrees whose swap is an automorphism that
-fixes every vertex outside S and maps x to a smaller id.  If W is the
+The search also applies the lex-leader rule of Crawford, Ginsberg, Luks
+& Roy ("Symmetry-breaking predicates for search problems", KR 1996).
+``graph.symmetry_swap_masks`` lists, for each vertex x, masks S whose
+swap is an automorphism that fixes every vertex outside S and maps x to
+a smaller id: two isomorphic sibling subtrees of a tree, two
+equal-length legs of one major, or two twins.  If W is the
 lexicographically least resolving set, s(W) resolves for every
 automorphism s, so no landmark of W can be moved to a smaller id by an
 automorphism that fixes the landmarks chosen before it: s(W) would be
@@ -29,7 +30,7 @@ landmarks miss some S of x.  The rule drops only sets that are not the
 least one, so each size still returns its least witness or None, and
 "every size exhausted" stays a valid infiniteness certificate.
 
-On every graph the search also applies the leg rule behind the
+On every graph it also applies the leg rule behind the
 terminal-count bound (Khuller, Raghavachari & Rosenfeld 1996; Chartrand,
 Eroh, Johnson & Oellermann 2000): a resolving set holds a vertex on every
 leg but one of each major, a leg being the path of degree-2 vertices from
@@ -78,7 +79,7 @@ from .graph import (
     all_pairs_distances,
     major_vertex_report,
     path_endpoints,
-    subtree_swap_masks,
+    symmetry_swap_masks,
     twin_partition,
 )
 from .resolving import (
@@ -162,7 +163,7 @@ class WitnessReport(NamedTuple):
     vectors: tuple[tuple[int, ...], ...]
 
 
-# the subtree_swap_masks table of a tree: per vertex, its swap masks
+# the symmetry_swap_masks table: per vertex, its swap masks
 SwapTable = tuple[tuple[int, ...], ...]
 # MajorVertexReport.legs: per major with two or more terminals, its legs
 LegTable = dict[int, tuple[tuple[int, ...], ...]]
@@ -170,8 +171,8 @@ LegTable = dict[int, tuple[tuple[int, ...], ...]]
 
 class Table(NamedTuple):
     """What lets the search skip candidates (see level_search): the swap
-    masks of a tree and the legs of the majors with two or more
-    terminals."""
+    masks of the sibling subtrees of a tree, the equal-length legs and the
+    twins, and the legs of the majors with two or more terminals."""
 
     swaps: SwapTable
     legs: LegTable
@@ -385,9 +386,10 @@ def level_search(dm: DistanceMatrix, ordered: bool = False) -> Least:
     of the fewest landmarks from k to last, found by one branch-and-bound
     pass.  Sets resolve by distance multisets, or with ``ordered`` by
     distance vectors (metric resolving).  ``table``, if given, holds the
-    ``graph.subtree_swap_masks`` table and the legs of the
+    ``graph.symmetry_swap_masks`` table and the legs of the
     ``graph.major_vertex_report`` of the same graph; it changes no answer,
-    only how many sets are visited.
+    only how many sets are visited.  ``least`` turns a table into bitsets
+    once and reuses them while it is handed the same table object.
 
     ``least`` is a depth-first search over ascending landmark ids.  A
     vertex's code is the sum of ``weights[x][v]`` over the chosen
@@ -423,11 +425,22 @@ def level_search(dm: DistanceMatrix, ordered: bool = False) -> Least:
     then y is not in W and every element of W that s(W) lacks is at least
     w_i, so s(W) < W, which is impossible.  The swap of S fixes every
     vertex outside S, hence every chosen landmark, and maps x to a
-    smaller id, so x is never the next landmark of W.  The rule drops
-    only sets that are not the least one, so each size still returns its
-    least witness or None, and a None at every size still proves that no
-    resolving set exists.  The test is one AND of two bitsets per
-    candidate (see _table_bits).
+    smaller id, so x is never the next landmark of W.  Each mask of
+    ``graph.symmetry_swap_masks`` is the support of such a swap, held by
+    the larger id of each pair it exchanges:
+      - on a tree, two isomorphic sibling subtrees, exchanged by the
+        isomorphism that maps x to y;
+      - on any graph, two legs of equal length at one major v, exchanged
+        position by position: each is a path from a pendant whose other
+        vertices have degree 2 and whose last vertex is v's only
+        neighbour on it, so every edge goes to an edge and v and every
+        vertex off the two legs stay put;
+      - on any graph, two twins u < v, transposed: N(u) - {v} equals
+        N(v) - {u}, so every edge goes to an edge.
+    The rule drops only sets that are not the least one, so each size
+    still returns its least witness or None, and a None at every size
+    still proves that no resolving set exists.  The test is one AND of
+    two bitsets per candidate (see _table_bits).
 
     The leg rule (Khuller, Raghavachari & Rosenfeld 1996; Chartrand,
     Eroh, Johnson & Oellermann 2000), with the legs of ``table``: a leg
@@ -488,11 +501,19 @@ def level_search(dm: DistanceMatrix, ordered: bool = False) -> Least:
 
     zero = [0] * n
     blank = zero, zero, zero, zero, 0
+    # the last table handed to least and its bitsets: md hands one table to
+    # its turn size and to its pass, dim one to every size from its turn
+    memo: list = [None, blank]
 
     def least(
         k: int, table: Table | None = None, last: int | None = None
     ) -> tuple[int, ...] | None:
-        need, hitby, own, rest, owed = _table_bits(table, n) if table else blank
+        bits = blank
+        if table is not None:
+            if table is not memo[0]:
+                memo[:] = table, _table_bits(table, n)
+            bits = memo[1]
+        need, hitby, own, rest, owed = bits
         if last is None:
             found = _extend(
                 (0,) * n, 0, k, n, weights, tails, need, hitby, 0, own, rest, owed
@@ -556,7 +577,7 @@ def _note_rules(table: Table, mode: str) -> None:
     swaps, legs = table
     if any(swaps):
         print(
-            f"{mode} search: tree symmetry rule on ({sum(map(bool, swaps))} "
+            f"{mode} search: symmetry rule on ({sum(map(bool, swaps))} "
             "vertices have a smaller image)",
             file=sys.stderr,
         )
@@ -600,7 +621,7 @@ def compute_md(g: Graph, cfg: SearchConfig = SearchConfig()) -> ResolveOutcome:
     big = _turn(n, lb)
     witness = _first_hit(least, "md", range(lb, big), n, cfg)
     if witness is None and big <= n:
-        table = Table(subtree_swap_masks(g), mr.legs)
+        table = Table(symmetry_swap_masks(g, tp, mr), mr.legs)
         if cfg.progress:
             _note_rules(table, "md")
         witness = _first_hit(least, "md", range(big, big + 1), n, cfg, table)
@@ -637,12 +658,13 @@ def compute_dim(
     the start rises to their count ``sigma - ex``, the terminal-count rule
     of ``dim_lower_bound``; the sizes below the large one are searched
     plain.  If none resolves, the full ``dim_lower_bound``, which also
-    needs the twin partition (about n^2 steps), and the swap table are
-    computed, and the search goes on from the larger of that size and the
-    bound, with the swap table and the report's legs.  On graphs of order
-    7 or less no size is that large, and on small graphs those inputs cost
-    more than the whole search, so they are never computed there.  Raises
-    SearchAborted above ``cfg.max_vertices``, before any table is built.
+    needs the twin partition (about n^2 steps), and the swap table, from
+    the same twin partition and report, are computed, and the search goes
+    on from the larger of that size and the bound, with the swap table and
+    the report's legs.  On graphs of order 7 or less no size is that
+    large, and on small graphs those inputs cost more than the whole
+    search, so they are never computed there.  Raises SearchAborted above
+    ``cfg.max_vertices``, before any table is built.
     """
     dm = all_pairs_distances(g)
     n = dm.n
@@ -655,8 +677,9 @@ def compute_dim(
     w = _first_hit(least, "dim", range(k, big), n, cfg)
     if w is None:
         # with no large size, the sizes searched reach n, where V resolves
-        bound = dim_lower_bound(g, dm, twin_partition(g), mr).value
-        table = Table(subtree_swap_masks(g), mr.legs)
+        tp = twin_partition(g)
+        bound = dim_lower_bound(g, dm, tp, mr).value
+        table = Table(symmetry_swap_masks(g, tp, mr), mr.legs)
         if cfg.progress:
             _note_rules(table, "dim")
         w = _first_hit(least, "dim", range(max(big, bound), n + 1), n, cfg, table)

@@ -131,3 +131,21 @@ def random_legged_graph(rng: Random, n: int, extra: float = 0.0) -> Graph:
                 prev = v
             end = stop
     return shuffled(rng, build_graph(n, sorted(edges)))
+
+
+def random_twinned_graph(rng: Random, n: int, extra: float = 0.1) -> Graph:
+    """Random connected graph of order n with twins and legs: a
+    ``random_legged_graph`` of order n - t, t from 1 to n // 3, then t
+    clones, each a new vertex given the neighbours of a random earlier
+    vertex (a false twin of it) and, half the time, that vertex too (a
+    true twin).  A clone of a vertex that has twins joins its class.  The
+    ids are shuffled."""
+    t = rng.randint(1, n // 3)
+    adj = [set(nbrs) for nbrs in random_legged_graph(rng, n - t, extra).adjacency]
+    for w in range(n - t, n):
+        v = rng.randrange(w)
+        adj.append(adj[v] | {v} if rng.random() < 0.5 else set(adj[v]))
+        for u in adj[w]:
+            adj[u].add(w)
+    edges = [(u, v) for u, nbrs in enumerate(adj) for v in nbrs if u < v]
+    return shuffled(rng, build_graph(n, edges))

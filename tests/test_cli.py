@@ -154,7 +154,7 @@ class TestCommands:
         assert main(["dim", "--family", "substar:8x2", "--progress"]) == EXIT_OK
         captured = capsys.readouterr()
         assert captured.err == (
-            "dim search: tree symmetry rule on (14 vertices have a smaller image)\n"
+            "dim search: symmetry rule on (14 vertices have a smaller image)\n"
             "dim search: leg rule on (8 legs at 1 major)\n"
             "dim search: size 7 of up to 17\n"
         )
@@ -169,7 +169,7 @@ class TestCommands:
         assert main(["md", "--family", "substar:7x3", "--progress"]) == EXIT_OK
         captured = capsys.readouterr()
         assert captured.err == (
-            "md search: tree symmetry rule on (18 vertices have a smaller image)\n"
+            "md search: symmetry rule on (18 vertices have a smaller image)\n"
             "md search: leg rule on (7 legs at 1 major)\n"
             "md search: size 6 of up to 22\n"
             "md search: size 7 to 22 in one branch-and-bound pass\n"

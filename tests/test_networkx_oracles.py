@@ -11,9 +11,14 @@ nx = pytest.importorskip("networkx")
 from networkx.algorithms.isomorphism import GraphMatcher, categorical_node_match
 
 from mdim import all_pairs_distances, build_graph, twin_partition
-from mdim.graph import subtree_swap_masks
+from mdim.graph import major_vertex_report, subtree_swap_masks, symmetry_swap_masks
 from mdim.harness import scan_small_graphs
-from helpers import random_connected_graph, random_symmetric_tree, shuffled
+from helpers import (
+    random_connected_graph,
+    random_symmetric_tree,
+    random_twinned_graph,
+    shuffled,
+)
 
 
 def random_graphs():
@@ -101,6 +106,25 @@ def test_swap_masks_are_automorphisms():
     assert centres == {1, 2}
 
 
+def test_leg_and_twin_masks_are_automorphisms():
+    # the same oracle for the swaps of symmetry_swap_masks on graphs with
+    # cycles: two equal legs of one major, or two twins
+    rng = Random(18)
+    masks_seen = 0
+    for _ in range(80):
+        g = random_twinned_graph(rng, rng.randint(6, 9), extra=rng.choice([0.1, 0.3]))
+        if g.edge_count < g.n:
+            continue
+        h = to_networkx(g)
+        mr = major_vertex_report(g, all_pairs_distances(g))
+        for x, masks in enumerate(symmetry_swap_masks(g, twin_partition(g), mr)):
+            for s in masks:
+                masks_seen += 1
+                outside = {v for v in range(g.n) if not s >> v & 1}
+                assert moves_below(h, outside, x), (g.edges(), x, s)
+    assert masks_seen >= 100
+
+
 def test_swap_masks_empty_off_symmetric_trees():
     g = random_connected_graph(Random(1), 8, extra=0.5)
     assert g.edge_count > g.n - 1
@@ -114,7 +138,7 @@ def test_swap_masks_empty_off_symmetric_trees():
     assert subtree_swap_masks(spider) == ((),) * 7
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_dedup_scan_counts_connected_classes(n):
     atlas = [h for h in nx.graph_atlas_g() if len(h) == n and nx.is_connected(h)]
     assert scan_small_graphs(n, dedup=True).graphs_connected == len(atlas)

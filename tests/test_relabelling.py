@@ -21,7 +21,7 @@ from mdim import (
 )
 from mdim.resolving import least_resolving_set
 from mdim.search import SearchConfig
-from helpers import random_connected_graph, random_legged_graph
+from helpers import random_connected_graph, random_legged_graph, random_twinned_graph
 
 
 @st.composite
@@ -52,7 +52,8 @@ def test_md_and_dim_survive_relabelling(pair):
 # Graphs of order 10 and up reach the swap and leg tables of md and dim
 # (comb(10, 3) = 120 > 10^2), whose swap rule keeps only the least set of
 # each orbit, an order that moves with the vertex ids: the md_hard graphs
-# of the benchmark, then random legged graphs.
+# of the benchmark, then random legged graphs, then graphs with cycles
+# and many twins, whose swaps are their equal legs and twin pairs.
 HARD = ("substar:7x3", "substar:6x4", "substar:8x2", "karytree:2x3", "cextree")
 CAP = SearchConfig(max_vertices=25)
 
@@ -96,3 +97,13 @@ def test_legged_graphs_survive_relabelling():
             rng, rng.randint(10, 12), extra=rng.choice([0.0, 0.0, 0.1, 0.25])
         )
         assert_relabelling_keeps_answers(g, rng)
+
+
+def test_twinned_graphs_survive_relabelling():
+    rng = Random(18)
+    done = 0
+    while done < 80:
+        g = random_twinned_graph(rng, rng.randint(10, 12), extra=rng.choice([0.1, 0.25]))
+        if g.edge_count >= g.n:
+            assert_relabelling_keeps_answers(g, rng)
+            done += 1

@@ -24,7 +24,12 @@ from mdim import (
     verify_witness,
 )
 from mdim.families import FamilySpec, generate
-from mdim.graph import subtree_swap_masks
+from mdim.graph import (
+    _leg_and_twin_masks,
+    _least_masks,
+    subtree_swap_masks,
+    symmetry_swap_masks,
+)
 from mdim.harness import scan_small_graphs
 from mdim.resolving import first_collision, least_resolving_set
 from mdim import search
@@ -38,6 +43,7 @@ from helpers import (
     random_connected_graph,
     random_legged_graph,
     random_symmetric_tree,
+    random_twinned_graph,
     terminals_by_distance,
 )
 
@@ -269,7 +275,7 @@ class TestWalk:
         "report" where the major-vertex report, which carries the legs, is
         taken."""
         seen, build = [], search.level_search
-        swap_masks, report = search.subtree_swap_masks, search.major_vertex_report
+        swap_masks, report = search.symmetry_swap_masks, search.major_vertex_report
 
         def recording(dm, ordered=False):
             least = build(dm, ordered)
@@ -280,16 +286,16 @@ class TestWalk:
 
             return wrapped
 
-        def table(g):
+        def table(g, tp, mr):
             seen.append("table")
-            return swap_masks(g)
+            return swap_masks(g, tp, mr)
 
         def major_report(g, dm):
             seen.append("report")
             return report(g, dm)
 
         monkeypatch.setattr(search, "level_search", recording)
-        monkeypatch.setattr(search, "subtree_swap_masks", table)
+        monkeypatch.setattr(search, "symmetry_swap_masks", table)
         monkeypatch.setattr(search, "major_vertex_report", major_report)
         return seen
 
@@ -321,6 +327,31 @@ class TestWalk:
         assert compute_dim(generate(FamilySpec.subdivided_star(8, 2)))[0] == 7
         assert seen == ["report", "table", (7, True, None)]
 
+    def test_each_table_converted_once(self, monkeypatch):
+        # md hands its table to the first large size and to the pass, dim
+        # to every size from its turn on; least turns each into bitsets once
+        seen = self.record(monkeypatch)
+        converted, bits = [], search._table_bits
+
+        def recording(table, n):
+            converted.append(table)
+            return bits(table, n)
+
+        monkeypatch.setattr(search, "_table_bits", recording)
+        rng = Random(10)
+        reused = 0
+        for _ in range(60):
+            g = random_legged_graph(rng, rng.randint(10, 12), rng.choice([0.0, 0.2]))
+            for solve in (compute_md, compute_dim):
+                del seen[:], converted[:]
+                solve(g)
+                calls = [entry for entry in seen if entry not in ("report", "table")]
+                handed = sum(table for _, table, _ in calls)
+                assert len(converted) == min(handed, 1), g.edges()
+                reused += handed > 1
+        # 23 of the 120 solves hand one table to two or more calls
+        assert reused >= 15
+
     def test_no_table_up_to_order_7(self, monkeypatch):
         # no size of a graph of order 7 or less holds more than n^2 sets
         # (comb(7, 3) = 35 <= 49), so md and dim never build the swap
@@ -331,7 +362,7 @@ class TestWalk:
             raise AssertionError(f"table built for {g.edges()}")
 
         seen = self.record(monkeypatch)
-        monkeypatch.setattr(search, "subtree_swap_masks", refuse)
+        monkeypatch.setattr(search, "symmetry_swap_masks", refuse)
         graphs = connected_graphs_up_to(6)
         rng = Random(7)
         sample = [random_connected_graph(rng, 7, rng.random()) for _ in range(100)]
@@ -368,6 +399,104 @@ class TestSwapRule:
                 for k in range(1, t.n + 1):
                     assert least(k, table) == least(k), (t.edges(), k, ordered)
         assert symmetric >= 150
+
+
+def random_symmetric_non_tree(rng, n):
+    """A random ``random_twinned_graph`` of order n with a cycle."""
+    while True:
+        g = random_twinned_graph(rng, n, extra=rng.choice([0.0, 0.1, 0.25]))
+        if g.edge_count >= g.n:
+            return g
+
+
+class TestSymmetryRule:
+    """The lex-leader rule with equal-leg and twin swaps changes no answer
+    on graphs with cycles, where a tree has none to offer: ``least(k)``
+    with the swap table equals ``least(k)`` without it at every size, in
+    both modes, including the sizes where nothing resolves, and so does
+    the pass from every size."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_least_sets_with_and_without_swaps(self, seed):
+        rng = Random(seed)
+        masked = 0
+        for _ in range(40):
+            g = random_symmetric_non_tree(rng, rng.randint(6, 10))
+            dm = all_pairs_distances(g)
+            mr = major_vertex_report(g, dm)
+            swaps = symmetry_swap_masks(g, twin_partition(g), mr)
+            masked += any(swaps)
+            for table in (Table(swaps, {}), Table(swaps, mr.legs)):
+                for ordered in (False, True):
+                    least = level_search(dm, ordered)
+                    sizes = [least(k) for k in range(1, g.n + 1)]
+                    assert [least(k, table) for k in range(1, g.n + 1)] == sizes, (
+                        g.edges(), ordered
+                    )
+                    for k in range(1, g.n + 1):
+                        first = next((w for w in sizes[k - 1:] if w is not None), None)
+                        assert least(k, table, g.n) == first, (g.edges(), k, ordered)
+        # every twinned graph has a twin pair, hence a swap
+        assert masked == 40
+
+    def test_matches_brute_force_on_orders_10_to_12(self, monkeypatch):
+        # graphs of order 10 to 12 reach the table (comb(10, 3) > 10^2)
+        # unless a size below their first large one resolves
+        masked, build = [], search.symmetry_swap_masks
+
+        def recording(g, tp, mr):
+            swaps = build(g, tp, mr)
+            masked.append(any(swaps))
+            return swaps
+
+        monkeypatch.setattr(search, "symmetry_swap_masks", recording)
+        rng = Random(18)
+        reached = 0
+        for i in range(240):
+            n = rng.randint(10, 12)
+            if i % 2:
+                g = random_symmetric_non_tree(rng, n)
+            else:
+                g = random_legged_graph(rng, n, extra=rng.choice([0.1, 0.25]))
+            seen = len(masked)
+            fast, slow = compute_md(g), brute_force_md(g)
+            assert (fast.kind, fast.value, fast.witness) == (
+                slow.kind, slow.value, slow.witness
+            ), g.edges()
+            w = least_resolving_set(all_pairs_distances(g), ordered=True)
+            assert compute_dim(g) == (len(w), w), g.edges()
+            reached += g.edge_count >= g.n and any(masked[seen:])
+        # a tree's masks are its subtree swaps; 171 of the 181 graphs with
+        # a cycle build a table that holds a leg or twin swap
+        assert reached >= 150
+
+    def test_trees_gain_no_mask(self):
+        # the equal legs and twins of a tree are sibling subtrees, whose
+        # swap its own table already holds for the same vertex, so the
+        # union keeps the subtree swaps exactly
+        rng = Random(3)
+        gained = 0
+        for _ in range(300):
+            t = random_symmetric_tree(rng, rng.randint(3, 16))
+            mr = major_vertex_report(t, all_pairs_distances(t))
+            swaps = subtree_swap_masks(t)
+            extra = _leg_and_twin_masks(twin_partition(t), mr)
+            gained += bool(extra)
+            for x, masks in extra.items():
+                assert _least_masks((*swaps[x], *masks)) == swaps[x], t.edges()
+            assert symmetry_swap_masks(t, twin_partition(t), mr) == swaps
+        assert gained >= 200
+
+    def test_legs_and_twins_of_a_triangle(self):
+        # triangle 0, 1, 2 with legs 3-4 and 5-6 of equal length at 0: the
+        # legs swap position by position, 4 with 6 and 3 with 5, and the
+        # twins 1 and 2 swap with each other
+        g = build_graph(7, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
+        mr = major_vertex_report(g, all_pairs_distances(g))
+        legs = 1 << 3 | 1 << 4 | 1 << 5 | 1 << 6
+        assert symmetry_swap_masks(g, twin_partition(g), mr) == (
+            (), (), (1 << 1 | 1 << 2,), (), (), (legs,), (legs,)
+        )
 
 
 class TestBoundPass:
