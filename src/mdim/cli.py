@@ -225,7 +225,7 @@ def _cmd_family(args) -> int:
         }
         if expected.value is not None:
             text = f"expected md = {expected.value}"
-        elif expected.kind.value == "infinite":
+        elif expected.kind is families.MdKind.INFINITE:
             text = "expected md = infinite"
         else:
             text = f"expected md unspecified: {expected.note}"
@@ -331,7 +331,8 @@ def _add_common(
     sub.add_argument("--json", action="store_true", help="structured output")
     if parallel:
         sub.add_argument("--parallel", type=_at_least_one("a worker count"), default=1,
-                         metavar="K", help="worker processes for the scan (default 1)")
+                         metavar="K", help="worker processes for a labelled scan "
+                         "(default 1; a --dedup scan runs in one)")
     if progress:
         sub.add_argument("--progress", action="store_true",
                          help="progress notes on stderr")

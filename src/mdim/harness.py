@@ -251,13 +251,15 @@ def canonical_code(mask: int, perm_tables: list[list[int]]) -> int:
 
 def _scan_mask_range(args) -> dict:
     """Solve and claim-check every connected graph in [lo, hi); top-level
-    so the scan can run the mask space across a process pool."""
+    so the scan can run the mask space across a process pool.  With
+    ``dedup`` the range must be the whole mask space, walked in one
+    ascending pass: the first mask of each orbit met is then its least."""
     n, lo, hi, dedup = args
     pairs = edge_pairs(n)
     if dedup:
-        # seen[mask - lo] marks a relabelling of a graph already listed
+        # seen[mask] marks a relabelling of a graph already listed
         perm_tables = _perm_bit_tables(n, pairs)
-        seen = bytearray(hi - lo)
+        seen = bytearray(hi)
     hist: dict = {}
     violations: list = []
     conjecture_hits: list = []
@@ -265,22 +267,16 @@ def _scan_mask_range(args) -> dict:
     connected = diam2 = 0
 
     for mask in range(lo, hi):
-        if dedup and seen[mask - lo]:
+        if dedup and seen[mask]:
             continue
         edges = mask_to_edges(mask, pairs)
         g = build_graph(n, list(edges))
         if not is_connected(g):
             continue
         if dedup:
-            # the first mask of an orbit met in [lo, hi) lists the orbit
-            # once; it is kept only when no relabelling is smaller, so each
-            # class is kept in exactly the shard that holds its least mask
-            orbit = relabellings(mask, perm_tables)
-            for image in orbit:
-                if lo <= image < hi:
-                    seen[image - lo] = 1
-            if min(orbit) < mask:
-                continue
+            # the orbit's least mask lists the orbit once
+            for image in relabellings(mask, perm_tables):
+                seen[image] = 1
         dm = all_pairs_distances(g)
         tp = twin_partition(g)
         mr = major_vertex_report(g, dm)
@@ -344,18 +340,20 @@ def scan_small_graphs(
 
     Enumerates all 2^C(n,2) labelled graphs (n in 2..7, else ValueError),
     optionally keeping one representative per isomorphism class (least
-    bitmask over all vertex permutations).  md is walked from size 1 and
-    dim from one below ``dim_lower_bound``, so every bound rule is checked
-    rather than assumed.  Violations land in the report, tagged
-    md-lower-bound, md-ge-dim, twin-pair-membership, detector-soundness or
-    dim-lower-bound; an empty violation list is the expected outcome for
-    every proved bound.
+    bitmask over all vertex permutations).  ``cfg.workers`` > 1 shards a
+    labelled scan across processes; a dedup scan runs in one process,
+    since shards would list the orbits of earlier shards again.  md is
+    walked from size 1 and dim from one below ``dim_lower_bound``, so
+    every bound rule is checked rather than assumed.  Violations land in
+    the report, tagged md-lower-bound, md-ge-dim, twin-pair-membership,
+    detector-soundness or dim-lower-bound; an empty violation list is the
+    expected outcome for every proved bound.
     """
     if n not in SCAN_ORDERS:
         raise ValueError(f"scan supports n in 2..7, got {n}")
     total_masks = 1 << len(edge_pairs(n))
 
-    if cfg.workers > 1:
+    if cfg.workers > 1 and not dedup:
         # imported here: serial callers would otherwise load about 2 MB of
         # multiprocessing modules they never use
         from concurrent.futures import ProcessPoolExecutor

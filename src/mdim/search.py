@@ -1,67 +1,24 @@
 """Exact computation of the multiset dimension and metric dimension.
 
-The solver looks for resolving sets in ascending size and, within each
-size, in lexicographic order of the ascending id tuple.  Multiset
-resolvability is NOT monotone under supersets (a resolving set can have
-non-resolving supersets), so minimality genuinely requires visiting sizes in
-order, and an infiniteness verdict requires exhausting every size.
+Multiset resolvability is NOT monotone under supersets, so md visits the
+sizes in ascending order, and only a search that exhausts every size
+proves md infinite.  The map of this module:
 
-Each size is one depth-first search over ascending landmark ids
-(``level_search``; md searches its sizes after the first large one in a
-single pass, see below) with one cut: a prefix is dropped once two vertices
-collide on it and are equidistant from every id that can still be added,
-because they then collide in every extension.  The cut drops only failing
-sets, so the first hit is the least one and "every size exhausted" remains
-a valid infiniteness certificate.  It also covers the twin rule (a twin
-pair with both or neither member chosen collides), so no separate twin
-generator or distance-2 skip is needed.  A solve runs in one process.
-
-The search also applies the lex-leader rule of Crawford, Ginsberg, Luks
-& Roy ("Symmetry-breaking predicates for search problems", KR 1996).
-``graph.symmetry_swap_masks`` lists, for each vertex x, masks S whose
-swap is an automorphism that fixes every vertex outside S and maps x to
-a smaller id: two isomorphic sibling subtrees of a tree, two
-equal-length legs of one major, or two twins.  If W is the
-lexicographically least resolving set, s(W) resolves for every
-automorphism s, so no landmark of W can be moved to a smaller id by an
-automorphism that fixes the landmarks chosen before it: s(W) would be
-smaller than W.  The search therefore skips x whenever the chosen
-landmarks miss some S of x.  The rule drops only sets that are not the
-least one, so each size still returns its least witness or None, and
-"every size exhausted" stays a valid infiniteness certificate.
-
-On every graph it also applies the leg rule behind the
-terminal-count bound (Khuller, Raghavachari & Rosenfeld 1996; Chartrand,
-Eroh, Johnson & Oellermann 2000): a resolving set holds a vertex on every
-leg but one of each major, a leg being the path of degree-2 vertices from
-a terminal pendant.  ``graph.major_vertex_report`` finds the terminals and
-their legs in one walk from each pendant, which reads no distances, and
-every solve takes it at most once.  The legs are disjoint, so a
-prefix owes the unhit legs a count of landmarks that each added landmark
-lowers by at most one, and the search drops a prefix that owes more than
-it may still add.  The rule too drops only sets that do not resolve (see
-level_search).
-
-The metric dimension runs on the same search in ordered mode, where a
-code stands for the distance vector instead of the multiset; the cut's
-argument holds word for word.  The reference ``brute_force_md`` takes no
-cut: it is the unpruned walk ``resolving.least_resolving_set`` on the one
-resolve kernel ``resolving.first_collision``, and the tests compare both
-modes of the search against that walk.
-
-md and dim each spell out their own size schedule in ascending order,
-both with the same shape: they turn at the first size with more than n^2
-candidate sets (``_turn``), so solves that end earlier never pay for
-what comes after it, and they take the swap and leg tables just before
-that size.  md searches that size and, if it fails, every size left in
-one branch-and-bound pass, which visits each prefix that survives the
-cut once instead of once per size; level_search states the four points
-that make the pass return what the size-by-size search would.  dim,
-whose resolving sets are monotone, takes the major-vertex report before
-the turn, starts no lower than its count ``sigma - ex``, and goes on size
-by size from the turn with both tables and its full lower bound.  Above
-``SearchConfig.max_vertices`` a solve raises ``SearchAborted`` before
-any table is built, the only way any search reports the cap.
+- ``level_search`` builds one graph's search ``least(k, table, last)``:
+  a depth-first search over ascending landmark ids with one cut, the
+  lex-leader rule and the leg rule, and for md's sizes after the first
+  large one a branch-and-bound pass.  Its docstring states why each of
+  them drops only sets that are not the least one of their size.
+- ``_extend`` (one size) and ``_bound`` (the pass) are its recursions.
+  They take the state of one frame and one context that stays fixed for
+  a solve with one table; ``_table_bits`` turns the table into bitsets.
+- ``compute_md`` and ``compute_dim`` each spell out their size schedule
+  and take the table at the first large size (``_turn``).  Above
+  ``SearchConfig.max_vertices`` they raise ``SearchAborted``, the one
+  abort signal.
+- ``brute_force_md`` is the unpruned reference walk
+  ``resolving.least_resolving_set``, which the tests hold both modes of
+  the search to.
 """
 
 from __future__ import annotations
@@ -112,8 +69,8 @@ class SearchConfig(NamedTuple):
 
     ``max_vertices`` caps the subset search: above it the walk raises
     SearchAborted (path recognition and the infiniteness detectors still
-    answer md above it).  ``workers`` > 1 shards a scan's graphs across
-    processes; a single md or dim solve always runs in one process, so the
+    answer md above it).  ``workers`` > 1 shards a labelled scan's graphs
+    across processes (a dedup scan runs in one); a single md or dim solve always runs in one process, so the
     worker count never changes an answer.  ``progress`` prints per-level
     notes to stderr.
     """
@@ -233,23 +190,20 @@ def _paying(xs: range, own: list[int], rest: list[int], miss: int) -> list[int]:
     return [x for x in xs if own[x] & miss and rest[x] & miss]
 
 
+# what stays fixed for a solve with one table: the order n, the code
+# ``weights`` and cut labels ``tails`` of level_search, and the table's
+# bitsets ``need, hitby, own, rest`` (see _table_bits), all 0 with no table
+Context = tuple[int, list, list, list[int], list[int], list[int], list[int]]
+
+
 def _extend(
-    code: tuple[int, ...],
-    start: int,
-    left: int,
-    n: int,
-    weights: list[tuple[int, ...]],
-    tails: list[tuple[int, ...]],
-    need: list[int],
-    hitby: list[int],
-    hit: int,
-    own: list[int],
-    rest: list[int],
-    owed: int,
+    code: tuple[int, ...], start: int, left: int, hit: int, owed: int, ctx: Context
 ) -> tuple[int, ...]:
     """Complete the chosen landmarks, whose vertex codes are ``code``, with
     ``left`` more ids from ``start`` on; return the ids added, or () if no
-    completion resolves.
+    completion resolves.  ``hit`` is the union of ``hitby`` over the
+    chosen landmarks, ``owed`` the landmarks their unhit legs are still
+    owed, and ``ctx`` the solve's context.
 
     Candidate x is skipped, before any test, when ``need[x] & ~hit`` is
     non-zero (see _table_bits): the chosen landmarks miss a swap mask S of
@@ -259,11 +213,11 @@ def _extend(
     table every entry is 0, and that graph pays one falsy int per
     candidate.
 
-    The unhit legs are owed ``owed`` more landmarks (the leg rule, see
-    level_search).  When that is all ``left`` of them, only the candidates
-    that pay one off are tried, listed once for the frame, and when it is
-    more, none is; no other frame pays anything per candidate for the
-    rule."""
+    When the legs are owed all ``left`` landmarks (the leg rule, see
+    level_search), only the candidates that pay one off are tried, listed
+    once for the frame, and when they are owed more, none is; no other
+    frame pays anything per candidate for the rule."""
+    n, weights, tails, need, hitby, own, rest = ctx
     miss = ~hit
     xs = range(start, n - left + 1)
     if owed >= left:
@@ -280,19 +234,9 @@ def _extend(
             continue
         if len(set(zip(code, tails[x]))) < n:
             return ()
+        after = owed and owed - ((own[x] & miss and rest[x] & miss) > 0)
         found = _extend(
-            tuple(map(add, code, weights[x])),
-            x + 1,
-            left - 1,
-            n,
-            weights,
-            tails,
-            need,
-            hitby,
-            hit | hitby[x],
-            own,
-            rest,
-            owed and owed - ((own[x] & miss and rest[x] & miss) > 0),
+            tuple(map(add, code, weights[x])), x + 1, left - 1, hit | hitby[x], after, ctx
         )
         if found:
             return (x, *found)
@@ -305,29 +249,28 @@ def _bound(
     size: int,
     lo: int,
     hi: int,
-    n: int,
-    weights: list[tuple[int, ...]],
-    tails: list[tuple[int, ...]],
-    need: list[int],
-    hitby: list[int],
     hit: int,
-    own: list[int],
-    rest: list[int],
     owed: int,
+    ctx: Context,
 ) -> tuple[int, ...]:
     """The branch-and-bound pass over sizes ``lo``..``hi``: extend the
     ``size - 1`` chosen landmarks, whose vertex codes are ``code``, by ids
     from ``start`` on; return the ids added to the least resolving set of
-    the fewest landmarks from lo to hi, or () if none resolves.
+    the fewest landmarks from lo to hi, or () if none resolves.  ``hit``,
+    ``owed`` and ``ctx`` are those of _extend.
 
     Each candidate x makes a child of ``size`` landmarks, with the swap
     rule of _extend and the leg rule: the child is skipped when its unhit
     legs are owed more than the ``hi - size`` landmarks it may still
-    take.  The legs are owed at most one more than that on entry, and
-    only then (``tight``) does a candidate that pays none off get
-    skipped.  At the last allowed size, ``size == hi``, the child gets the
-    resolve test alone.  Below it the cut runs first, and a child of at
-    least ``lo`` landmarks that resolves is returned at once: it is the
+    take.  If the first frame's ``owed`` is at most ``hi``, which md's
+    pass meets (its ``hi`` is n, and the legs, disjoint and missing every
+    major, are owed fewer than n), every frame is entered owing at most
+    one more than that, and only then (``tight``) does a candidate that
+    pays none off get skipped.  A first frame owed more returns (), as
+    every child it tries is still owed a landmark and cannot resolve.
+    At the last allowed size, ``size == hi``, the child gets the resolve
+    test alone.  Below it the cut runs first, and a child of at least
+    ``lo`` landmarks that resolves is returned at once: it is the
     incumbent, and its later siblings and its supersets are no smaller.
     A child whose legs are still owed a landmark gets no resolve test,
     since two unhit legs of one major collide.  Otherwise the child is
@@ -336,6 +279,7 @@ def _bound(
     once ``hi`` is below ``lo``, or below what the legs are owed, nothing
     is left to find (see level_search for why this is sound).
     """
+    n, weights, tails, need, hitby, own, rest = ctx
     best: tuple[int, ...] = ()
     miss = ~hit
     tight = owed > hi - size
@@ -354,22 +298,7 @@ def _bound(
         after = owed and owed - ((own[x] & miss and rest[x] & miss) > 0)
         if size >= lo and not after and len(set(child)) == n:
             return (x,)
-        found = _bound(
-            child,
-            x + 1,
-            size + 1,
-            lo,
-            hi,
-            n,
-            weights,
-            tails,
-            need,
-            hitby,
-            hit | hitby[x],
-            own,
-            rest,
-            after,
-        )
+        found = _bound(child, x + 1, size + 1, lo, hi, hit | hitby[x], after, ctx)
         if found:
             best = (x, *found)
             hi = size + len(found) - 1
@@ -388,8 +317,8 @@ def level_search(dm: DistanceMatrix, ordered: bool = False) -> Least:
     distance vectors (metric resolving).  ``table``, if given, holds the
     ``graph.symmetry_swap_masks`` table and the legs of the
     ``graph.major_vertex_report`` of the same graph; it changes no answer,
-    only how many sets are visited.  ``least`` turns a table into bitsets
-    once and reuses them while it is handed the same table object.
+    only how many sets are visited.  ``least`` turns a table into its
+    context once and reuses it while it is handed the same table object.
 
     ``least`` is a depth-first search over ascending landmark ids.  A
     vertex's code is the sum of ``weights[x][v]`` over the chosen
@@ -479,11 +408,12 @@ def level_search(dm: DistanceMatrix, ordered: bool = False) -> Least:
         set.
 
     The recursions are the module-level ``_extend`` and ``_bound``, which
-    return the ids they add and carry the chosen ones as the ``hit``
-    bitset of both rules, next to the count ``owed``: a nested function
-    that calls itself is a reference cycle, which would leave every
-    solve's tables to the cycle collector, whose pauses showed in
-    per-graph scan latencies.
+    return the ids they add.  Each frame takes only its own state (the
+    codes, the next id, the sizes, the ``hit`` bitset of both rules and
+    the count ``owed``) and the one ``Context`` tuple that ``least``
+    builds per table: a nested function that calls itself is a reference
+    cycle, which would leave every solve's tables to the cycle collector,
+    whose pauses showed in per-graph scan latencies.
     """
     d, n = dm.d, dm.n
     if ordered:
@@ -500,31 +430,25 @@ def level_search(dm: DistanceMatrix, ordered: bool = False) -> Least:
         tails[s] = tuple(map(ids.setdefault, zip(d[s], tails[s + 1]), fresh))
 
     zero = [0] * n
-    blank = zero, zero, zero, zero, 0
-    # the last table handed to least and its bitsets: md hands one table to
-    # its turn size and to its pass, dim one to every size from its turn
-    memo: list = [None, blank]
+    plain: Context = (n, weights, tails, zero, zero, zero, zero)
+    # the last table handed to least, its context and what its legs are
+    # owed: md hands one table to its turn size and to its pass, dim one to
+    # every size from its turn
+    memo: list = [None, plain, 0]
 
     def least(
         k: int, table: Table | None = None, last: int | None = None
     ) -> tuple[int, ...] | None:
-        bits = blank
+        ctx, owed = plain, 0
         if table is not None:
             if table is not memo[0]:
-                memo[:] = table, _table_bits(table, n)
-            bits = memo[1]
-        need, hitby, own, rest, owed = bits
+                need, hitby, own, rest, owed = _table_bits(table, n)
+                memo[:] = table, (n, weights, tails, need, hitby, own, rest), owed
+            _, ctx, owed = memo
         if last is None:
-            found = _extend(
-                (0,) * n, 0, k, n, weights, tails, need, hitby, 0, own, rest, owed
-            )
-        elif owed > last:
-            return None
+            found = _extend((0,) * n, 0, k, 0, owed, ctx)
         else:
-            found = _bound(
-                (0,) * n, 0, 1, k, last, n, weights, tails, need, hitby, 0, own, rest,
-                owed,
-            )
+            found = _bound((0,) * n, 0, 1, k, last, 0, owed, ctx)
         return found or None
 
     return least

@@ -189,6 +189,16 @@ class TestCommands:
         assert main(["family", "cycle:6", "--action", "md"]) == EXIT_OK
         assert "expected md = 3" in capsys.readouterr().out
 
+    def test_family_expected_md_infinite(self, capsys):
+        assert main(["family", "cycle:4", "--action", "md"]) == EXIT_OK
+        assert capsys.readouterr().out.strip() == "expected md = infinite"
+
+    def test_family_expected_md_unspecified(self, capsys):
+        assert main(["family", "substar:3x2", "--action", "md"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith(
+            "expected md unspecified: claimed value n-1 = 2 is impossible"
+        )
+
     def test_family_witness(self, capsys):
         assert main(["family", "substar:4x3", "--action", "witness"]) == EXIT_OK
         assert capsys.readouterr().out.strip() == "witness = {1, 5, 9}"

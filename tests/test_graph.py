@@ -58,6 +58,10 @@ class TestBuildGraph:
             build_graph(3, [(0, 1), (1, 3)])
         assert info.value.edge_index == 1
 
+    def test_negative_order_rejected(self):
+        with pytest.raises(GraphError, match="vertex count must be non-negative"):
+            build_graph(-1, [])
+
     def test_petersen_is_cubic(self):
         g = build_graph(10, PETERSEN_EDGES)
         assert all(g.degree(v) == 3 for v in range(10))
@@ -129,6 +133,11 @@ class TestStructure:
     def test_is_connected(self):
         assert is_connected(path_graph(3))
         assert not is_connected(build_graph(3, [(0, 1)]))
+
+    def test_empty_graph_is_neither_connected_nor_a_path(self):
+        g = build_graph(0, [])
+        assert not is_connected(g)
+        assert not is_path(g)
 
     def test_major_report_star(self):
         g = star_graph(3)

@@ -25,7 +25,6 @@ from mdim.harness import (
     spider_probe,
     table_mismatches,
     _perm_bit_tables,
-    _scan_mask_range,
 )
 
 
@@ -271,21 +270,18 @@ class TestScan:
             hist[key] = hist.get(key, 0) + 1
         assert dedup.md_histogram == hist
 
-    def test_dedup_shards_keep_each_class_once(self):
-        # a class whose orbit spans several shards is kept only by the
-        # shard that holds its least mask, whatever the shard bounds
-        n, total = 5, 1 << 10
-        for cuts in ([], [1, 2, 3], [100, 101, 555], list(range(64, total, 64))):
-            bounds = [0, *cuts, total]
-            parts = [
-                _scan_mask_range((n, lo, hi, True)) for lo, hi in zip(bounds, bounds[1:])
-            ]
-            hist: dict = {}
-            for part in parts:
-                for key, count in part["hist"].items():
-                    hist[key] = hist.get(key, 0) + count
-            assert sum(part["connected"] for part in parts) == 21, cuts
-            assert hist == {1: 1, 3: 4, "infinite": 16}, cuts
+    def test_dedup_scan_starts_no_process(self, monkeypatch):
+        # each shard would list the orbits of earlier shards again, so a
+        # dedup scan runs in one process whatever the worker count
+        import concurrent.futures
+
+        serial = scan_small_graphs(5, dedup=True)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("process pool started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        assert scan_small_graphs(5, dedup=True, cfg=SearchConfig(workers=2)) == serial
 
 
 class TestSuite:

@@ -23,7 +23,7 @@ from mdim import (
     twin_partition,
     verify_witness,
 )
-from mdim.families import FamilySpec, generate
+from mdim.families import FamilySpec, generate, parse_family_spec
 from mdim.graph import (
     _leg_and_twin_masks,
     _least_masks,
@@ -546,6 +546,31 @@ class TestBoundPass:
         assert sorted({m for _, m in frames if m}) == [4, 5]
         slow = brute_force_md(g)
         assert (outcome.value, outcome.witness) == (slow.value, slow.witness)
+
+    @pytest.mark.parametrize(
+        "spec,owed,witness",
+        [
+            ("substar:5x3", 4, (1, 2, 4, 8, 12)),
+            ("substar:7x3", 6, (1, 2, 4, 6, 7, 11, 12, 14, 18)),
+            ("karytree:2x3", 4, (1, 3, 5, 7, 9, 11, 13)),
+        ],
+    )
+    def test_no_set_below_what_the_legs_are_owed(self, spec, owed, witness):
+        # a pass whose last size is below the count the legs are owed
+        # before any landmark is chosen finds nothing, since every set of
+        # at most that size leaves two legs of one major unhit; with every
+        # size allowed it finds md's witness
+        g = generate(parse_family_spec(spec))
+        dm = all_pairs_distances(g)
+        mr = major_vertex_report(g, dm)
+        table = Table(symmetry_swap_masks(g, twin_partition(g), mr), mr.legs)
+        assert search._table_bits(table, g.n)[-1] == owed
+        least = level_search(dm)
+        for k in (1, 3):
+            for last in range(k, owed):
+                assert least(k, table, last) is None, (spec, k, last)
+            assert least(k, table, g.n) == witness
+        assert compute_md(g, SearchConfig(max_vertices=g.n)).witness == witness
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_per_size_search_on_swap_rule_trees(self, seed):
