@@ -94,10 +94,8 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     raise ParseError("no input: give a file path or --family")
 
 
-def _config(args: argparse.Namespace, workers: int = 1) -> SearchConfig:
-    return SearchConfig(
-        max_vertices=args.max_vertices, workers=workers, progress=args.progress
-    )
+def _config(args: argparse.Namespace) -> SearchConfig:
+    return SearchConfig(max_vertices=args.max_vertices, progress=args.progress)
 
 
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
@@ -275,8 +273,7 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    cfg = SearchConfig(workers=args.parallel, progress=args.progress)
-    report = harness.scan_small_graphs(args.n, dedup=args.dedup, cfg=cfg)
+    report = harness.scan_small_graphs(args.n, dedup=args.dedup)
     text = [
         f"scan n={report.n} dedup={report.dedup}: "
         f"{report.graphs_connected} connected of {report.graphs_total} enumerated",
@@ -291,7 +288,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_suite(args) -> int:
     checks = harness.run_reproduction_suite(
-        _config(args, args.parallel), scan_n=args.scan_n, scan_dedup=args.dedup
+        _config(args), scan_n=args.scan_n, scan_dedup=args.dedup
     )
     _emit(
         args,
@@ -321,18 +318,12 @@ def _at_least_one(what: str) -> Callable[[str], int]:
 def _add_common(
     sub: argparse.ArgumentParser,
     graph_input: bool = True,
-    parallel: bool = False,
     progress: bool = False,
     cap: bool = False,
 ) -> None:
     """Add --json and the options the subcommand reads: the graph input,
-    ``parallel`` for --parallel, ``progress`` for --progress and ``cap``
-    for --max-vertices."""
+    ``progress`` for --progress and ``cap`` for --max-vertices."""
     sub.add_argument("--json", action="store_true", help="structured output")
-    if parallel:
-        sub.add_argument("--parallel", type=_at_least_one("a worker count"), default=1,
-                         metavar="K", help="worker processes for a labelled scan "
-                         "(default 1; a --dedup scan runs in one)")
     if progress:
         sub.add_argument("--progress", action="store_true",
                          help="progress notes on stderr")
@@ -378,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tables)
 
     p = subs.add_parser("scan", help="solve every connected graph of one order")
-    _add_common(p, graph_input=False, parallel=True, progress=True)
+    _add_common(p, graph_input=False)
     p.add_argument("--n", type=int, choices=harness.SCAN_ORDERS, default=6,
                    metavar="N", help="order to scan (2..7, default 6)")
     p.add_argument("--dedup", action="store_true",
@@ -386,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scan)
 
     p = subs.add_parser("suite", help="run the full reproduction suite")
-    _add_common(p, graph_input=False, parallel=True, progress=True, cap=True)
+    _add_common(p, graph_input=False, progress=True, cap=True)
     p.add_argument("--scan-n", type=int, choices=harness.SCAN_ORDERS, default=6,
                    metavar="N", help="scan order (2..7, default 6)")
     p.add_argument("--dedup", action="store_true", help="dedup the suite scan")

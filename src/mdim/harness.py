@@ -10,8 +10,8 @@ a *pass*.
 
 from __future__ import annotations
 
-import sys
 from itertools import combinations, permutations
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import families
@@ -187,9 +187,14 @@ def table_mismatches(rows: list[TableRow]) -> list[TableRow]:
 class ScanReport(NamedTuple):
     """Aggregate of solving every (connected) graph of one order.
 
-    ``graphs_total`` counts all enumerated labelled graphs; with dedup on,
-    ``graphs_connected`` counts isomorphism-class representatives instead
-    of labelled graphs, and the histogram follows suit.
+    ``graphs_total`` counts all 2^C(n,2) labelled graphs.  Without dedup,
+    ``graphs_connected``, the histogram and the diameter-2 fraction count
+    labelled graphs; with dedup on they count isomorphism classes.  An
+    order-7 scan solves one graph per class and weights it by the
+    class's number of labellings, n!/|Aut|, so its counts equal the
+    labelled ones; there, and in every dedup scan, each violation or
+    conjecture hit names the least edge bitmask of its class once, and
+    each md in the spectrum the least labelled graph that has it.
     """
 
     n: int
@@ -205,8 +210,10 @@ class ScanReport(NamedTuple):
         return _jsonable(self._asdict())
 
 
-# the orders scan_small_graphs enumerates
+# the orders scan_small_graphs enumerates; up to _LABELLED_MAX a scan
+# without dedup solves every labelled graph, above it one per class
 SCAN_ORDERS = range(2, 8)
+_LABELLED_MAX = 6
 
 
 def edge_pairs(n: int) -> list[tuple[int, int]]:
@@ -219,70 +226,88 @@ def mask_to_edges(mask: int, pairs: list[tuple[int, int]]) -> tuple[tuple[int, i
 
 
 def _perm_bit_tables(n: int, pairs: list[tuple[int, int]]) -> list[list[int]]:
-    index = {p: b for b, p in enumerate(pairs)}
+    """One table per vertex permutation: entry b is the bit value of the
+    image of edge bit b, and two zeros follow for ``relabellings``."""
+    bit = {p: 1 << b for b, p in enumerate(pairs)}
     tables = []
     for perm in permutations(range(n)):
         table = []
         for u, v in pairs:
             pu, pv = perm[u], perm[v]
-            table.append(index[(pu, pv) if pu < pv else (pv, pu)])
-        tables.append(table)
+            table.append(bit[(pu, pv) if pu < pv else (pv, pu)])
+        tables.append(table + [0, 0])
     return tables
 
 
 def relabellings(mask: int, perm_tables: list[list[int]]) -> set[int]:
     """The edge bitmasks of every vertex relabelling of the graph."""
-    out = set()
-    for table in perm_tables:
-        image = 0
-        m = mask
-        while m:
-            low = m & -m
-            image |= 1 << table[low.bit_length() - 1]
-            m ^= low
-        out.add(image)
-    return out
+    # the two trailing zeros make itemgetter return a tuple for any mask
+    pick = itemgetter(-2, -1, *(b for b in range(mask.bit_length()) if mask >> b & 1))
+    return {sum(pick(table)) for table in perm_tables}
 
 
-def canonical_code(mask: int, perm_tables: list[list[int]]) -> int:
-    """Least edge bitmask over all vertex relabellings of the graph."""
-    return min(relabellings(mask, perm_tables))
+def _orbit_leaders(n: int, pairs: list[tuple[int, int]], weighted: bool):
+    """The least edge bitmask of each relabelling orbit, ascending, with
+    the orbit's size n!/|Aut| as its weight, or 1 when not ``weighted``.
+
+    One ascending walk meets each orbit first at its least mask, and
+    listing the orbit there marks the rest of it seen."""
+    perm_tables = _perm_bit_tables(n, pairs)
+    seen = bytearray(1 << len(pairs))
+    for mask in range(len(seen)):
+        if not seen[mask]:
+            orbit = relabellings(mask, perm_tables)
+            for image in orbit:
+                seen[image] = 1
+            yield mask, len(orbit) if weighted else 1
 
 
-def _scan_mask_range(args) -> dict:
-    """Solve and claim-check every connected graph in [lo, hi); top-level
-    so the scan can run the mask space across a process pool.  With
-    ``dedup`` the range must be the whole mask space, walked in one
-    ascending pass: the first mask of each orbit met is then its least."""
-    n, lo, hi, dedup = args
+def scan_small_graphs(n: int, dedup: bool = False) -> ScanReport:
+    """Solve every connected graph on n vertices and check each claim.
+
+    n runs over 2..7 (else ValueError).  Up to order 6 a scan solves each
+    of the 2^C(n,2) labelled graphs.  At order 7 it solves the least edge
+    bitmask of each isomorphism class and counts it n!/|Aut| times, the
+    size of its relabelling orbit: the labelled counts from 853 solves
+    instead of 1,866,256.  With ``dedup`` it solves the same
+    representatives and counts each once.  md is walked from size 1 and
+    dim from one below ``dim_lower_bound``, so every bound rule is
+    checked rather than assumed.  Violations land in the report, tagged
+    md-lower-bound, md-ge-dim, twin-pair-membership, detector-soundness
+    or dim-lower-bound; an empty violation list is the expected outcome
+    for every proved bound.  A scan by classes names each offending
+    graph once, by its class's least bitmask (see ``ScanReport``).
+    """
+    if n not in SCAN_ORDERS:
+        raise ValueError(f"scan supports n in 2..7, got {n}")
     pairs = edge_pairs(n)
-    if dedup:
-        # seen[mask] marks a relabelling of a graph already listed
-        perm_tables = _perm_bit_tables(n, pairs)
-        seen = bytearray(hi)
+    if dedup or n > _LABELLED_MAX:
+        source = _orbit_leaders(n, pairs, weighted=not dedup)
+    else:
+        source = ((mask, 1) for mask in range(1 << len(pairs)))
+    return _scan(n, dedup, pairs, source)
+
+
+def _scan(n: int, dedup: bool, pairs: list[tuple[int, int]], source) -> ScanReport:
+    """Solve and claim-check each connected graph of ``source``, a run of
+    ascending (edge bitmask, labelled graphs it stands for) pairs."""
     hist: dict = {}
     violations: list = []
     conjecture_hits: list = []
     spectrum: dict = {}
     connected = diam2 = 0
 
-    for mask in range(lo, hi):
-        if dedup and seen[mask]:
-            continue
+    for mask, weight in source:
         edges = mask_to_edges(mask, pairs)
         g = build_graph(n, list(edges))
         if not is_connected(g):
             continue
-        if dedup:
-            # the orbit's least mask lists the orbit once
-            for image in relabellings(mask, perm_tables):
-                seen[image] = 1
         dm = all_pairs_distances(g)
         tp = twin_partition(g)
         mr = major_vertex_report(g, dm)
-        connected += 1
+        connected += weight
         if dm.diameter <= 2:
-            diam2 += 1
+            diam2 += weight
 
         # metric resolving is monotone under supersets, so a resolving set
         # below the bound would show at size lb - 1, where the search starts
@@ -311,6 +336,7 @@ def _scan_mask_range(args) -> dict:
                     break
             if md > n - 1:
                 conjecture_hits.append((md, edges))
+            # masks ascend, so the first graph met with an md is the least
             if md not in spectrum:
                 spectrum[md] = edges
         else:
@@ -321,74 +347,7 @@ def _scan_mask_range(args) -> dict:
                 flag("detector-soundness")
         if dim_value < dim_lb:
             flag("dim-lower-bound")
-        hist[key] = hist.get(key, 0) + 1
-
-    return {
-        "connected": connected,
-        "diam2": diam2,
-        "hist": hist,
-        "violations": violations,
-        "conjecture_hits": conjecture_hits,
-        "spectrum": spectrum,
-    }
-
-
-def scan_small_graphs(
-    n: int, dedup: bool = False, cfg: SearchConfig = SearchConfig()
-) -> ScanReport:
-    """Solve every connected graph on n vertices and check each claim.
-
-    Enumerates all 2^C(n,2) labelled graphs (n in 2..7, else ValueError),
-    optionally keeping one representative per isomorphism class (least
-    bitmask over all vertex permutations).  ``cfg.workers`` > 1 shards a
-    labelled scan across processes; a dedup scan runs in one process,
-    since shards would list the orbits of earlier shards again.  md is
-    walked from size 1 and dim from one below ``dim_lower_bound``, so
-    every bound rule is checked rather than assumed.  Violations land in
-    the report, tagged md-lower-bound, md-ge-dim, twin-pair-membership,
-    detector-soundness or dim-lower-bound; an empty violation list is the
-    expected outcome for every proved bound.
-    """
-    if n not in SCAN_ORDERS:
-        raise ValueError(f"scan supports n in 2..7, got {n}")
-    total_masks = 1 << len(edge_pairs(n))
-
-    if cfg.workers > 1 and not dedup:
-        # imported here: serial callers would otherwise load about 2 MB of
-        # multiprocessing modules they never use
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk = max(1024, total_masks // (cfg.workers * 8))
-        ranges = [
-            (n, lo, min(lo + chunk, total_masks), dedup)
-            for lo in range(0, total_masks, chunk)
-        ]
-        # under fork the pool starts all its workers at once, so start no
-        # more than there are shards
-        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(ranges))) as pool:
-            partials = list(pool.map(_scan_mask_range, ranges))
-        if cfg.progress:
-            print(f"scan n={n}: merged {len(partials)} shards", file=sys.stderr)
-    else:
-        partials = [_scan_mask_range((n, 0, total_masks, dedup))]
-
-    hist: dict = {}
-    violations: list = []
-    conjecture_hits: list = []
-    spectrum: dict = {}
-    connected = diam2 = 0
-    for part in partials:
-        connected += part["connected"]
-        diam2 += part["diam2"]
-        for k, v in part["hist"].items():
-            hist[k] = hist.get(k, 0) + v
-        violations.extend(part["violations"])
-        conjecture_hits.extend(part["conjecture_hits"])
-        # partials arrive in ascending mask order; first occurrence wins so
-        # parallel runs reproduce the serial choice exactly
-        for value, edges in part["spectrum"].items():
-            if value not in spectrum:
-                spectrum[value] = edges
+        hist[key] = hist.get(key, 0) + weight
     violations.sort()
 
     findings = []
@@ -424,7 +383,7 @@ def scan_small_graphs(
     return ScanReport(
         n=n,
         dedup=dedup,
-        graphs_total=total_masks,
+        graphs_total=1 << len(pairs),
         graphs_connected=connected,
         md_histogram=dict(
             sorted(hist.items(), key=lambda kv: (isinstance(kv[0], str), kv[0]))
@@ -649,7 +608,7 @@ def run_reproduction_suite(
     checks.append(spider_probe())
     checks.append(_detector_incompleteness_check(cfg))
     checks.append(_petersen_check(cfg))
-    report = scan_small_graphs(scan_n, dedup=scan_dedup, cfg=cfg)
+    report = scan_small_graphs(scan_n, dedup=scan_dedup)
     checks.append(
         Check(
             f"scan:{scan_n}",

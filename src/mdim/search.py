@@ -69,10 +69,10 @@ class SearchConfig(NamedTuple):
 
     ``max_vertices`` caps the subset search: above it the walk raises
     SearchAborted (path recognition and the infiniteness detectors still
-    answer md above it).  ``workers`` > 1 shards a labelled scan's graphs
-    across processes (a dedup scan runs in one); a single md or dim solve always runs in one process, so the
-    worker count never changes an answer.  ``progress`` prints per-level
-    notes to stderr.
+    answer md above it).  No solver or scan reads ``workers``: every
+    solve and every scan runs in one process, so it never changes an
+    answer; it stays for callers that still pass it.  ``progress`` prints
+    per-level notes to stderr.
     """
 
     max_vertices: int = 24

@@ -5,7 +5,6 @@ pytest -s or in the captured output section); a failing criterion shows up
 as a regular pytest failure naming the criterion.
 """
 
-import os
 import time
 
 import pytest
@@ -177,12 +176,8 @@ def test_criterion_10_bound_suite(scan_reports):
     report(10, "bound suite clean at n = 4, 5, 6; md <= n-1 holds at this scale")
 
 
-@pytest.mark.skipif(
-    not os.environ.get("MDIM_SCAN_N7"),
-    reason="order-7 scan takes minutes; set MDIM_SCAN_N7=1 to run",
-)
 def test_criterion_10b_bound_suite_order_7():
-    rep = scan_small_graphs(7, cfg=SearchConfig(workers=os.cpu_count() or 4))
+    rep = scan_small_graphs(7)
     assert rep.violations == []
     # frozen survey numbers from a verified full run; 2520 = 7!/2 labelled
     # paths, and the connected count matches the published enumeration

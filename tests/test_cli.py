@@ -297,11 +297,6 @@ class TestExitCodes:
                 "mdim: aborted: 9 vertices exceeds the exhaustive-search cap of 4\n"
             )
 
-    @pytest.mark.parametrize("k", ["0", "-1", "x"])
-    def test_parallel_below_one_is_usage_error(self, k, capsys):
-        assert main(["scan", "--n", "4", "--parallel", k]) == EXIT_USAGE
-        assert "--parallel" in capsys.readouterr().err
-
     @pytest.mark.parametrize("command", ["md", "dim", "suite"])
     @pytest.mark.parametrize("cap", ["0", "-1", "x"])
     def test_cap_below_one_is_usage_error(self, command, cap, capsys):
@@ -330,6 +325,9 @@ class TestExitCodes:
             ["scan", "--n", "4", "--max-vertices", "10"],
             ["md", "--family", "cycle:8", "--parallel", "3"],
             ["dim", "--family", "cycle:8", "--parallel", "3"],
+            ["scan", "--n", "4", "--parallel", "2"],
+            ["suite", "--scan-n", "4", "--parallel", "2"],
+            ["scan", "--n", "4", "--progress"],
         ],
     )
     def test_unread_option_is_usage_error(self, argv, capsys):
@@ -357,12 +355,6 @@ class TestDeterminism:
         first = capsys.readouterr().out
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out == first
-
-    def test_parallel_scan_prints_serial_bytes(self, capsys):
-        assert main(["scan", "--n", "4", "--json"]) == EXIT_OK
-        serial = capsys.readouterr().out
-        assert main(["scan", "--n", "4", "--parallel", "2", "--json"]) == EXIT_OK
-        assert capsys.readouterr().out == serial
 
     @pytest.mark.parametrize(
         "argv,digest",

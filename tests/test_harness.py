@@ -14,11 +14,11 @@ from mdim.harness import (
     STATUS_FINDING,
     STATUS_PASS,
     STATUS_VIOLATION,
-    canonical_code,
     cycle_table,
     edge_pairs,
     grid_table,
     mask_to_edges,
+    relabellings,
     run_reproduction_suite,
     render_checks,
     scan_small_graphs,
@@ -183,35 +183,55 @@ class TestScan:
         claims = {claim for claim, _ in scan_small_graphs(4).violations}
         assert claims == {"twin-pair-membership"}
 
-    def test_parallel_scan_identical(self):
-        serial = scan_small_graphs(5)
-        parallel = scan_small_graphs(5, cfg=SearchConfig(workers=3))
-        assert serial.to_dict() == parallel.to_dict()
+    @pytest.mark.parametrize("n,classes", [(2, 2), (3, 4), (4, 11), (5, 34), (6, 156)])
+    def test_orbit_weights_count_every_labelled_graph(self, n, classes):
+        # one leader per class of all graphs (OEIS A000088), and the orbit
+        # sizes n!/|Aut| add up to all 2^C(n,2) labelled graphs
+        from mdim import harness
 
-    def test_pool_starts_no_more_workers_than_shards(self, monkeypatch):
-        # under fork a pool starts all max_workers at once; order 4 is one
-        # shard, so 500 requested workers must start one process
-        import concurrent.futures
+        pairs = edge_pairs(n)
+        leaders = list(harness._orbit_leaders(n, pairs, True))
+        assert len(leaders) == classes
+        assert sum(w for _, w in leaders) == 1 << len(pairs)
+        assert {w for _, w in harness._orbit_leaders(n, pairs, False)} == {1}
 
-        sizes = []
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_weighted_classes_equal_labelled_scan(self, n):
+        # one solve per class, counted n!/|Aut| times, gives the labelled
+        # report in every field; the spectrum agrees because the least
+        # labelled graph with an md is the least class leader with it
+        from mdim import harness
 
-        class InProcessPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        pairs = edge_pairs(n)
+        weighted = harness._scan(n, False, pairs, harness._orbit_leaders(n, pairs, True))
+        assert weighted == scan_small_graphs(n)
 
-            def __enter__(self):
-                return self
+    def test_weighted_scan_names_each_class_once(self, monkeypatch):
+        # the overstated bounds of test_claim_checks_can_fail on the scan
+        # by classes: the same claims, each named once per class, by the
+        # least bitmask of its orbit
+        from mdim import harness
+        from mdim.resolving import LowerBoundReport
 
-            def __exit__(self, *exc):
-                return False
+        def overstated(bound):
+            return lambda *args: LowerBoundReport(bound(*args).value + 1, {})
 
-            def map(self, fn, items):
-                return map(fn, items)
+        monkeypatch.setattr(harness, "md_lower_bound", overstated(harness.md_lower_bound))
+        monkeypatch.setattr(harness, "dim_lower_bound", overstated(harness.dim_lower_bound))
+        n = 5
+        pairs = edge_pairs(n)
+        tables = _perm_bit_tables(n, pairs)
+        bit = {p: 1 << b for b, p in enumerate(pairs)}
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        pooled = scan_small_graphs(4, cfg=SearchConfig(workers=500))
-        assert sizes == [1]
-        assert pooled.to_dict() == scan_small_graphs(4).to_dict()
+        def leader(edges):
+            return mask_to_edges(min(relabellings(sum(bit[e] for e in edges), tables)), pairs)
+
+        labelled = scan_small_graphs(n).violations
+        weighted = harness._scan(n, False, pairs, harness._orbit_leaders(n, pairs, True))
+        claims = {claim for claim, _ in weighted.violations}
+        assert claims == {claim for claim, _ in labelled} == {"md-lower-bound", "dim-lower-bound"}
+        assert all(leader(edges) == edges for _, edges in weighted.violations)
+        assert weighted.violations == sorted({(c, leader(e)) for c, e in labelled})
 
     def test_serial_import_loads_no_multiprocessing(self):
         # only a parallel scan needs the process pool, so importing the
@@ -259,7 +279,7 @@ class TestScan:
             g = build_graph(n, list(mask_to_edges(mask, pairs)))
             if not is_connected(g):
                 continue
-            canon = canonical_code(mask, tables)
+            canon = min(relabellings(mask, tables))
             outcome = compute_md(g)
             key = outcome.value if outcome.is_finite else "infinite"
             assert class_md.setdefault(canon, key) == key
@@ -269,19 +289,6 @@ class TestScan:
         for key in class_md.values():
             hist[key] = hist.get(key, 0) + 1
         assert dedup.md_histogram == hist
-
-    def test_dedup_scan_starts_no_process(self, monkeypatch):
-        # each shard would list the orbits of earlier shards again, so a
-        # dedup scan runs in one process whatever the worker count
-        import concurrent.futures
-
-        serial = scan_small_graphs(5, dedup=True)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("process pool started")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-        assert scan_small_graphs(5, dedup=True, cfg=SearchConfig(workers=2)) == serial
 
 
 class TestSuite:
