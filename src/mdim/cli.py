@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Callable
 
@@ -98,13 +99,6 @@ def _config(args: argparse.Namespace) -> SearchConfig:
     return SearchConfig(max_vertices=args.max_vertices, progress=args.progress)
 
 
-def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(text)
-
-
 def _parse_set(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(",") if x.strip() != "")
@@ -112,7 +106,7 @@ def _parse_set(text: str) -> tuple[int, ...]:
         raise ParseError(f"bad vertex set {text!r}; expected comma-separated ids") from None
 
 
-def _cmd_md(args) -> int:
+def _cmd_md(args) -> tuple[dict, str]:
     g = _load_graph(args)
     outcome = compute_md(g, _config(args))
     payload: dict = {"command": "md", "n": g.n, "kind": outcome.kind.value}
@@ -122,22 +116,19 @@ def _cmd_md(args) -> int:
         payload.update(certificate=outcome.certificate.kind.value)
         if outcome.certificate.twin_class:
             payload.update(twin_class=list(outcome.certificate.twin_class))
-    _emit(args, payload, outcome.describe())
-    return EXIT_OK
+    return payload, outcome.describe()
 
 
-def _cmd_dim(args) -> int:
+def _cmd_dim(args) -> tuple[dict, str]:
     g = _load_graph(args)
     value, witness = compute_dim(g, _config(args))
-    _emit(
-        args,
+    return (
         {"command": "dim", "n": g.n, "value": value, "witness": list(witness)},
         f"dim = {value}, witness = {{{', '.join(map(str, witness))}}}",
     )
-    return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[dict, str]:
     g = _load_graph(args)
     w = _parse_set(args.set)
     report = verify_witness(g, w)
@@ -163,11 +154,10 @@ def _cmd_verify(args) -> int:
         lines.append(
             f"  {v}: {list(report.representations[v])} | {list(report.vectors[v])}"
         )
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK
+    return payload, "\n".join(lines)
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> tuple[dict, str]:
     g = _load_graph(args)
     dm = all_pairs_distances(g)
     tp = twin_partition(g)
@@ -195,55 +185,35 @@ def _cmd_bounds(args) -> int:
         lines += [f"  {tag}: {v}" for tag, v in report.bounds.items()]
     if cert:
         lines.append(f"infinite: yes ({cert.describe()})")
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK
+    return payload, "\n".join(lines)
 
 
-def _cmd_family(args) -> int:
+def _cmd_family(args) -> tuple[dict, str]:
     spec = parse_family_spec(args.spec)
+    payload: dict = {"command": "family", "spec": str(spec)}
     if args.action == "emit":
         g = families.generate(spec)
-        edge_lines = "\n".join(f"{u} {v}" for u, v in g.edges())
-        text = f"# {spec}\nn={g.n}\n{edge_lines}" + ("\n" if edge_lines else "")
-        _emit(
-            args,
-            {"command": "family", "spec": str(spec), "n": g.n,
-             "edges": [list(e) for e in g.edges()]},
-            text.rstrip("\n"),
-        )
-        return EXIT_OK
+        payload.update(n=g.n, edges=[list(e) for e in g.edges()])
+        lines = [f"# {spec}", f"n={g.n}"] + [f"{u} {v}" for u, v in g.edges()]
+        return payload, "\n".join(lines)
     if args.action == "md":
         expected = families.expected_md(spec)
-        payload = {
-            "command": "family",
-            "spec": str(spec),
-            "expected": expected.kind.value,
-            "value": expected.value,
-            "note": expected.note,
-        }
+        payload.update(expected=expected.kind.value, value=expected.value, note=expected.note)
         if expected.value is not None:
-            text = f"expected md = {expected.value}"
-        elif expected.kind is families.MdKind.INFINITE:
-            text = "expected md = infinite"
-        else:
-            text = f"expected md unspecified: {expected.note}"
-        _emit(args, payload, text)
-        return EXIT_OK
+            return payload, f"expected md = {expected.value}"
+        if expected.kind is families.MdKind.INFINITE:
+            return payload, "expected md = infinite"
+        return payload, f"expected md unspecified: {expected.note}"
     try:
         w = families.witness_for(spec)
     except NoKnownWitness as exc:
-        _emit(args, {"command": "family", "spec": str(spec), "witness": None,
-                     "note": str(exc)}, str(exc))
-        return EXIT_OK
-    _emit(
-        args,
-        {"command": "family", "spec": str(spec), "witness": list(w)},
-        f"witness = {{{', '.join(map(str, w))}}}",
-    )
-    return EXIT_OK
+        payload.update(witness=None, note=str(exc))
+        return payload, str(exc)
+    payload.update(witness=list(w))
+    return payload, f"witness = {{{', '.join(map(str, w))}}}"
 
 
-def _cmd_tables(args) -> int:
+def _cmd_tables(args) -> tuple[dict, str]:
     spec = parse_family_spec(args.selector)
     table = {FamilyKind.CYCLE: harness.cycle_table, FamilyKind.GRID: harness.grid_table}
     if spec.kind not in table:
@@ -252,6 +222,7 @@ def _cmd_tables(args) -> int:
         rows = table[spec.kind](*spec.params)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+    mismatches = len(harness.table_mismatches(rows))
     payload = {
         "command": "tables",
         "selector": args.selector,
@@ -260,19 +231,18 @@ def _cmd_tables(args) -> int:
              "closed_form": list(r.closed_form), "match": r.match}
             for r in rows
         ],
-        "mismatches": len(harness.table_mismatches(rows)),
+        "mismatches": mismatches,
     }
     lines = [
         f"{r.vertex}: computed {list(r.computed)} closed {list(r.closed_form)}"
         + ("" if r.match else "   << MISMATCH")
         for r in rows
     ]
-    lines.append(f"mismatches: {len(harness.table_mismatches(rows))}")
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK
+    lines.append(f"mismatches: {mismatches}")
+    return payload, "\n".join(lines)
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args) -> tuple[dict, str]:
     report = harness.scan_small_graphs(args.n, dedup=args.dedup)
     text = [
         f"scan n={report.n} dedup={report.dedup}: "
@@ -282,20 +252,17 @@ def _cmd_scan(args) -> int:
         f"violations: {report.violations or 'none'}",
     ]
     text += ["  " + c.render() for c in report.conjecture_findings]
-    _emit(args, report.to_dict(), "\n".join(text))
-    return EXIT_OK
+    return report.to_dict(), "\n".join(text)
 
 
-def _cmd_suite(args) -> int:
+def _cmd_suite(args) -> tuple[dict, str]:
     checks = harness.run_reproduction_suite(
         _config(args), scan_n=args.scan_n, scan_dedup=args.dedup
     )
-    _emit(
-        args,
+    return (
         {"command": "suite", "checks": [c.to_dict() for c in checks]},
         harness.render_checks(checks),
     )
-    return EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
@@ -393,16 +360,23 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
-    except (ParseError, GraphError, InvalidParameter) as exc:
+        payload, text = args.func(args)
+    except (ParseError, GraphError, InvalidParameter, FileNotFoundError) as exc:
         print(f"mdim: {exc}", file=sys.stderr)
         return EXIT_BAD_GRAPH
     except SearchAborted as exc:
         print(f"mdim: aborted: {exc}", file=sys.stderr)
         return EXIT_ABORTED
-    except FileNotFoundError as exc:
-        print(f"mdim: {exc}", file=sys.stderr)
-        return EXIT_BAD_GRAPH
+    try:
+        print(json.dumps(payload, sort_keys=True) if args.json else text, flush=True)
+    except BrokenPipeError:
+        # the reader stopped early and the answer is complete; devnull on
+        # fd 1 takes what is still buffered, so the interpreter's last
+        # flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return EXIT_OK
 
 
 def entry() -> None:

@@ -82,17 +82,26 @@ class FamilySpec(NamedTuple):
         return cls(FamilyKind.COUNTEREXAMPLE_TREE)
 
 
-_ARITY = {
-    FamilyKind.PATH: 1,
-    FamilyKind.CYCLE: 1,
-    FamilyKind.COMPLETE: 1,
-    FamilyKind.STAR: 1,
-    FamilyKind.SUBDIVIDED_STAR: 2,
-    FamilyKind.GRID: 2,
-    FamilyKind.KARY_TREE: 2,
-    FamilyKind.PETERSEN: 0,
-    FamilyKind.COUNTEREXAMPLE_TREE: 0,
+# each family's parameter count and legal range, as (count, test, rule
+# text); a family without parameters has no rule to break
+_RULES = {
+    FamilyKind.PATH: (1, lambda n: n >= 1, "n >= 1"),
+    FamilyKind.CYCLE: (1, lambda n: n >= 3, "n >= 3"),
+    FamilyKind.COMPLETE: (1, lambda n: n >= 1, "n >= 1"),
+    FamilyKind.STAR: (1, lambda n: n >= 1, "n >= 1"),
+    FamilyKind.SUBDIVIDED_STAR: (2, lambda n, p: n >= 1 and p >= 1, "n >= 1 and p >= 1"),
+    FamilyKind.GRID: (2, lambda m, n: m >= 1 and n >= 1, "m >= 1 and n >= 1"),
+    FamilyKind.KARY_TREE: (2, lambda k, h: k >= 1 and h >= 1, "k >= 1 and h >= 1"),
+    FamilyKind.PETERSEN: (0, lambda: True, ""),
+    FamilyKind.COUNTEREXAMPLE_TREE: (0, lambda: True, ""),
 }
+
+
+def _check_params(spec: FamilySpec) -> None:
+    """Raise InvalidParameter unless spec's parameters are in range."""
+    _, test, rule = _RULES[spec.kind]
+    if not test(*spec.params):
+        raise InvalidParameter(f"{spec}: requires {rule}")
 
 
 def parse_family_spec(text: str) -> FamilySpec:
@@ -109,10 +118,9 @@ def parse_family_spec(text: str) -> FamilySpec:
             f"{', '.join(k.value for k in FamilyKind)}"
         ) from None
     params = tuple(int(x) for x in args.split("x")) if args else ()
-    if len(params) != _ARITY[kind]:
-        raise InvalidParameter(
-            f"family {name!r} takes {_ARITY[kind]} parameter(s), got {len(params)}"
-        )
+    count = _RULES[kind][0]
+    if len(params) != count:
+        raise InvalidParameter(f"family {name!r} takes {count} parameter(s), got {len(params)}")
     return FamilySpec(kind, params)
 
 
@@ -140,26 +148,6 @@ class ExpectedMd(NamedTuple):
     @classmethod
     def unspecified(cls, note: str) -> "ExpectedMd":
         return cls(MdKind.UNSPECIFIED, note=note)
-
-
-# each family's legal parameter range, as (test, rule text); families
-# without an entry take no parameters
-_RULES = {
-    FamilyKind.PATH: (lambda n: n >= 1, "n >= 1"),
-    FamilyKind.CYCLE: (lambda n: n >= 3, "n >= 3"),
-    FamilyKind.COMPLETE: (lambda n: n >= 1, "n >= 1"),
-    FamilyKind.STAR: (lambda n: n >= 1, "n >= 1"),
-    FamilyKind.SUBDIVIDED_STAR: (lambda n, p: n >= 1 and p >= 1, "n >= 1 and p >= 1"),
-    FamilyKind.GRID: (lambda m, n: m >= 1 and n >= 1, "m >= 1 and n >= 1"),
-    FamilyKind.KARY_TREE: (lambda k, h: k >= 1 and h >= 1, "k >= 1 and h >= 1"),
-}
-
-
-def _check_params(spec: FamilySpec) -> None:
-    """Raise InvalidParameter unless spec's parameters are in range."""
-    rule = _RULES.get(spec.kind)
-    if rule is not None and not rule[0](*spec.params):
-        raise InvalidParameter(f"{spec}: requires {rule[1]}")
 
 
 def generate(spec: FamilySpec) -> Graph:

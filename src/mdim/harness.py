@@ -225,38 +225,25 @@ def mask_to_edges(mask: int, pairs: list[tuple[int, int]]) -> tuple[tuple[int, i
     return tuple(p for b, p in enumerate(pairs) if mask >> b & 1)
 
 
-def _perm_bit_tables(n: int, pairs: list[tuple[int, int]]) -> list[list[int]]:
-    """One table per vertex permutation: entry b is the bit value of the
-    image of edge bit b, and two zeros follow for ``relabellings``."""
-    bit = {p: 1 << b for b, p in enumerate(pairs)}
-    tables = []
-    for perm in permutations(range(n)):
-        table = []
-        for u, v in pairs:
-            pu, pv = perm[u], perm[v]
-            table.append(bit[(pu, pv) if pu < pv else (pv, pu)])
-        tables.append(table + [0, 0])
-    return tables
-
-
-def relabellings(mask: int, perm_tables: list[list[int]]) -> set[int]:
-    """The edge bitmasks of every vertex relabelling of the graph."""
-    # the two trailing zeros make itemgetter return a tuple for any mask
-    pick = itemgetter(-2, -1, *(b for b in range(mask.bit_length()) if mask >> b & 1))
-    return {sum(pick(table)) for table in perm_tables}
-
-
 def _orbit_leaders(n: int, pairs: list[tuple[int, int]], weighted: bool):
     """The least edge bitmask of each relabelling orbit, ascending, with
     the orbit's size n!/|Aut| as its weight, or 1 when not ``weighted``.
 
     One ascending walk meets each orbit first at its least mask, and
-    listing the orbit there marks the rest of it seen."""
-    perm_tables = _perm_bit_tables(n, pairs)
+    listing the orbit there marks the rest of it seen.  Each vertex
+    permutation is a table whose entry b is the bit value of the image of
+    edge bit b, so a mask's image is the sum of the entries at its bits."""
+    bit = {p: 1 << b for b, p in enumerate(pairs)}
+    # the two trailing zeros make itemgetter return a tuple for any mask
+    tables = [
+        [bit[(p[u], p[v]) if p[u] < p[v] else (p[v], p[u])] for u, v in pairs] + [0, 0]
+        for p in permutations(range(n))
+    ]
     seen = bytearray(1 << len(pairs))
     for mask in range(len(seen)):
         if not seen[mask]:
-            orbit = relabellings(mask, perm_tables)
+            pick = itemgetter(-2, -1, *(b for b in range(mask.bit_length()) if mask >> b & 1))
+            orbit = {sum(pick(table)) for table in tables}
             for image in orbit:
                 seen[image] = 1
             yield mask, len(orbit) if weighted else 1

@@ -2,10 +2,11 @@
 serve as oracles for it."""
 
 from functools import cache
-from itertools import combinations
+from itertools import combinations, permutations
 from random import Random
 
 from mdim import DistanceMatrix, Graph, build_graph
+from mdim.harness import ScanReport, scan_small_graphs
 
 
 def path_graph(n: int) -> Graph:
@@ -78,6 +79,28 @@ def connected_graphs_up_to(n: int) -> tuple[Graph, ...]:
     """Every connected labelled graph of order 1..n, built once per test run
     because several exhaustive tests walk the same set."""
     return tuple(g for k in range(1, n + 1) for g in all_connected_graphs(k))
+
+
+@cache
+def labelled_scan(n: int) -> ScanReport:
+    """``scan_small_graphs(n)``, run once per test run because the order-6
+    scan takes seconds.  Only for tests that patch nothing, since a report
+    taken under a patch would be cached for every later caller, and that
+    leave the report as they found it, since every caller shares it."""
+    return scan_small_graphs(n)
+
+
+def least_relabelling(n: int, mask: int) -> int:
+    """The least edge bitmask of any vertex relabelling of the n-vertex
+    graph ``mask``, whose bit b is the b-th pair of combinations(range(n),
+    2), by trying all n! permutations."""
+    pairs = list(combinations(range(n), 2))
+    bit = {p: 1 << b for b, p in enumerate(pairs)}
+    edges = [p for b, p in enumerate(pairs) if mask >> b & 1]
+    return min(
+        sum(bit[(min(p[u], p[v]), max(p[u], p[v]))] for u, v in edges)
+        for p in permutations(range(n))
+    )
 
 
 def shuffled(rng: Random, g: Graph) -> Graph:

@@ -31,6 +31,8 @@ from mdim.harness import (
     table_mismatches,
 )
 
+from helpers import labelled_scan
+
 
 def report(num: int, desc: str) -> None:
     print(f"criterion {num:>2} PASS: {desc}")
@@ -38,7 +40,7 @@ def report(num: int, desc: str) -> None:
 
 @pytest.fixture(scope="session")
 def scan_reports():
-    return {n: scan_small_graphs(n) for n in (4, 5, 6)}
+    return {n: labelled_scan(n) for n in (4, 5, 6)}
 
 
 def test_criterion_01_paths():

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mdim
 from mdim.cli import (
     EXIT_ABORTED,
     EXIT_BAD_GRAPH,
@@ -369,3 +374,47 @@ class TestDeterminism:
         assert main(argv) == EXIT_OK
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestClosedStdout:
+    """A reader that stops early ends the command with 0 and nothing on
+    stderr: the answer was computed, and the reader chose to stop.  Each
+    case runs with stdout buffered, where a failed write would be retried
+    by the interpreter's last flush, and unbuffered, where it is not."""
+
+    def spawn(self, argv: list[str], stdout, buffered: bool) -> subprocess.Popen:
+        env = {**os.environ, "PYTHONPATH": str(Path(mdim.__file__).resolve().parents[1])}
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return subprocess.Popen(
+            [sys.executable, "-m", "mdim.cli", *argv],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            env=env,
+            bufsize=0,
+        )
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_reader_stops_inside_a_large_payload(self, buffered):
+        # about 270 kB of edges, several times a pipe's buffer, so the
+        # write is still going on when the reader closes after 20 bytes
+        argv = ["family", "grid:100x100", "--json"]
+        with self.spawn(argv, subprocess.PIPE, buffered) as proc:
+            assert len(proc.stdout.read(20)) == 20
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (EXIT_OK, b"")
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_reader_gone_before_a_short_payload(self, buffered):
+        # the pipe has no reader at all, so the first write of a one-line
+        # answer meets a broken pipe
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            with self.spawn(["md", "--family", "cycle:6"], write_end, buffered) as proc:
+                err = proc.stderr.read()
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, err) == (EXIT_OK, b"")

@@ -18,14 +18,14 @@ from mdim.harness import (
     edge_pairs,
     grid_table,
     mask_to_edges,
-    relabellings,
     run_reproduction_suite,
     render_checks,
     scan_small_graphs,
     spider_probe,
     table_mismatches,
-    _perm_bit_tables,
 )
+
+from helpers import labelled_scan, least_relabelling
 
 
 class TestTables:
@@ -204,7 +204,7 @@ class TestScan:
 
         pairs = edge_pairs(n)
         weighted = harness._scan(n, False, pairs, harness._orbit_leaders(n, pairs, True))
-        assert weighted == scan_small_graphs(n)
+        assert weighted == labelled_scan(n)
 
     def test_weighted_scan_names_each_class_once(self, monkeypatch):
         # the overstated bounds of test_claim_checks_can_fail on the scan
@@ -220,11 +220,10 @@ class TestScan:
         monkeypatch.setattr(harness, "dim_lower_bound", overstated(harness.dim_lower_bound))
         n = 5
         pairs = edge_pairs(n)
-        tables = _perm_bit_tables(n, pairs)
         bit = {p: 1 << b for b, p in enumerate(pairs)}
 
         def leader(edges):
-            return mask_to_edges(min(relabellings(sum(bit[e] for e in edges), tables)), pairs)
+            return mask_to_edges(least_relabelling(n, sum(bit[e] for e in edges)), pairs)
 
         labelled = scan_small_graphs(n).violations
         weighted = harness._scan(n, False, pairs, harness._orbit_leaders(n, pairs, True))
@@ -273,13 +272,12 @@ class TestScan:
         # dedup scan sees exactly one representative per class
         n = 4
         pairs = edge_pairs(n)
-        tables = _perm_bit_tables(n, pairs)
         class_md: dict[int, object] = {}
         for mask in range(1 << len(pairs)):
             g = build_graph(n, list(mask_to_edges(mask, pairs)))
             if not is_connected(g):
                 continue
-            canon = min(relabellings(mask, tables))
+            canon = least_relabelling(n, mask)
             outcome = compute_md(g)
             key = outcome.value if outcome.is_finite else "infinite"
             assert class_md.setdefault(canon, key) == key
