@@ -97,8 +97,19 @@ _RULES = {
 }
 
 
+def _check_count(kind: FamilyKind, params: tuple[int, ...]) -> None:
+    """Raise InvalidParameter unless the family takes that many parameters."""
+    count = _RULES[kind][0]
+    if len(params) != count:
+        raise InvalidParameter(
+            f"family {kind.value!r} takes {count} parameter(s), got {len(params)}"
+        )
+
+
 def _check_params(spec: FamilySpec) -> None:
-    """Raise InvalidParameter unless spec's parameters are in range."""
+    """Raise InvalidParameter unless spec has its family's parameter count
+    and the parameters are in range."""
+    _check_count(spec.kind, spec.params)
     _, test, rule = _RULES[spec.kind]
     if not test(*spec.params):
         raise InvalidParameter(f"{spec}: requires {rule}")
@@ -118,9 +129,7 @@ def parse_family_spec(text: str) -> FamilySpec:
             f"{', '.join(k.value for k in FamilyKind)}"
         ) from None
     params = tuple(int(x) for x in args.split("x")) if args else ()
-    count = _RULES[kind][0]
-    if len(params) != count:
-        raise InvalidParameter(f"family {name!r} takes {count} parameter(s), got {len(params)}")
+    _check_count(kind, params)
     return FamilySpec(kind, params)
 
 

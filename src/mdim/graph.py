@@ -252,75 +252,86 @@ def major_vertex_report(g: Graph, dm: DistanceMatrix) -> MajorVertexReport:
 
 
 def subtree_swap_masks(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Sibling-subtree swaps of a tree that move a vertex to a smaller id.
+    """Sibling-subtree swaps that move a vertex to a smaller id, on any
+    graph.
 
     Entry x holds one vertex mask S per swap found for x: swapping the two
     isomorphic subtrees that S covers is an automorphism of g that fixes
     every vertex outside S and maps x to some y < x.  Masks that contain
-    another mask of the same entry are dropped.  Non-trees (m != n - 1)
-    and asymmetric trees get an empty tuple for every vertex; so does a
-    disconnected graph with n - 1 edges, which has a cycle.
+    another mask of the same entry are dropped.  Graphs with no two
+    isomorphic hanging subtrees get an empty tuple for every vertex.
 
-    The tree is rooted at its centre, or at the midpoint of its central
-    edge, and every vertex gets the AHU code of its rooted subtree (Aho,
-    Hopcroft & Ullman 1974) and a key for the sequence of codes on its
-    path from the root.  For y < x with equal keys, let a and b be the
-    children of their lowest common ancestor on the paths to x and to y.
-    Equal codes along both paths give an isomorphism of the subtrees of a
-    and b that maps x to y, so S is the mask of those two subtrees.  Any
-    root would make the swaps automorphisms; the centre, which every
-    automorphism fixes, makes equal keys mean the same orbit.
+    Leaves are stripped layer by layer until none are left, which leaves
+    the 2-core of a graph with a cycle, or until at most two vertices
+    remain, the centre of a tree.  Each stripped vertex hangs from its
+    last neighbour, so the subtree it roots meets the rest of the graph
+    only through that parent edge.  The one or two central vertices of a
+    tree hang from one virtual root; every vertex left in the 2-core is a
+    root of its own, with a key no other vertex shares.  Every vertex gets
+    the AHU code of its rooted subtree (Aho, Hopcroft & Ullman 1974) and a
+    key for the sequence of codes on its path from its root.  For y < x
+    with equal keys, which share their root, let a and b be the children
+    of their lowest common ancestor on the paths to x and to y.  Equal
+    codes along both paths give an isomorphism of the subtrees of a and b
+    that maps x to y.  Both subtrees meet the rest of the graph only
+    through their edges to the common parent (and, for two central
+    vertices, the edge between them), so exchanging them keeps every edge,
+    and S is the mask of those two subtrees.  On a tree any root would
+    make the swaps automorphisms; the centre, which every automorphism
+    fixes, makes equal keys mean the same orbit.
     """
     n, adj = g.n, g.adjacency
-    if n < 3 or g.edge_count != n - 1:
-        return ((),) * n
-    # Strip leaves layer by layer down to the one or two central vertices,
-    # which hang from a virtual root n.  This roots the tree at its centre:
-    # a vertex is stripped after its children, and its one neighbour left
-    # is its parent.  A graph with n - 1 edges that is not a tree has a
-    # cycle, whose vertices never become leaves, so its layers run out.
+    # Strip leaves layer by layer.  A vertex is stripped after its
+    # children, which hang from it, and hangs from its one neighbour left;
+    # a vertex not stripped is its own parent.  The vertices of a cycle
+    # never become leaves, and the last layer of a tree, its one or two
+    # central vertices, hangs from a virtual root n.
     degree = list(map(len, adj))
     layer = [v for v in range(n) if degree[v] == 1]
-    parent = [-1] * n + [n]
+    parent = list(range(n + 1))
+    # a leaf has code 0
+    codes: dict[tuple[int, ...], int] = {(): 0}
+    code = [0] * n
+    mask = [0] * n
     order: list[int] = []
     left = n
-    while left > 2:
-        if not layer:
-            return ((),) * n
+    while layer:
+        if left <= 2:
+            for c in layer:
+                parent[c] = n
         left -= len(layer)
         inner = []
         for v in layer:
+            below, m = [], 1 << v
             for u in adj[v]:
-                if parent[u] < 0:
+                if parent[u] == v:
+                    below.append(code[u])
+                    m |= mask[u]
+                elif parent[u] == u:
                     parent[v] = u
                     degree[u] -= 1
                     if degree[u] == 1:
                         inner.append(u)
+            mask[v] = m
+            if below:
+                code[v] = codes.setdefault(tuple(sorted(below)), len(codes))
         order += layer
         layer = inner
-    for c in layer:
-        parent[c] = n
-    order += layer
-    # children come before their parent in order
-    codes: dict[tuple[int, ...], int] = {}
-    code = [0] * n
-    kids: list[list[int]] = [[] for _ in range(n + 1)]
-    mask = [0] * (n + 1)
-    for v in order:
-        p = parent[v]
-        c = code[v] = codes.setdefault(tuple(sorted(kids[v])), len(codes))
-        kids[p].append(c)
-        m = mask[v] = mask[v] | 1 << v
-        mask[p] |= m
     keys: dict[tuple[int, int], int] = {}
-    key = [0] * n + [-1]
+    # the virtual root n has key -1, each core vertex a distinct key below
+    key = list(range(-n - 1, 0))
+    same: list[list[int]] = []
+    shared: set[int] = set()
     for v in reversed(order):
-        key[v] = keys.setdefault((key[parent[v]], code[v]), len(keys))
-    same: dict[int, list[int]] = {}
-    for v in range(n):
-        same.setdefault(key[v], []).append(v)
+        k = key[v] = keys.setdefault((key[parent[v]], code[v]), len(keys))
+        if k < len(same):
+            same[k].append(v)
+            shared.add(k)
+        else:
+            same.append([v])
     swaps: list[tuple[int, ...]] = [()] * n
-    for members in same.values():
+    for k in shared:
+        members = sorted(same[k])
         for i in range(1, len(members)):
             x = members[i]
             found = set()
@@ -343,60 +354,35 @@ def _least_masks(masks) -> tuple[int, ...]:
     return tuple(kept)
 
 
-def symmetry_swap_masks(
-    g: Graph, tp: TwinPartition, mr: MajorVertexReport
-) -> tuple[tuple[int, ...], ...]:
+def symmetry_swap_masks(g: Graph, tp: TwinPartition) -> tuple[tuple[int, ...], ...]:
     """Swaps that move a vertex to a smaller id, on any connected graph.
 
     Entry x holds vertex masks S, each the support of an automorphism of
     g that fixes every vertex outside S and maps x to some y < x, with
     masks that contain another mask of the same entry dropped.  The masks
-    are the union of three families:
+    are the union of two families:
 
-    - the sibling-subtree swaps of ``subtree_swap_masks`` (trees only);
-    - two legs of equal length at one major of ``mr.legs``, each a path
-      hanging from the major with every vertex but the pendant of degree
-      2: exchanging them position by position keeps every edge, so of
-      the two vertices at each position the larger id gets the mask of
-      both legs;
+    - the sibling-subtree swaps of ``subtree_swap_masks``, which roots a
+      tree at its centre and any other graph at its 2-core: two equal legs
+      of one major are isomorphic hanging paths, so they are among them;
     - two members u < v of one twin class of ``tp``: their transposition
       keeps every edge, since N(u) - {v} = N(v) - {u}, so v gets
       ``{u, v}``.
 
-    On a tree of order 3 or more the last two families add nothing that
-    survives the drop: two equal legs of a major, or two twin pendants,
-    are sibling subtrees of the centre-rooted tree (an automorphism fixes
-    the centre, so neither holds it), and ``subtree_swap_masks`` already
-    gives the larger vertex of each swapped pair their mask.  A tree
-    therefore takes the subtree swaps alone.
+    On a tree the twins add nothing: two twins are two pendants at one
+    vertex, or the two vertices of K2, which the centre-rooted tree makes
+    sibling leaves, so the subtree swaps already give the larger one
+    ``{u, v}``.
     """
-    if g.edge_count == g.n - 1:
-        return subtree_swap_masks(g)
-    swaps = [()] * g.n
-    for x, masks in _leg_and_twin_masks(tp, mr).items():
-        swaps[x] = _least_masks(masks)
-    return tuple(swaps)
-
-
-def _leg_and_twin_masks(
-    tp: TwinPartition, mr: MajorVertexReport
-) -> dict[int, list[int]]:
-    """The equal-leg and twin swaps of symmetry_swap_masks, per vertex
-    that has any, before masks containing others are dropped."""
-    masks: dict[int, list[int]] = {}
-    for group in mr.legs.values():
-        for i, a in enumerate(group):
-            for b in group[i + 1:]:
-                if len(a) == len(b):
-                    s = sum(map((1).__lshift__, (*a, *b)))
-                    for pair in zip(a, b):
-                        masks.setdefault(max(pair), []).append(s)
+    swaps = list(subtree_swap_masks(g))
     for cls in tp.classes:
         if len(cls) > 1:
             for i, u in enumerate(cls):
                 for v in cls[i + 1:]:
-                    masks.setdefault(v, []).append(1 << u | 1 << v)
-    return masks
+                    s = 1 << u | 1 << v
+                    if s not in swaps[v]:
+                        swaps[v] = _least_masks((s, *swaps[v]))
+    return tuple(swaps)
 
 
 def _are_twins(nbr_sets: dict[int, set[int]], u: int, v: int) -> bool:

@@ -128,8 +128,8 @@ LegTable = dict[int, tuple[tuple[int, ...], ...]]
 
 class Table(NamedTuple):
     """What lets the search skip candidates (see level_search): the swap
-    masks of the sibling subtrees of a tree, the equal-length legs and the
-    twins, and the legs of the majors with two or more terminals."""
+    masks of the hanging sibling subtrees and the twins, and the legs of
+    the majors with two or more terminals."""
 
     swaps: SwapTable
     legs: LegTable
@@ -357,15 +357,15 @@ def level_search(dm: DistanceMatrix, ordered: bool = False) -> Least:
     smaller id, so x is never the next landmark of W.  Each mask of
     ``graph.symmetry_swap_masks`` is the support of such a swap, held by
     the larger id of each pair it exchanges:
-      - on a tree, two isomorphic sibling subtrees, exchanged by the
-        isomorphism that maps x to y;
-      - on any graph, two legs of equal length at one major v, exchanged
-        position by position: each is a path from a pendant whose other
-        vertices have degree 2 and whose last vertex is v's only
-        neighbour on it, so every edge goes to an edge and v and every
-        vertex off the two legs stay put;
-      - on any graph, two twins u < v, transposed: N(u) - {v} equals
-        N(v) - {u}, so every edge goes to an edge.
+      - two isomorphic sibling subtrees hanging from the centre of a tree
+        or from the 2-core of any other graph, exchanged by the
+        isomorphism that maps x to y: each meets the rest of the graph
+        only through its edge to their common parent (or, for the two
+        halves of a tree with a central edge, that edge), so every edge
+        goes to an edge and every vertex off the two subtrees stays put
+        (two legs of equal length at one major are two such subtrees);
+      - two twins u < v, transposed: N(u) - {v} equals N(v) - {u}, so
+        every edge goes to an edge.
     The rule drops only sets that are not the least one, so each size
     still returns its least witness or None, and a None at every size
     still proves that no resolving set exists.  The test is one AND of
@@ -545,7 +545,7 @@ def compute_md(g: Graph, cfg: SearchConfig = SearchConfig()) -> ResolveOutcome:
     big = _turn(n, lb)
     witness = _first_hit(least, "md", range(lb, big), n, cfg)
     if witness is None and big <= n:
-        table = Table(symmetry_swap_masks(g, tp, mr), mr.legs)
+        table = Table(symmetry_swap_masks(g, tp), mr.legs)
         if cfg.progress:
             _note_rules(table, "md")
         witness = _first_hit(least, "md", range(big, big + 1), n, cfg, table)
@@ -603,7 +603,7 @@ def compute_dim(
         # with no large size, the sizes searched reach n, where V resolves
         tp = twin_partition(g)
         bound = dim_lower_bound(g, dm, tp, mr).value
-        table = Table(symmetry_swap_masks(g, tp, mr), mr.legs)
+        table = Table(symmetry_swap_masks(g, tp), mr.legs)
         if cfg.progress:
             _note_rules(table, "dim")
         w = _first_hit(least, "dim", range(max(big, bound), n + 1), n, cfg, table)

@@ -5,7 +5,14 @@ from functools import cache
 from itertools import combinations, permutations
 from random import Random
 
-from mdim import DistanceMatrix, Graph, build_graph
+from mdim import (
+    DistanceMatrix,
+    Graph,
+    all_pairs_distances,
+    build_graph,
+    major_vertex_report,
+    twin_partition,
+)
 from mdim.harness import ScanReport, scan_small_graphs
 
 
@@ -172,3 +179,43 @@ def random_twinned_graph(rng: Random, n: int, extra: float = 0.1) -> Graph:
             adj[u].add(w)
     edges = [(u, v) for u, nbrs in enumerate(adj) for v in nbrs if u < v]
     return shuffled(rng, build_graph(n, edges))
+
+
+def random_hanging_graph(rng: Random, n: int, extra: float = 0.2) -> Graph:
+    """Random connected graph of order n (n >= 9) with a cycle and two or
+    three copies of one random rooted tree whose root has two or more
+    children, so no copy is a path, each copy joined by its root to the
+    same vertex of the core.  The core is a triangle 0, 1, 2 grown by a
+    random spanning tree to the order left over, plus independent extra
+    edges; the ids are shuffled."""
+    copies = 3 if n >= 12 and rng.random() < 0.5 else 2
+    size = rng.randint(3, (n - 3) // copies)
+    # shape[v - 1] is the parent of vertex v of the copy, whose root is 0
+    shape = [0, 0, *(rng.randrange(v) for v in range(3, size))]
+    core = n - copies * size
+    edges = {(0, 1), (1, 2), (0, 2)} | {(rng.randrange(v), v) for v in range(3, core)}
+    for u in range(core):
+        for v in range(u + 1, core):
+            if (u, v) not in edges and rng.random() < extra:
+                edges.add((u, v))
+    hub = rng.randrange(core)
+    for c in range(copies):
+        root = core + c * size
+        edges.add((hub, root))
+        edges |= {(root + p, root + v) for v, p in enumerate(shape, start=1)}
+    return shuffled(rng, build_graph(n, sorted(edges)))
+
+
+def twin_and_leg_masks(g: Graph) -> set[int]:
+    """The vertex masks of every twin pair and of every two legs of equal
+    length at one major of ``major_vertex_report``: the swaps that do not
+    need a hanging subtree other than a path."""
+    legs = major_vertex_report(g, all_pairs_distances(g)).legs.values()
+    twins = {1 << u | 1 << v for c in twin_partition(g).classes for u in c for v in c if u < v}
+    return twins | {
+        sum(1 << v for v in (*a, *b))
+        for group in legs
+        for a in group
+        for b in group
+        if a < b and len(a) == len(b)
+    }

@@ -42,6 +42,23 @@ class TestSpecParsing:
         with pytest.raises(InvalidParameter):
             parse_family_spec(bad)
 
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            (FamilySpec(FamilyKind.GRID, (3,)), "family 'grid' takes 2 parameter(s), got 1"),
+            (
+                FamilySpec(FamilyKind.PETERSEN, (3,)),
+                "family 'petersen' takes 0 parameter(s), got 1",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("use", [generate, expected_md, witness_for])
+    def test_wrong_parameter_count_outside_the_parser(self, spec, message, use):
+        # a spec built without parse_family_spec gets the parser's message
+        with pytest.raises(InvalidParameter) as err:
+            use(spec)
+        assert str(err.value) == message
+
     def test_out_of_range_params_fail_at_generate(self):
         with pytest.raises(InvalidParameter, match="n >= 3"):
             generate(FamilySpec.cycle(2))

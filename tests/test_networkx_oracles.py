@@ -11,13 +11,15 @@ nx = pytest.importorskip("networkx")
 from networkx.algorithms.isomorphism import GraphMatcher, categorical_node_match
 
 from mdim import all_pairs_distances, build_graph, twin_partition
-from mdim.graph import major_vertex_report, subtree_swap_masks, symmetry_swap_masks
+from mdim.graph import subtree_swap_masks, symmetry_swap_masks
 from mdim.harness import scan_small_graphs
 from helpers import (
     random_connected_graph,
+    random_hanging_graph,
     random_symmetric_tree,
     random_twinned_graph,
     shuffled,
+    twin_and_leg_masks,
 )
 
 
@@ -106,23 +108,31 @@ def test_swap_masks_are_automorphisms():
     assert centres == {1, 2}
 
 
-def test_leg_and_twin_masks_are_automorphisms():
+def test_hanging_and_twin_masks_are_automorphisms():
     # the same oracle for the swaps of symmetry_swap_masks on graphs with
-    # cycles: two equal legs of one major, or two twins
+    # cycles: isomorphic subtrees hanging from one parent, or two twins;
+    # the hanging graphs hang trees that are not paths, whose masks are
+    # neither a twin pair nor two equal legs of one major
     rng = Random(18)
-    masks_seen = 0
-    for _ in range(80):
-        g = random_twinned_graph(rng, rng.randint(6, 9), extra=rng.choice([0.1, 0.3]))
+    masks_seen = hanging = 0
+    for i in range(120):
+        if i % 3:
+            g = random_twinned_graph(rng, rng.randint(6, 9), extra=rng.choice([0.1, 0.3]))
+        else:
+            g = random_hanging_graph(rng, rng.randint(9, 11), extra=rng.choice([0.1, 0.3]))
         if g.edge_count < g.n:
             continue
         h = to_networkx(g)
-        mr = major_vertex_report(g, all_pairs_distances(g))
-        for x, masks in enumerate(symmetry_swap_masks(g, twin_partition(g), mr)):
+        tp, known = twin_partition(g), twin_and_leg_masks(g)
+        for x, masks in enumerate(symmetry_swap_masks(g, tp)):
             for s in masks:
                 masks_seen += 1
+                hanging += s not in known
                 outside = {v for v in range(g.n) if not s >> v & 1}
                 assert moves_below(h, outside, x), (g.edges(), x, s)
-    assert masks_seen >= 100
+    # 401 masks, 104 of them neither twins nor equal legs
+    assert masks_seen >= 300
+    assert hanging >= 80
 
 
 def test_swap_masks_empty_off_symmetric_trees():

@@ -24,12 +24,7 @@ from mdim import (
     verify_witness,
 )
 from mdim.families import FamilySpec, generate, parse_family_spec
-from mdim.graph import (
-    _leg_and_twin_masks,
-    _least_masks,
-    subtree_swap_masks,
-    symmetry_swap_masks,
-)
+from mdim.graph import subtree_swap_masks, symmetry_swap_masks
 from mdim.harness import scan_small_graphs
 from mdim.resolving import first_collision, least_resolving_set
 from mdim import search
@@ -41,10 +36,12 @@ from helpers import (
     cycle_graph,
     path_graph,
     random_connected_graph,
+    random_hanging_graph,
     random_legged_graph,
     random_symmetric_tree,
     random_twinned_graph,
     terminals_by_distance,
+    twin_and_leg_masks,
 )
 
 
@@ -286,9 +283,9 @@ class TestWalk:
 
             return wrapped
 
-        def table(g, tp, mr):
+        def table(g, tp):
             seen.append("table")
-            return swap_masks(g, tp, mr)
+            return swap_masks(g, tp)
 
         def major_report(g, dm):
             seen.append("report")
@@ -410,11 +407,11 @@ def random_symmetric_non_tree(rng, n):
 
 
 class TestSymmetryRule:
-    """The lex-leader rule with equal-leg and twin swaps changes no answer
-    on graphs with cycles, where a tree has none to offer: ``least(k)``
-    with the swap table equals ``least(k)`` without it at every size, in
-    both modes, including the sizes where nothing resolves, and so does
-    the pass from every size."""
+    """The lex-leader rule with the swaps of subtrees hanging from the
+    2-core and of twins changes no answer on graphs with cycles:
+    ``least(k)`` with the swap table equals ``least(k)`` without it at
+    every size, in both modes, including the sizes where nothing
+    resolves, and so does the pass from every size."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_same_least_sets_with_and_without_swaps(self, seed):
@@ -424,7 +421,7 @@ class TestSymmetryRule:
             g = random_symmetric_non_tree(rng, rng.randint(6, 10))
             dm = all_pairs_distances(g)
             mr = major_vertex_report(g, dm)
-            swaps = symmetry_swap_masks(g, twin_partition(g), mr)
+            swaps = symmetry_swap_masks(g, twin_partition(g))
             masked += any(swaps)
             for table in (Table(swaps, {}), Table(swaps, mr.legs)):
                 for ordered in (False, True):
@@ -442,12 +439,24 @@ class TestSymmetryRule:
     def test_matches_brute_force_on_orders_10_to_12(self, monkeypatch):
         # graphs of order 10 to 12 reach the table (comb(10, 3) > 10^2)
         # unless a size below their first large one resolves
-        masked, build = [], search.symmetry_swap_masks
+        tables, build = [], search.symmetry_swap_masks
 
-        def recording(g, tp, mr):
-            swaps = build(g, tp, mr)
-            masked.append(any(swaps))
+        def recording(g, tp):
+            swaps = build(g, tp)
+            tables.append(swaps)
             return swaps
+
+        def masks_of(g):
+            """Solve g both ways against the reference walks; return the
+            masks of the tables the solves built."""
+            seen = len(tables)
+            fast, slow = compute_md(g), brute_force_md(g)
+            assert (fast.kind, fast.value, fast.witness) == (
+                slow.kind, slow.value, slow.witness
+            ), g.edges()
+            w = least_resolving_set(all_pairs_distances(g), ordered=True)
+            assert compute_dim(g) == (len(w), w), g.edges()
+            return {s for swaps in tables[seen:] for masks in swaps for s in masks}
 
         monkeypatch.setattr(search, "symmetry_swap_masks", recording)
         rng = Random(18)
@@ -458,44 +467,47 @@ class TestSymmetryRule:
                 g = random_symmetric_non_tree(rng, n)
             else:
                 g = random_legged_graph(rng, n, extra=rng.choice([0.1, 0.25]))
-            seen = len(masked)
-            fast, slow = compute_md(g), brute_force_md(g)
-            assert (fast.kind, fast.value, fast.witness) == (
-                slow.kind, slow.value, slow.witness
-            ), g.edges()
-            w = least_resolving_set(all_pairs_distances(g), ordered=True)
-            assert compute_dim(g) == (len(w), w), g.edges()
-            reached += g.edge_count >= g.n and any(masked[seen:])
-        # a tree's masks are its subtree swaps; 171 of the 181 graphs with
-        # a cycle build a table that holds a leg or twin swap
+            reached += g.edge_count >= g.n and bool(masks_of(g))
+        # 171 of the 181 graphs with a cycle build a table that holds a
+        # swap
         assert reached >= 150
+        # graphs with non-path trees hung from one core vertex: all 120
+        # build a table with a mask that is neither twins nor equal legs
+        rng = Random(22)
+        hanging = 0
+        for _ in range(120):
+            g = random_hanging_graph(rng, rng.randint(10, 12), rng.choice([0.1, 0.25]))
+            hanging += bool(masks_of(g) - twin_and_leg_masks(g))
+        assert hanging >= 100
 
-    def test_trees_gain_no_mask(self):
-        # the equal legs and twins of a tree are sibling subtrees, whose
-        # swap its own table already holds for the same vertex, so the
-        # union keeps the subtree swaps exactly
+    def test_trees_take_their_subtree_swaps(self):
+        # two twins of a tree are sibling leaves, whose swap the subtree
+        # table already holds for the larger one, so the union keeps the
+        # subtree swaps exactly
         rng = Random(3)
-        gained = 0
         for _ in range(300):
             t = random_symmetric_tree(rng, rng.randint(3, 16))
-            mr = major_vertex_report(t, all_pairs_distances(t))
-            swaps = subtree_swap_masks(t)
-            extra = _leg_and_twin_masks(twin_partition(t), mr)
-            gained += bool(extra)
-            for x, masks in extra.items():
-                assert _least_masks((*swaps[x], *masks)) == swaps[x], t.edges()
-            assert symmetry_swap_masks(t, twin_partition(t), mr) == swaps
-        assert gained >= 200
+            assert symmetry_swap_masks(t, twin_partition(t)) == subtree_swap_masks(t)
 
     def test_legs_and_twins_of_a_triangle(self):
         # triangle 0, 1, 2 with legs 3-4 and 5-6 of equal length at 0: the
         # legs swap position by position, 4 with 6 and 3 with 5, and the
         # twins 1 and 2 swap with each other
         g = build_graph(7, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
-        mr = major_vertex_report(g, all_pairs_distances(g))
         legs = 1 << 3 | 1 << 4 | 1 << 5 | 1 << 6
-        assert symmetry_swap_masks(g, twin_partition(g), mr) == (
+        assert symmetry_swap_masks(g, twin_partition(g)) == (
             (), (), (1 << 1 | 1 << 2,), (), (), (legs,), (legs,)
+        )
+        # cherries 3 (leaves 4, 5) and 6 (leaves 7, 8) hung from 0 instead:
+        # 6 and 7 move into the other cherry, which needs both cherries,
+        # and the leaves 5 and 8 move to their sibling leaf
+        g = build_graph(
+            9, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (3, 5), (0, 6), (6, 7), (6, 8)]
+        )
+        both = sum(1 << v for v in range(3, 9))
+        assert symmetry_swap_masks(g, twin_partition(g)) == (
+            (), (), (1 << 1 | 1 << 2,), (), (), (1 << 4 | 1 << 5,), (both,), (both,),
+            (1 << 7 | 1 << 8,),
         )
 
 
@@ -563,7 +575,7 @@ class TestBoundPass:
         g = generate(parse_family_spec(spec))
         dm = all_pairs_distances(g)
         mr = major_vertex_report(g, dm)
-        table = Table(symmetry_swap_masks(g, twin_partition(g), mr), mr.legs)
+        table = Table(symmetry_swap_masks(g, twin_partition(g)), mr.legs)
         assert search._table_bits(table, g.n)[-1] == owed
         least = level_search(dm)
         for k in (1, 3):
