@@ -298,9 +298,13 @@ def _add_common(
         sub.add_argument("--max-vertices", type=_at_least_one("a vertex cap"), default=24,
                          metavar="N", help="exhaustive-search cap (default 24)")
     if graph_input:
+        # one graph source: main refuses a file together with --family once
+        # parsing is done, so that an unknown option followed by a value
+        # is still reported as unrecognized rather than as a second source
         sub.add_argument("input", nargs="?", help="edge-list file")
         sub.add_argument("--family", metavar="SPEC",
                          help="family spec such as cycle:9 or grid:4x5")
+        sub.set_defaults(usage_error=sub.error)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,6 +361,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "input", None) and getattr(args, "family", None):
+            args.usage_error("argument --family: not allowed with argument input")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

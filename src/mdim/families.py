@@ -259,8 +259,9 @@ def expected_md(spec: FamilySpec) -> ExpectedMd:
         if pp == n - 1 and n % 2 == 1:
             # at the p = n-1 boundary the n-1 depths are forced to be
             # exactly 1..n-1, and for odd branch counts they always
-            # collide: exhaustion shows md = n (hub plus one full-depth
-            # vertex per branch) at n = 5 and 7; larger odd n unverified
+            # collide: exhaustion shows md = n (the least witness is the
+            # hub plus depths 1..n-1 on the first n-1 branches) at n = 5, 7
+            # and 9; larger odd n unverified
             return ExpectedMd.unspecified(
                 "claimed value n-1 is refuted at the p = n-1 boundary for "
                 "odd branch counts (exhaustive search gives n at n = 5, 7)"

@@ -251,34 +251,46 @@ def major_vertex_report(g: Graph, dm: DistanceMatrix) -> MajorVertexReport:
     return MajorVertexReport(majors, terminals, sigma, ex, legs)
 
 
-def subtree_swap_masks(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Sibling-subtree swaps that move a vertex to a smaller id, on any
-    graph.
+def symmetry_swap_masks(g: Graph, tp: TwinPartition) -> tuple[tuple[int, ...], ...]:
+    """Swaps that move a vertex to a smaller id, on any connected graph.
 
-    Entry x holds one vertex mask S per swap found for x: swapping the two
-    isomorphic subtrees that S covers is an automorphism of g that fixes
-    every vertex outside S and maps x to some y < x.  Masks that contain
-    another mask of the same entry are dropped.  Graphs with no two
-    isomorphic hanging subtrees get an empty tuple for every vertex.
+    Entry x holds vertex masks S, each once, each the support of an
+    automorphism of g that fixes every vertex outside S and maps x to some
+    y < x.  A mask may contain another mask of the same entry; both are
+    kept, since the search skips the same candidates with or without the
+    larger one (see ``search._table_bits``).  Graphs with no two
+    isomorphic hanging subtrees and no twins get an empty tuple for every
+    vertex.
 
     Leaves are stripped layer by layer until none are left, which leaves
     the 2-core of a graph with a cycle, or until at most two vertices
     remain, the centre of a tree.  Each stripped vertex hangs from its
     last neighbour, so the subtree it roots meets the rest of the graph
     only through that parent edge.  The one or two central vertices of a
-    tree hang from one virtual root; every vertex left in the 2-core is a
-    root of its own, with a key no other vertex shares.  Every vertex gets
-    the AHU code of its rooted subtree (Aho, Hopcroft & Ullman 1974) and a
-    key for the sequence of codes on its path from its root.  For y < x
-    with equal keys, which share their root, let a and b be the children
-    of their lowest common ancestor on the paths to x and to y.  Equal
-    codes along both paths give an isomorphism of the subtrees of a and b
-    that maps x to y.  Both subtrees meet the rest of the graph only
-    through their edges to the common parent (and, for two central
-    vertices, the edge between them), so exchanging them keeps every edge,
-    and S is the mask of those two subtrees.  On a tree any root would
-    make the swaps automorphisms; the centre, which every automorphism
-    fixes, makes equal keys mean the same orbit.
+    tree hang from one virtual root, each twin class of ``tp`` left in the
+    2-core from a virtual parent of its own, and every other vertex left
+    there is a root of its own; each root and virtual parent has a key no
+    other vertex shares.  Every vertex gets the AHU code of its rooted
+    subtree (Aho, Hopcroft & Ullman 1974) and a key for the sequence of
+    codes on its path from its root.  For y < x with equal keys, which
+    share their root, let a and b be the children of their lowest common
+    ancestor on the paths to x and to y.  Equal codes along both paths
+    give an isomorphism of the subtrees of a and b that maps x to y.  Both
+    subtrees meet the rest of the graph only through their edges to the
+    common parent (and, for two central vertices, the edge between them),
+    so exchanging them keeps every edge, and S is the mask of those two
+    subtrees.  On a tree any root would make the swaps automorphisms; the
+    centre, which every automorphism fixes, makes equal keys mean the same
+    orbit.
+
+    Two twins u < v of degree 2 or more lie on a 4-cycle through both
+    when N(u) = N(v), or on a triangle through both when N[u] = N[v], and
+    so does every neighbour of either.  Both are therefore left in the
+    2-core and nothing hangs from them, so under their virtual parent they
+    are sibling leaves with one key, and v gets ``{u, v}``: their
+    transposition keeps every edge, since N(u) - {v} = N(v) - {u}.  Twins
+    of degree 1 (pendants at one vertex) and the two vertices of K2 are
+    sibling leaves already.
     """
     n, adj = g.n, g.adjacency
     # Strip leaves layer by layer.  A vertex is stripped after its
@@ -317,9 +329,18 @@ def subtree_swap_masks(g: Graph) -> tuple[tuple[int, ...], ...]:
                 code[v] = codes.setdefault(tuple(sorted(below)), len(codes))
         order += layer
         layer = inner
+    # a root or virtual parent i has key -i - 1: each core vertex v, the
+    # virtual root n, and past it one virtual parent per twin class left
+    # in the 2-core, whose members become leaves
+    key = list(range(-1, -n - 2, -1))
+    for cls in tp.classes:
+        if len(cls) > 1 and parent[cls[0]] == cls[0]:
+            for v in cls:
+                parent[v] = len(key)
+                mask[v] = 1 << v
+            key.append(-len(key) - 1)
+            order += cls
     keys: dict[tuple[int, int], int] = {}
-    # the virtual root n has key -1, each core vertex a distinct key below
-    key = list(range(-n - 1, 0))
     same: list[list[int]] = []
     shared: set[int] = set()
     for v in reversed(order):
@@ -334,54 +355,13 @@ def subtree_swap_masks(g: Graph) -> tuple[tuple[int, ...], ...]:
         members = sorted(same[k])
         for i in range(1, len(members)):
             x = members[i]
-            found = set()
+            found: dict[int, None] = {}
             for y in members[:i]:
                 a, b = x, y
                 while parent[a] != parent[b]:
                     a, b = parent[a], parent[b]
-                found.add(mask[a] | mask[b])
-            swaps[x] = _least_masks(found)
-    return tuple(swaps)
-
-
-def _least_masks(masks) -> tuple[int, ...]:
-    """The masks that contain no other mask, fewest vertices first (ties
-    in the given order); a repeated mask is kept once."""
-    kept: list[int] = []
-    for s in sorted(masks, key=int.bit_count):
-        if all(t & s != t for t in kept):
-            kept.append(s)
-    return tuple(kept)
-
-
-def symmetry_swap_masks(g: Graph, tp: TwinPartition) -> tuple[tuple[int, ...], ...]:
-    """Swaps that move a vertex to a smaller id, on any connected graph.
-
-    Entry x holds vertex masks S, each the support of an automorphism of
-    g that fixes every vertex outside S and maps x to some y < x, with
-    masks that contain another mask of the same entry dropped.  The masks
-    are the union of two families:
-
-    - the sibling-subtree swaps of ``subtree_swap_masks``, which roots a
-      tree at its centre and any other graph at its 2-core: two equal legs
-      of one major are isomorphic hanging paths, so they are among them;
-    - two members u < v of one twin class of ``tp``: their transposition
-      keeps every edge, since N(u) - {v} = N(v) - {u}, so v gets
-      ``{u, v}``.
-
-    On a tree the twins add nothing: two twins are two pendants at one
-    vertex, or the two vertices of K2, which the centre-rooted tree makes
-    sibling leaves, so the subtree swaps already give the larger one
-    ``{u, v}``.
-    """
-    swaps = list(subtree_swap_masks(g))
-    for cls in tp.classes:
-        if len(cls) > 1:
-            for i, u in enumerate(cls):
-                for v in cls[i + 1:]:
-                    s = 1 << u | 1 << v
-                    if s not in swaps[v]:
-                        swaps[v] = _least_masks((s, *swaps[v]))
+                found[mask[a] | mask[b]] = None
+            swaps[x] = tuple(found)
     return tuple(swaps)
 
 

@@ -128,8 +128,8 @@ LegTable = dict[int, tuple[tuple[int, ...], ...]]
 
 class Table(NamedTuple):
     """What lets the search skip candidates (see level_search): the swap
-    masks of the hanging sibling subtrees and the twins, and the legs of
-    the majors with two or more terminals."""
+    masks of the hanging sibling subtrees, twins among them, and the legs
+    of the majors with two or more terminals."""
 
     swaps: SwapTable
     legs: LegTable
@@ -154,7 +154,15 @@ def _table_bits(
     every unhit leg but one of each major) exactly when ``own[x] & ~hit``
     and ``rest[x] & ~hit`` are both non-zero.  ``owed`` is that count
     before any landmark is chosen, the sum of ``len(legs) - 1`` over the
-    majors."""
+    majors.
+
+    A swap mask of x that contains another swap mask of x changes no
+    skip: landmarks that miss the larger mask miss the smaller one too,
+    so x is skipped whether or not the larger bit is set in ``need[x]``.
+    The table keeps such masks.  Each of them, the mask of two sibling
+    subtrees, is also a mask of the larger of their two roots, where no
+    other mask lies inside it, so the distinct masks, and with them the
+    bits, are those of a table without the containing masks."""
     index: dict[int, int] = {}
     need = [0] * n
     for x, masks in enumerate(table.swaps):
@@ -356,20 +364,20 @@ def level_search(dm: DistanceMatrix, ordered: bool = False) -> Least:
     vertex outside S, hence every chosen landmark, and maps x to a
     smaller id, so x is never the next landmark of W.  Each mask of
     ``graph.symmetry_swap_masks`` is the support of such a swap, held by
-    the larger id of each pair it exchanges:
-      - two isomorphic sibling subtrees hanging from the centre of a tree
-        or from the 2-core of any other graph, exchanged by the
-        isomorphism that maps x to y: each meets the rest of the graph
-        only through its edge to their common parent (or, for the two
-        halves of a tree with a central edge, that edge), so every edge
-        goes to an edge and every vertex off the two subtrees stays put
-        (two legs of equal length at one major are two such subtrees);
-      - two twins u < v, transposed: N(u) - {v} equals N(v) - {u}, so
-        every edge goes to an edge.
-    The rule drops only sets that are not the least one, so each size
-    still returns its least witness or None, and a None at every size
-    still proves that no resolving set exists.  The test is one AND of
-    two bitsets per candidate (see _table_bits).
+    the larger id of each pair it exchanges: two isomorphic sibling
+    subtrees hanging from the centre of a tree or from the 2-core of any
+    other graph, exchanged by the isomorphism that maps x to y.  Each
+    meets the rest of the graph only through its edge to their common
+    parent (or, for the two halves of a tree with a central edge, that
+    edge), so every edge goes to an edge and every vertex off the two
+    subtrees stays put.  Two legs of equal length at one major are two
+    such subtrees, and so are two twins u < v, which hang as sibling
+    leaves from a common or a virtual parent: N(u) - {v} equals
+    N(v) - {u}, so their transposition keeps every edge.  The rule drops
+    only sets that are not the least one, so each size still returns its
+    least witness or None, and a None at every size still proves that no
+    resolving set exists.  The test is one AND of two bitsets per
+    candidate (see _table_bits).
 
     The leg rule (Khuller, Raghavachari & Rosenfeld 1996; Chartrand,
     Eroh, Johnson & Oellermann 2000), with the legs of ``table``: a leg

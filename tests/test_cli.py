@@ -340,6 +340,24 @@ class TestExitCodes:
         assert main(argv) == EXIT_USAGE
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["md", "g.edges", "--family", "cycle:6"],
+            ["dim", "--family", "cycle:6", "g.edges"],
+            ["verify", "g.edges", "--family", "cycle:6", "--set", "0,1"],
+            ["bounds", "g.edges", "--family", "cycle:6"],
+        ],
+    )
+    def test_file_and_family_together_is_usage_error(self, argv, tmp_path, capsys):
+        # two graph sources: argparse refuses the pair before either is read
+        (tmp_path / "g.edges").write_text("0 1\n")
+        argv = [str(tmp_path / a) if a == "g.edges" else a for a in argv]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with argument" in captured.err
+
     def test_aborted(self, capsys):
         assert main(["md", "--family", "cycle:9", "--max-vertices", "4"]) == EXIT_ABORTED
         assert main(["dim", "--family", "cycle:9", "--max-vertices", "4"]) == EXIT_ABORTED
@@ -374,6 +392,20 @@ class TestDeterminism:
         assert main(argv) == EXIT_OK
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_python_dash_m_runs_the_cli():
+    # the package runs as a module from a source checkout, with no install
+    src = str(Path(mdim.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-m", "mdim", "md", "--family", "cycle:6"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert (out.returncode, out.stdout, out.stderr) == (
+        EXIT_OK, "md = 3, witness = {0, 1, 3}\n", ""
+    )
 
 
 class TestClosedStdout:

@@ -233,8 +233,9 @@ class TestScan:
         assert weighted.violations == sorted({(c, leader(e)) for c, e in labelled})
 
     def test_serial_import_loads_no_multiprocessing(self):
-        # only a parallel scan needs the process pool, so importing the
-        # package, the harness or the CLI must not pay for it
+        # mdim solves and scans in one process and starts no other, so
+        # importing the package, the harness or the CLI must not pay for
+        # multiprocessing
         src = str(Path(mdim.__file__).resolve().parents[1])
         code = (
             "import sys, mdim, mdim.harness, mdim.cli; "

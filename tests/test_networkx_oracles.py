@@ -11,7 +11,7 @@ nx = pytest.importorskip("networkx")
 from networkx.algorithms.isomorphism import GraphMatcher, categorical_node_match
 
 from mdim import all_pairs_distances, build_graph, twin_partition
-from mdim.graph import subtree_swap_masks, symmetry_swap_masks
+from mdim.graph import symmetry_swap_masks
 from mdim.harness import scan_small_graphs
 from helpers import (
     random_connected_graph,
@@ -94,7 +94,7 @@ def test_swap_masks_are_automorphisms():
             else shuffled(rng, random_connected_graph(rng, n, extra=0.0))
         )
         h = to_networkx(t)
-        swaps = subtree_swap_masks(t)
+        swaps = symmetry_swap_masks(t, twin_partition(t))
         if any(swaps):
             centres.add(len(nx.center(h)))
         for x, masks in enumerate(swaps):
@@ -108,15 +108,37 @@ def test_swap_masks_are_automorphisms():
     assert centres == {1, 2}
 
 
+def core_twin_graph(rng):
+    """K_{a,b} (a from 3 to 4, b from 2 to 4) or K_a (a from 4 to 5), whose
+    twin classes of three or more lie in the 2-core, with one or two legs
+    of 1 to 3 vertices hung from random vertices; the ids are shuffled."""
+    if rng.random() < 0.5:
+        a, b = rng.randint(3, 4), rng.randint(2, 4)
+        edges = [(u, a + v) for u in range(a) for v in range(b)]
+    else:
+        a, b = rng.randint(4, 5), 0
+        edges = [(u, v) for u in range(a) for v in range(u + 1, a)]
+    n = a + b
+    for _ in range(rng.randint(1, 2)):
+        prev = rng.randrange(a + b)
+        for _ in range(rng.randint(1, 3)):
+            edges.append((prev, n))
+            prev, n = n, n + 1
+    return shuffled(rng, build_graph(n, edges))
+
+
 def test_hanging_and_twin_masks_are_automorphisms():
     # the same oracle for the swaps of symmetry_swap_masks on graphs with
     # cycles: isomorphic subtrees hanging from one parent, or two twins;
     # the hanging graphs hang trees that are not paths, whose masks are
-    # neither a twin pair nor two equal legs of one major
+    # neither a twin pair nor two equal legs of one major, and the core
+    # twin graphs hold twin classes of three or more in their 2-core
     rng = Random(18)
-    masks_seen = hanging = 0
-    for i in range(120):
-        if i % 3:
+    masks_seen = hanging = in_core = 0
+    for i in range(160):
+        if i >= 120:
+            g = core_twin_graph(rng)
+        elif i % 3:
             g = random_twinned_graph(rng, rng.randint(6, 9), extra=rng.choice([0.1, 0.3]))
         else:
             g = random_hanging_graph(rng, rng.randint(9, 11), extra=rng.choice([0.1, 0.3]))
@@ -128,24 +150,31 @@ def test_hanging_and_twin_masks_are_automorphisms():
             for s in masks:
                 masks_seen += 1
                 hanging += s not in known
+                in_core += i >= 120 and s.bit_count() == 2 and h.degree(x) >= 2
                 outside = {v for v in range(g.n) if not s >> v & 1}
                 assert moves_below(h, outside, x), (g.edges(), x, s)
-    # 401 masks, 104 of them neither twins nor equal legs
-    assert masks_seen >= 300
-    assert hanging >= 80
+    # 600 masks: on the first 120 graphs 449, 152 of them neither twins
+    # nor equal legs, and on the 40 core twin graphs 151, 149 of them a
+    # transposition of two twins in the 2-core
+    assert masks_seen >= 450
+    assert hanging >= 110
+    assert in_core >= 110
 
 
 def test_swap_masks_empty_off_symmetric_trees():
     g = random_connected_graph(Random(1), 8, extra=0.5)
     assert g.edge_count > g.n - 1
-    assert subtree_swap_masks(g) == ((),) * 8
-    # n - 1 edges but no tree: a triangle and an isolated vertex
-    assert subtree_swap_masks(build_graph(4, [(0, 1), (1, 2), (0, 2)])) == ((),) * 4
+    assert twin_partition(g).classes == tuple((v,) for v in range(8))
+    assert symmetry_swap_masks(g, twin_partition(g)) == ((),) * 8
+    # n - 1 edges but no tree: a 5-cycle and an isolated vertex, with no
+    # twins
+    c5 = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    assert symmetry_swap_masks(c5, twin_partition(c5)) == ((),) * 6
     # the spider with legs of length 1, 2 and 3 has no automorphism
     spider = build_graph(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
     h = to_networkx(spider)
     assert sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter()) == 1
-    assert subtree_swap_masks(spider) == ((),) * 7
+    assert symmetry_swap_masks(spider, twin_partition(spider)) == ((),) * 7
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

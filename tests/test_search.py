@@ -24,7 +24,7 @@ from mdim import (
     verify_witness,
 )
 from mdim.families import FamilySpec, generate, parse_family_spec
-from mdim.graph import subtree_swap_masks, symmetry_swap_masks
+from mdim.graph import TwinPartition, symmetry_swap_masks
 from mdim.harness import scan_small_graphs
 from mdim.resolving import first_collision, least_resolving_set
 from mdim import search
@@ -376,28 +376,6 @@ class TestWalk:
         assert scan_small_graphs(5).violations == []
 
 
-class TestSwapRule:
-    """The lex-leader rule on trees changes no answer: ``least(k)`` with
-    the swap table equals ``least(k)`` without it at every size, in both
-    modes, including the sizes where nothing resolves."""
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_same_least_sets_with_and_without_swaps(self, seed):
-        rng = Random(seed)
-        symmetric = 0
-        for _ in range(200):
-            t = random_symmetric_tree(rng, rng.randint(3, rng.choice([11, 16])))
-            dm = all_pairs_distances(t)
-            swaps = subtree_swap_masks(t)
-            symmetric += any(swaps)
-            table = Table(swaps, {})
-            for ordered in (False, True):
-                least = level_search(dm, ordered)
-                for k in range(1, t.n + 1):
-                    assert least(k, table) == least(k), (t.edges(), k, ordered)
-        assert symmetric >= 150
-
-
 def random_symmetric_non_tree(rng, n):
     """A random ``random_twinned_graph`` of order n with a cycle."""
     while True:
@@ -408,21 +386,26 @@ def random_symmetric_non_tree(rng, n):
 
 class TestSymmetryRule:
     """The lex-leader rule with the swaps of subtrees hanging from the
-    2-core and of twins changes no answer on graphs with cycles:
-    ``least(k)`` with the swap table equals ``least(k)`` without it at
-    every size, in both modes, including the sizes where nothing
-    resolves, and so does the pass from every size."""
+    centre of a tree or the 2-core of any other graph, twins among them,
+    changes no answer: ``least(k)`` with the swap table equals
+    ``least(k)`` without it at every size, in both modes, including the
+    sizes where nothing resolves, and so does the pass from every size."""
 
-    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("seed", range(5))
     def test_same_least_sets_with_and_without_swaps(self, seed):
         rng = Random(seed)
-        masked = 0
-        for _ in range(40):
-            g = random_symmetric_non_tree(rng, rng.randint(6, 10))
+        graphs = [random_symmetric_non_tree(rng, rng.randint(6, 10)) for _ in range(40)]
+        rng = Random(seed)
+        trees = [
+            random_symmetric_tree(rng, rng.randint(3, rng.choice([11, 16])))
+            for _ in range(200)
+        ]
+        masked = []
+        for g in graphs + trees:
             dm = all_pairs_distances(g)
             mr = major_vertex_report(g, dm)
             swaps = symmetry_swap_masks(g, twin_partition(g))
-            masked += any(swaps)
+            masked.append(any(swaps))
             for table in (Table(swaps, {}), Table(swaps, mr.legs)):
                 for ordered in (False, True):
                     least = level_search(dm, ordered)
@@ -433,8 +416,10 @@ class TestSymmetryRule:
                     for k in range(1, g.n + 1):
                         first = next((w for w in sizes[k - 1:] if w is not None), None)
                         assert least(k, table, g.n) == first, (g.edges(), k, ordered)
-        # every twinned graph has a twin pair, hence a swap
-        assert masked == 40
+        # every twinned graph has a twin pair, hence a swap, and most of
+        # the trees built around copies of one rooted tree have a swap
+        assert sum(masked[:40]) == 40
+        assert sum(masked[40:]) >= 150
 
     def test_matches_brute_force_on_orders_10_to_12(self, monkeypatch):
         # graphs of order 10 to 12 reach the table (comb(10, 3) > 10^2)
@@ -481,13 +466,16 @@ class TestSymmetryRule:
         assert hanging >= 100
 
     def test_trees_take_their_subtree_swaps(self):
-        # two twins of a tree are sibling leaves, whose swap the subtree
-        # table already holds for the larger one, so the union keeps the
-        # subtree swaps exactly
+        # a tree has no twin class in a 2-core: two twins of a tree are
+        # sibling leaves already, so a partition into singletons gives the
+        # same table as the twin classes
         rng = Random(3)
         for _ in range(300):
             t = random_symmetric_tree(rng, rng.randint(3, 16))
-            assert symmetry_swap_masks(t, twin_partition(t)) == subtree_swap_masks(t)
+            singletons = TwinPartition(tuple((v,) for v in range(t.n)))
+            assert symmetry_swap_masks(t, singletons) == symmetry_swap_masks(
+                t, twin_partition(t)
+            ), t.edges()
 
     def test_legs_and_twins_of_a_triangle(self):
         # triangle 0, 1, 2 with legs 3-4 and 5-6 of equal length at 0: the
@@ -500,14 +488,15 @@ class TestSymmetryRule:
         )
         # cherries 3 (leaves 4, 5) and 6 (leaves 7, 8) hung from 0 instead:
         # 6 and 7 move into the other cherry, which needs both cherries,
-        # and the leaves 5 and 8 move to their sibling leaf
+        # and the leaves 5 and 8 move to their sibling leaf; 8 also moves
+        # into the other cherry, a mask that contains its sibling swap
         g = build_graph(
             9, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (3, 5), (0, 6), (6, 7), (6, 8)]
         )
         both = sum(1 << v for v in range(3, 9))
         assert symmetry_swap_masks(g, twin_partition(g)) == (
             (), (), (1 << 1 | 1 << 2,), (), (), (1 << 4 | 1 << 5,), (both,), (both,),
-            (1 << 7 | 1 << 8,),
+            (both, 1 << 7 | 1 << 8),
         )
 
 
@@ -586,15 +575,15 @@ class TestBoundPass:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_per_size_search_on_swap_rule_trees(self, seed):
-        # the TestSwapRule corpus, where least(k, table) == least(k): the
-        # pass from every size k equals the first hit of least(k),
+        # the trees of TestSymmetryRule, where least(k, table) == least(k):
+        # the pass from every size k equals the first hit of least(k),
         # least(k + 1), ..., least(n), and in ordered mode the pass over
         # every size finds the least metric-resolving set
         rng = Random(seed)
         for _ in range(200):
             t = random_symmetric_tree(rng, rng.randint(3, rng.choice([11, 16])))
             dm = all_pairs_distances(t)
-            table = Table(subtree_swap_masks(t), {})
+            table = Table(symmetry_swap_masks(t, twin_partition(t)), {})
             least = level_search(dm)
             sizes = [least(k, table) for k in range(1, t.n + 1)]
             for k in range(1, t.n + 1):
