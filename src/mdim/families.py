@@ -264,7 +264,7 @@ def expected_md(spec: FamilySpec) -> ExpectedMd:
             # and 9; larger odd n unverified
             return ExpectedMd.unspecified(
                 "claimed value n-1 is refuted at the p = n-1 boundary for "
-                "odd branch counts (exhaustive search gives n at n = 5, 7)"
+                "odd branch counts (exhaustive search gives n at n = 5, 7, 9)"
             )
         if pp >= n - 1:
             return ExpectedMd.finite(n - 1)

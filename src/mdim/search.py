@@ -5,13 +5,14 @@ sizes in ascending order, and only a search that exhausts every size
 proves md infinite.  The map of this module:
 
 - ``level_search`` builds one graph's search ``least(k, table, last)``:
-  a depth-first search over ascending landmark ids with one cut, the
-  lex-leader rule and the leg rule, and for md's sizes after the first
-  large one a branch-and-bound pass.  Its docstring states why each of
-  them drops only sets that are not the least one of their size.
-- ``_extend`` (one size) and ``_bound`` (the pass) are its recursions.
-  They take the state of one frame and one context that stays fixed for
-  a solve with one table; ``_table_bits`` turns the table into bitsets.
+  a branch-and-bound pass over the sizes k..last, a depth-first search
+  over ascending landmark ids with one cut, the lex-leader rule and the
+  leg rule.  One size k is the pass over k..k, and md's sizes after the
+  first large one are one pass.  Its docstring states why each of them
+  drops only sets that are not the least one of their size.
+- ``_bound`` is its one recursion.  It takes the state of one frame and
+  one context that stays fixed for a solve with one table;
+  ``_table_bits`` turns the table into bitsets.
 - ``compute_md`` and ``compute_dim`` each spell out their size schedule
   and take the table at the first large size (``_turn``).  Above
   ``SearchConfig.max_vertices`` they raise ``SearchAborted``, the one
@@ -189,66 +190,10 @@ def _table_bits(
     return need, hitby, own, rest, owed
 
 
-def _paying(xs: range, own: list[int], rest: list[int], miss: int) -> list[int]:
-    """The candidates in ``xs`` that lower the count the legs are owed
-    (see _table_bits).  A module-level function, since a comprehension in
-    _extend would turn the locals it reads into cells there: that made
-    compute_md and compute_dim about 1.5% slower on order-6 graphs, which
-    never build a table (Python 3.11)."""
-    return [x for x in xs if own[x] & miss and rest[x] & miss]
-
-
 # what stays fixed for a solve with one table: the order n, the code
 # ``weights`` and cut labels ``tails`` of level_search, and the table's
 # bitsets ``need, hitby, own, rest`` (see _table_bits), all 0 with no table
 Context = tuple[int, list, list, list[int], list[int], list[int], list[int]]
-
-
-def _extend(
-    code: tuple[int, ...], start: int, left: int, hit: int, owed: int, ctx: Context
-) -> tuple[int, ...]:
-    """Complete the chosen landmarks, whose vertex codes are ``code``, with
-    ``left`` more ids from ``start`` on; return the ids added, or () if no
-    completion resolves.  ``hit`` is the union of ``hitby`` over the
-    chosen landmarks, ``owed`` the landmarks their unhit legs are still
-    owed, and ``ctx`` the solve's context.
-
-    Candidate x is skipped, before any test, when ``need[x] & ~hit`` is
-    non-zero (see _table_bits): the chosen landmarks miss a swap mask S of
-    x, that automorphism fixes every chosen landmark and maps x to a
-    smaller id, so by the lex-leader rule no least resolving set continues
-    with x (see level_search).  The test reads ``need[x]`` first: with no
-    table every entry is 0, and that graph pays one falsy int per
-    candidate.
-
-    When the legs are owed all ``left`` landmarks (the leg rule, see
-    level_search), only the candidates that pay one off are tried, listed
-    once for the frame, and when they are owed more, none is; no other
-    frame pays anything per candidate for the rule."""
-    n, weights, tails, need, hitby, own, rest = ctx
-    miss = ~hit
-    xs = range(start, n - left + 1)
-    if owed >= left:
-        xs = _paying(xs, own, rest, miss) if owed == left else ()
-    if left == 1:
-        for x in xs:
-            if need[x] and need[x] & miss:
-                continue
-            if len(set(map(add, code, weights[x]))) == n:
-                return (x,)
-        return ()
-    for x in xs:
-        if need[x] and need[x] & miss:
-            continue
-        if len(set(zip(code, tails[x]))) < n:
-            return ()
-        after = owed and owed - ((own[x] & miss and rest[x] & miss) > 0)
-        found = _extend(
-            tuple(map(add, code, weights[x])), x + 1, left - 1, hit | hitby[x], after, ctx
-        )
-        if found:
-            return (x, *found)
-    return ()
 
 
 def _bound(
@@ -264,64 +209,89 @@ def _bound(
     """The branch-and-bound pass over sizes ``lo``..``hi``: extend the
     ``size - 1`` chosen landmarks, whose vertex codes are ``code``, by ids
     from ``start`` on; return the ids added to the least resolving set of
-    the fewest landmarks from lo to hi, or () if none resolves.  ``hit``,
-    ``owed`` and ``ctx`` are those of _extend.
+    the fewest landmarks from lo to hi, or () if none resolves.  One size
+    k is the pass over k..k.  ``hit`` is the union of ``hitby`` over the
+    chosen landmarks, ``owed`` the landmarks their unhit legs are still
+    owed, and ``ctx`` the solve's context.
 
-    Each candidate x makes a child of ``size`` landmarks, with the swap
-    rule of _extend and the leg rule: the child is skipped when its unhit
-    legs are owed more than the ``hi - size`` landmarks it may still
-    take.  If the first frame's ``owed`` is at most ``hi``, which md's
-    pass meets (its ``hi`` is n, and the legs, disjoint and missing every
-    major, are owed fewer than n), every frame is entered owing at most
-    one more than that, and only then (``tight``) does a candidate that
-    pays none off get skipped.  A first frame owed more returns (), as
-    every child it tries is still owed a landmark and cannot resolve.
-    At the last allowed size, ``size == hi``, the child gets the resolve
-    test alone.  Below it the cut runs first, and a child of at least
-    ``lo`` landmarks that resolves is returned at once: it is the
-    incumbent, and its later siblings and its supersets are no smaller.
-    A child whose legs are still owed a landmark gets no resolve test,
-    since two unhit legs of one major collide.  Otherwise the child is
-    expanded, and a set found below it becomes the incumbent, which
-    lowers ``hi`` to one less than its size for the remaining siblings;
-    once ``hi`` is below ``lo``, or below what the legs are owed, nothing
-    is left to find (see level_search for why this is sound).
+    Candidate x is skipped, before any test, when ``need[x] & ~hit`` is
+    non-zero (see _table_bits): the chosen landmarks miss a swap mask S of
+    x, that automorphism fixes every chosen landmark and maps x to a
+    smaller id, so by the lex-leader rule no least resolving set continues
+    with x (see level_search).  The test reads ``need[x]`` first: with no
+    table every entry is 0, and that graph pays one falsy int per
+    candidate.
+
+    Each candidate x makes a child of ``size`` landmarks, skipped by the
+    leg rule when its unhit legs are owed more than the ``hi - size``
+    landmarks it may still take.  If the first frame's ``owed`` is at most
+    the ``hi`` landmarks it may take, every frame is entered owing at most
+    the ``hi - size + 1`` it may take, and only when it owes exactly that
+    (``tight``) does a candidate that pays none off get skipped; every
+    other frame pays one falsy local per candidate for the rule.  The
+    solves meet that: the first ``owed`` is sigma - ex, the terminal-count
+    rule of ``md_lower_bound`` and ``dim_lower_bound``, and they hand a
+    table only to sizes from those bounds on.  A first frame owed more
+    returns (), as every child it tries is still owed a landmark and
+    cannot resolve.
+
+    At the last allowed size, ``size == hi``, the candidates get the
+    resolve test alone, in a loop of their own.  Below it the cut runs
+    first, and a child of at least ``lo`` landmarks that resolves is
+    returned at once: it is the incumbent, and its later siblings and its
+    supersets are no smaller.  A child whose legs are still owed a
+    landmark gets no resolve test, since two unhit legs of one major
+    collide.  Otherwise the child is expanded, and a set found below it
+    becomes the incumbent, which lowers ``hi`` to one less than its size
+    for the remaining siblings.  Once ``hi`` is below ``lo``, or below
+    what the legs are owed, nothing is left to find; once it is ``size``,
+    the remaining siblings go to the resolve-only loop, so no frame is
+    entered above ``hi`` (see level_search for why this is sound).
     """
     n, weights, tails, need, hitby, own, rest = ctx
     best: tuple[int, ...] = ()
     miss = ~hit
     tight = owed > hi - size
-    for x in range(start, n - max(lo - size, 0)):
+    if size < hi:
+        for x in range(start, n - lo + size if lo > size else n):
+            if need[x] and need[x] & miss:
+                continue
+            if tight and not (own[x] & miss and rest[x] & miss):
+                continue
+            if len(set(zip(code, tails[x]))) < n:
+                return best
+            child = tuple(map(add, code, weights[x]))
+            after = owed and owed - ((own[x] & miss and rest[x] & miss) > 0)
+            if size >= lo and not after and len(set(child)) == n:
+                return (x,)
+            found = _bound(child, x + 1, size + 1, lo, hi, hit | hitby[x], after, ctx)
+            if found:
+                best = (x, *found)
+                hi = size + len(found) - 1
+                if hi < lo or owed > hi - size + 1:
+                    return best
+                tight = owed > hi - size
+                if hi == size:
+                    start = x + 1
+                    break
+        else:
+            return best
+    for x in range(start, n):
         if need[x] and need[x] & miss:
             continue
         if tight and not (own[x] & miss and rest[x] & miss):
             continue
-        if size == hi:
-            if len(set(map(add, code, weights[x]))) == n:
-                return (x,)
-            continue
-        if len(set(zip(code, tails[x]))) < n:
-            break
-        child = tuple(map(add, code, weights[x]))
-        after = owed and owed - ((own[x] & miss and rest[x] & miss) > 0)
-        if size >= lo and not after and len(set(child)) == n:
+        if len(set(map(add, code, weights[x]))) == n:
             return (x,)
-        found = _bound(child, x + 1, size + 1, lo, hi, hit | hitby[x], after, ctx)
-        if found:
-            best = (x, *found)
-            hi = size + len(found) - 1
-            if hi < lo or owed > hi - size + 1:
-                break
-            tight = owed > hi - size
     return best
 
 
 def level_search(dm: DistanceMatrix, ordered: bool = False) -> Least:
     """Build the landmark tables of one graph; return
     ``least(k, table, last)``, the lexicographically least resolving set
-    of size k (1 <= k <= n), or None.  With ``last`` it is the least set
-    of the fewest landmarks from k to last, found by one branch-and-bound
-    pass.  Sets resolve by distance multisets, or with ``ordered`` by
+    of size k (1 <= k <= n), or None, found by a branch-and-bound pass
+    over the one size k.  With ``last`` it is the least set of the fewest
+    landmarks from k to last, found by one pass over those sizes.  Sets resolve by distance multisets, or with ``ordered`` by
     distance vectors (metric resolving).  ``table``, if given, holds the
     ``graph.symmetry_swap_masks`` table and the legs of the
     ``graph.major_vertex_report`` of the same graph; it changes no answer,
@@ -392,17 +362,19 @@ def level_search(dm: DistanceMatrix, ordered: bool = False) -> Least:
     owed ``sum(unhit legs - 1)`` over the majors more landmarks, which
     goes down by at most one per landmark added.  Candidate x is skipped
     when the landmarks still owed after x exceed those still allowed
-    (``left - 1``, or ``hi - size`` in the pass), and a set still owed a
-    landmark gets no resolve test.  The rule drops only sets that do not
+    (``hi - size`` in _bound), and a set still owed a landmark gets no
+    resolve test.  The rule drops only sets that do not
     resolve, so each size still returns its least witness or None, and a
     None at every size still proves that no resolving set exists.
 
     The pass over sizes k..last (``_bound``) walks the tree of ascending
-    prefixes once for all those sizes, instead of once per size.
-    A resolving prefix of at least k landmarks becomes the incumbent and
-    drops its later siblings, and a node is expanded only while its
-    children are smaller than the incumbent.  Its answer equals the first
-    hit of ``least`` over the sizes k, k + 1, ..., last:
+    prefixes once for all those sizes, instead of once per size, and one
+    size k is the pass over k..k.  A resolving prefix of at least k
+    landmarks becomes the incumbent and drops its later siblings, and a
+    node is expanded only while its children are smaller than the
+    incumbent.  Its answer is the least set of the fewest landmarks from
+    k to last, the first hit of the sizes k, k + 1, ..., last searched
+    one at a time:
       - the cut, the swap rule and the leg rule do not depend on the
         size, so each still drops only sets that are not the least one of
         their size;
@@ -415,8 +387,8 @@ def level_search(dm: DistanceMatrix, ordered: bool = False) -> Least:
         pass still proves that no size from k to last holds a resolving
         set.
 
-    The recursions are the module-level ``_extend`` and ``_bound``, which
-    return the ids they add.  Each frame takes only its own state (the
+    The recursion is the module-level ``_bound``, which returns the ids
+    it adds.  Each frame takes only its own state (the
     codes, the next id, the sizes, the ``hit`` bitset of both rules and
     the count ``owed``) and the one ``Context`` tuple that ``least``
     builds per table: a nested function that calls itself is a reference
@@ -453,11 +425,8 @@ def level_search(dm: DistanceMatrix, ordered: bool = False) -> Least:
                 need, hitby, own, rest, owed = _table_bits(table, n)
                 memo[:] = table, (n, weights, tails, need, hitby, own, rest), owed
             _, ctx, owed = memo
-        if last is None:
-            found = _extend((0,) * n, 0, k, 0, owed, ctx)
-        else:
-            found = _bound((0,) * n, 0, 1, k, last, 0, owed, ctx)
-        return found or None
+        hi = k if last is None else last
+        return _bound((0,) * n, 0, 1, k, hi, 0, owed, ctx) or None
 
     return least
 

@@ -383,7 +383,7 @@ class TestDeterminism:
         "argv,digest",
         [
             (["suite", "--scan-n", "4", "--json"],
-             "2de60989ea01a2e12adcaaa8d08fbc0a6e18467de2e79bcb04fa421faf290ea6"),
+             "c701597a417f276841d02f6b2c5a78dcac87483a0b49396f94d3ac2011140792"),
             (["scan", "--n", "5", "--json"],
              "58899cbe1efbb06f6fa122ef2acaeb11095e1ad6073038bc1676ef6821c1abfe"),
         ],

@@ -529,12 +529,16 @@ class TestBoundPass:
     @staticmethod
     def record(monkeypatch):
         """Spy on ``search._bound``: one entry per frame, the frame's
-        child size and the size of the set it returns (0 for none)."""
+        child size, its ``lo`` and ``hi`` and the size of the set it
+        returns (0 for none).  It fails a frame entered with a child size
+        above ``hi``: the pass may not enter a frame to search a size it
+        no longer allows."""
         frames, bound = [], search._bound
 
-        def recording(code, start, size, *rest):
-            ids = bound(code, start, size, *rest)
-            frames.append((size, size - 1 + len(ids) if ids else 0))
+        def recording(code, start, size, lo, hi, *rest):
+            assert size <= hi, (size, hi)
+            ids = bound(code, start, size, lo, hi, *rest)
+            frames.append((size, lo, hi, size - 1 + len(ids) if ids else 0))
             return ids
 
         monkeypatch.setattr(search, "_bound", recording)
@@ -552,8 +556,10 @@ class TestBoundPass:
             fast, slow = compute_md(g), brute_force_md(g)
             assert fast.kind == slow.kind, g.edges()
             assert (fast.value, fast.witness) == (slow.value, slow.witness), g.edges()
-        # the pass starts once per solve, with a child size of 1
-        assert sum(size == 1 for size, _ in frames) >= 50
+        # every size searched opens a first frame, of child size 1; md's
+        # pass over its sizes after the first large one is the one first
+        # frame whose hi is above its lo
+        assert sum(size == 1 and hi > lo for size, lo, hi, _ in frames) >= 50
 
     def test_incumbent_shrinks(self, monkeypatch):
         # a tree of order 9 whose lower bound, 3, is its first large size
@@ -564,7 +570,7 @@ class TestBoundPass:
         )
         frames = self.record(monkeypatch)
         outcome = compute_md(g)
-        assert sorted({m for _, m in frames if m}) == [4, 5]
+        assert sorted({m for *_, m in frames if m}) == [4, 5]
         slow = brute_force_md(g)
         assert (outcome.value, outcome.witness) == (slow.value, slow.witness)
 
@@ -574,24 +580,49 @@ class TestBoundPass:
             ("substar:5x3", 4, (1, 2, 4, 8, 12)),
             ("substar:7x3", 6, (1, 2, 4, 6, 7, 11, 12, 14, 18)),
             ("karytree:2x3", 4, (1, 3, 5, 7, 9, 11, 13)),
+            ("substar:8x3", 7, (1, 2, 3, 4, 5, 7, 9, 10, 14, 15, 17, 21)),
         ],
     )
     def test_no_set_below_what_the_legs_are_owed(self, spec, owed, witness):
         # a pass whose last size is below the count the legs are owed
         # before any landmark is chosen finds nothing, since every set of
-        # at most that size leaves two legs of one major unhit; with every
-        # size allowed it finds md's witness
+        # at most that size leaves two legs of one major unhit, and so
+        # does each of those sizes alone; with every size allowed the
+        # pass finds md's witness
         g = generate(parse_family_spec(spec))
         dm = all_pairs_distances(g)
         mr = major_vertex_report(g, dm)
         table = Table(symmetry_swap_masks(g, twin_partition(g)), mr.legs)
         assert search._table_bits(table, g.n)[-1] == owed
         least = level_search(dm)
+        for k in range(1, owed):
+            assert least(k, table) is None, (spec, k)
         for k in (1, 3):
             for last in range(k, owed):
                 assert least(k, table, last) is None, (spec, k, last)
             assert least(k, table, g.n) == witness
         assert compute_md(g, SearchConfig(max_vertices=g.n)).witness == witness
+
+    @pytest.mark.parametrize(
+        "spec,md_frames,dim_frames",
+        [
+            ("substar:7x3", 4629, 6),
+            ("substar:6x4", 379, 5),
+            ("substar:8x2", 109, 7),
+            ("karytree:2x3", 174, 4),
+            ("cextree", 47, 3),
+        ],
+    )
+    def test_frames_per_solve(self, spec, md_frames, dim_frames, monkeypatch):
+        # the search's work on the md_hard graphs of the benchmark: the
+        # frames of every size searched, one size at a time or in the pass
+        frames = self.record(monkeypatch)
+        g = generate(parse_family_spec(spec))
+        cfg = SearchConfig(max_vertices=40)
+        compute_md(g, cfg)
+        md = len(frames)
+        compute_dim(g, cfg)
+        assert (md, len(frames) - md) == (md_frames, dim_frames)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_per_size_search_on_swap_rule_trees(self, seed):
