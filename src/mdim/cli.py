@@ -295,8 +295,9 @@ def _add_common(
         sub.add_argument("--progress", action="store_true",
                          help="progress notes on stderr")
     if cap:
-        sub.add_argument("--max-vertices", type=_at_least_one("a vertex cap"), default=24,
-                         metavar="N", help="exhaustive-search cap (default 24)")
+        sub.add_argument("--max-vertices", type=_at_least_one("a vertex cap"),
+                         default=SearchConfig._field_defaults["max_vertices"],
+                         metavar="N", help="exhaustive-search cap (default %(default)s)")
     if graph_input:
         # one graph source: main refuses a file together with --family once
         # parsing is done, so that an unknown option followed by a value

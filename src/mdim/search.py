@@ -14,9 +14,11 @@ proves md infinite.  The map of this module:
   one context that stays fixed for a solve with one table;
   ``_table_bits`` turns the table into bitsets.
 - ``compute_md`` and ``compute_dim`` each spell out their size schedule
-  and take the table at the first large size (``_turn``).  Above
+  and take the table at the first large size (``_turn``); before it,
+  compute_dim answers with the least leg cover (``_leg_cover``) when one
+  resolve check shows it resolves at the size the legs force.  Above
   ``SearchConfig.max_vertices`` they raise ``SearchAborted``, the one
-  abort signal.
+  abort signal, before any table is built (``_check_cap``).
 - ``brute_force_md`` is the unpruned reference walk
   ``resolving.least_resolving_set``, which the tests hold both modes of
   the search to.
@@ -48,6 +50,7 @@ from .resolving import (
     detect_infinite,
     dim_distance_rules,
     dim_lower_bound,
+    first_collision,
     is_m_resolving,
     is_metric_resolving,
     least_resolving_set,
@@ -365,7 +368,14 @@ def level_search(dm: DistanceMatrix, ordered: bool = False) -> Least:
     (``hi - size`` in _bound), and a set still owed a landmark gets no
     resolve test.  The rule drops only sets that do not
     resolve, so each size still returns its least witness or None, and a
-    None at every size still proves that no resolving set exists.
+    None at every size still proves that no resolving set exists.  At the
+    size ``sigma - ex`` itself, the sum of ``len(legs) - 1``, a resolving
+    set holds exactly one vertex on each leg it covers and nothing else,
+    so the least leg cover (``_leg_cover``: the least id of every leg but
+    the one with the largest least id, per major), as an ascending tuple,
+    is componentwise no larger than any resolving set of that size, and
+    if it resolves it is the least one; compute_dim tries it before it
+    builds this search.
 
     The pass over sizes k..last (``_bound``) walks the tree of ascending
     prefixes once for all those sizes, instead of once per size, and one
@@ -431,14 +441,23 @@ def level_search(dm: DistanceMatrix, ordered: bool = False) -> Least:
     return least
 
 
-def _capped_search(dm: DistanceMatrix, ordered: bool, cfg: SearchConfig) -> Least:
-    """``level_search(dm, ordered)`` for one solve; raises SearchAborted
-    above ``cfg.max_vertices``, before the table is built."""
-    if dm.n > cfg.max_vertices:
+def _check_cap(n: int, cfg: SearchConfig) -> None:
+    """Raise SearchAborted for a graph of n vertices above
+    ``cfg.max_vertices``; the solves call it before they build any table."""
+    if n > cfg.max_vertices:
         raise SearchAborted(
-            f"{dm.n} vertices exceeds the exhaustive-search cap of {cfg.max_vertices}"
+            f"{n} vertices exceeds the exhaustive-search cap of {cfg.max_vertices}"
         )
-    return level_search(dm, ordered)
+
+
+def _leg_cover(legs: LegTable) -> tuple[int, ...]:
+    """The least leg cover, ascending: for each major, the least id of
+    every leg but the one whose least id is largest.  It holds one
+    landmark on every leg but one of each major, so ``sigma - ex`` of
+    them, and no metric-resolving set of that size is lexicographically
+    smaller (see compute_dim)."""
+    cover = (x for group in legs.values() for x in sorted(map(min, group))[:-1])
+    return tuple(sorted(cover))
 
 
 def _turn(n: int, k: int) -> int:
@@ -518,7 +537,8 @@ def compute_md(g: Graph, cfg: SearchConfig = SearchConfig()) -> ResolveOutcome:
         return ResolveOutcome(OutcomeKind.INFINITE, certificate=cert)
     mr = major_vertex_report(g, dm)
     lb = md_lower_bound(g, dm, tp, mr).value
-    least = _capped_search(dm, False, cfg)
+    _check_cap(n, cfg)
+    least = level_search(dm, False)
     big = _turn(n, lb)
     witness = _first_hit(least, "md", range(lb, big), n, cfg)
     if witness is None and big <= n:
@@ -557,24 +577,47 @@ def compute_dim(
     is large (see _turn), ``graph.major_vertex_report`` is taken first: it
     finds the terminals and their legs by walking from each pendant, and
     the start rises to their count ``sigma - ex``, the terminal-count rule
-    of ``dim_lower_bound``; the sizes below the large one are searched
-    plain.  If none resolves, the full ``dim_lower_bound``, which also
-    needs the twin partition (about n^2 steps), and the swap table, from
-    the same twin partition and report, are computed, and the search goes
-    on from the larger of that size and the bound, with the swap table and
-    the report's legs.  On graphs of order 7 or less no size is that
-    large, and on small graphs those inputs cost more than the whole
-    search, so they are never computed there.  Raises SearchAborted above
+    of ``dim_lower_bound``.  When the start is that count, one resolve
+    check may answer with no search: if the least leg cover (see
+    _leg_cover) resolves, it is the answer.  By the leg rule (see
+    level_search) a resolving set of ``sigma - ex`` landmarks holds
+    exactly one vertex on each leg it covers and nothing else.  Moving
+    each landmark to the least id of its leg, and then, at each major
+    whose leg with the largest least id holds a landmark, moving that one
+    to the least id of the leg left uncovered, only lowers its ascending
+    tuple componentwise and ends at the least leg cover; so a cover that
+    resolves is the least witness at the least size the bounds allow.
+    Every tree that is not a path is answered so: its dimension is
+    sigma - ex, and one vertex on every leg but one of each major
+    resolves it (Chartrand, Eroh, Johnson & Oellermann 2000).
+
+    Otherwise the ordered search is built, and the sizes below the large
+    one are searched plain.  If none resolves, the full
+    ``dim_lower_bound``, which also needs the twin partition (about n^2
+    steps), and the swap table, from the same twin partition and report,
+    are computed, and the search goes on from the larger of that size and
+    the bound, with the swap table and the report's legs.  On graphs of
+    order 7 or less no size is that large, and on small graphs those
+    inputs cost more than the whole search, so they are never computed
+    there and the cover is never tried.  Raises SearchAborted above
     ``cfg.max_vertices``, before any table is built.
     """
     dm = all_pairs_distances(g)
     n = dm.n
     k = max(dim_distance_rules(g, dm).values())
-    least = _capped_search(dm, True, cfg)
+    _check_cap(n, cfg)
     big = _turn(n, k)
     if big <= n:
         mr = major_vertex_report(g, dm)
-        k = max(k, mr.sigma - mr.ex)
+        if k <= mr.sigma - mr.ex:
+            k = mr.sigma - mr.ex
+            cover = _leg_cover(mr.legs)
+            if first_collision(dm.d, cover, True) is None:
+                if cfg.progress:
+                    print(f"dim search: least leg cover resolves ({k} landmarks)",
+                          file=sys.stderr)
+                return k, cover
+    least = level_search(dm, True)
     w = _first_hit(least, "dim", range(k, big), n, cfg)
     if w is None:
         # with no large size, the sizes searched reach n, where V resolves

@@ -154,15 +154,11 @@ class TestCommands:
     def test_dim_progress_names_levels_walked(self, capsys):
         # the distance rules give 2, and size 3 (680 > 17^2 sets) is the
         # first large size, so the legs are walked before it: their count
-        # sigma - ex = 7 starts the search at size 7, and the full bound
-        # (7, terminal-count) and the swap table are computed before it
+        # sigma - ex = 7 starts the search at size 7, where the least leg
+        # cover resolves, so no size is searched and no table is built
         assert main(["dim", "--family", "substar:8x2", "--progress"]) == EXIT_OK
         captured = capsys.readouterr()
-        assert captured.err == (
-            "dim search: symmetry rule on (14 vertices have a smaller image)\n"
-            "dim search: leg rule on (8 legs at 1 major)\n"
-            "dim search: size 7 of up to 17\n"
-        )
+        assert captured.err == "dim search: least leg cover resolves (7 landmarks)\n"
         assert captured.out.strip() == "dim = 7, witness = {1, 3, 5, 7, 9, 11, 13}"
 
     def test_md_progress_notes_symmetry_rule(self, capsys):

@@ -1,5 +1,5 @@
 import gc
-from itertools import combinations
+from itertools import combinations, product
 from random import Random
 
 import pytest
@@ -40,6 +40,7 @@ from helpers import (
     random_legged_graph,
     random_symmetric_tree,
     random_twinned_graph,
+    shuffled,
     terminals_by_distance,
     twin_and_leg_masks,
 )
@@ -316,13 +317,34 @@ class TestWalk:
     def test_dim_bound_and_table_after_first_large_size(self, monkeypatch):
         # substar:8x2 (17 vertices): the distance rules give 2, and
         # comb(17, 3) = 680 is the first count above 17^2 = 289, so the
-        # report is taken before size 3: its count sigma - ex = 7 leaves
-        # no size below 3 to search plain, and the full bound (7), from the
-        # same report, and the swap table are computed before the search
-        # goes on from 7
+        # report is taken before size 3: its count sigma - ex = 7 starts
+        # the search at 7, where the least leg cover resolves, so no
+        # search is built
         seen = self.record(monkeypatch)
-        assert compute_dim(generate(FamilySpec.subdivided_star(8, 2)))[0] == 7
-        assert seen == ["report", "table", (7, True, None)]
+        built, build = [], search.level_search
+
+        def building(dm, ordered=False):
+            built.append(dm.n)
+            return build(dm, ordered)
+
+        monkeypatch.setattr(search, "level_search", building)
+        assert compute_dim(generate(FamilySpec.subdivided_star(8, 2))) == (
+            7, (1, 3, 5, 7, 9, 11, 13)
+        )
+        assert (seen, built) == (["report"], [])
+        # a 4-cycle 0, 1, 2, 3 with four pendants at 0 (8 vertices): the
+        # distance rules give 2 and the first large size is 4 (70 > 8^2),
+        # so the report is taken first; its count sigma - ex = 3 starts the
+        # search at 3, where the cover (4, 5, 6) leaves the twins 1 and 3
+        # unresolved, so size 3 is searched plain, and the full bound (4,
+        # twin-classes) and the swap table are computed before the search
+        # goes on from 4
+        g = build_graph(8, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7)])
+        assert compute_dim(g) == (5, (1, 2, 4, 5, 6))
+        assert seen == [
+            "report", "report", (3, False, None), "table", (4, True, None), (5, True, None)
+        ]
+        assert built == [8]
 
     def test_each_table_converted_once(self, monkeypatch):
         # md hands its table to the first large size and to the pass, dim
@@ -615,14 +637,19 @@ class TestBoundPass:
     )
     def test_frames_per_solve(self, spec, md_frames, dim_frames, monkeypatch):
         # the search's work on the md_hard graphs of the benchmark: the
-        # frames of every size searched, one size at a time or in the pass
+        # frames of every size searched, one size at a time or in the pass.
+        # Each is a tree, so the least leg cover answers dim with no frame;
+        # dim_frames is what the search makes once the cover is refused
         frames = self.record(monkeypatch)
         g = generate(parse_family_spec(spec))
         cfg = SearchConfig(max_vertices=40)
         compute_md(g, cfg)
         md = len(frames)
-        compute_dim(g, cfg)
-        assert (md, len(frames) - md) == (md_frames, dim_frames)
+        answer = compute_dim(g, cfg)
+        assert (md, len(frames) - md) == (md_frames, 0)
+        monkeypatch.setattr(search, "first_collision", lambda *a: (0, 1, ()))
+        assert compute_dim(g, cfg) == answer
+        assert len(frames) - md == dim_frames
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_per_size_search_on_swap_rule_trees(self, seed):
@@ -669,7 +696,7 @@ class TestLegRule:
     def test_matches_brute_force_on_orders_10_to_12(self, monkeypatch):
         owed = self.record(monkeypatch)
         rng = Random(15)
-        reached = 0
+        reached = dim_reached = 0
         for _ in range(360):
             g = random_legged_graph(
                 rng, rng.randint(10, 12), extra=rng.choice([0.0, 0.0, 0.1, 0.25])
@@ -678,11 +705,16 @@ class TestLegRule:
             fast, slow = compute_md(g), brute_force_md(g)
             assert fast.kind == slow.kind, g.edges()
             assert (fast.value, fast.witness) == (slow.value, slow.witness), g.edges()
+            reached += any(owed[seen:])
+            seen = len(owed)
             w = least_resolving_set(all_pairs_distances(g), ordered=True)
             assert compute_dim(g) == (len(w), w), g.edges()
-            reached += any(owed[seen:])
-        # 354 of the 360 reach the table with legs owed a landmark
-        assert reached >= 300
+            dim_reached += any(owed[seen:])
+        # 267 of the 360 md solves reach the table with legs owed a
+        # landmark; dim reaches it only when the least leg cover fails or
+        # is not tried, 61 times
+        assert reached >= 230
+        assert dim_reached >= 40
 
     @pytest.mark.parametrize("seed", range(3))
     def test_same_least_sets_with_and_without_legs(self, seed):
@@ -697,6 +729,122 @@ class TestLegRule:
                 assert [least(k, table) for k in range(1, g.n + 1)] == sizes, g.edges()
                 first = next(filter(None, sizes), None)
                 assert least(1, table, g.n) == first, (g.edges(), ordered)
+
+
+def random_recursive_tree(rng: Random, n: int):
+    """Random recursive tree of order n: each vertex joins a uniformly
+    random earlier one; the ids are shuffled."""
+    return shuffled(rng, build_graph(n, [(rng.randrange(v), v) for v in range(1, n)]))
+
+
+class TestLegCover:
+    """dim's one resolve check before any search: when its start is the
+    terminal count sigma - ex, the least leg cover, if it resolves, is the
+    answer (see compute_dim)."""
+
+    @staticmethod
+    def record(monkeypatch):
+        """Spy on one solve: "cover" where the least leg cover is taken,
+        "search" where the ordered search is built."""
+        seen, cover, build = [], search._leg_cover, search.level_search
+
+        def covering(legs):
+            seen.append("cover")
+            return cover(legs)
+
+        def building(dm, ordered=False):
+            seen.append("search")
+            return build(dm, ordered)
+
+        monkeypatch.setattr(search, "_leg_cover", covering)
+        monkeypatch.setattr(search, "level_search", building)
+        return seen
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_brute_force_on_orders_8_to_14(self, seed, monkeypatch):
+        # relabelled trees, which the cover answers unless they are paths,
+        # and legged graphs with a cycle, where it may fail or not be tried
+        seen = self.record(monkeypatch)
+        rng = Random(seed)
+        answered = failed = 0
+        for i in range(160):
+            n = rng.randint(8, 14)
+            if i < 20:
+                g = prufer_tree(rng, n)
+            elif i < 40:
+                g = random_recursive_tree(rng, n)
+            else:
+                g = random_legged_graph(rng, n, extra=rng.choice([0.15, 0.3, 0.45]))
+                while g.edge_count < g.n:
+                    g = random_legged_graph(rng, n, extra=0.45)
+            g = shuffled(rng, g)
+            del seen[:]
+            w = least_resolving_set(all_pairs_distances(g), ordered=True)
+            assert compute_dim(g) == (len(w), w), g.edges()
+            if i < 40:
+                assert seen == (["search"] if is_path(g) else ["cover"]), g.edges()
+            else:
+                answered += seen == ["cover"]
+                failed += seen == ["cover", "search"]
+        # of the 120 graphs with a cycle per seed, the cover answers 8 to
+        # 10 and fails on 86 to 94
+        assert answered >= 6
+        assert failed >= 60
+
+    def test_answers_every_tree_with_no_search(self, monkeypatch):
+        seen = self.record(monkeypatch)
+        rng = Random(4)
+        trees = 0
+        for i in range(300):
+            n = rng.randint(8, 60)
+            t = (random_symmetric_tree if i % 2 else random_recursive_tree)(rng, n)
+            if is_path(t):
+                continue
+            del seen[:]
+            value, w = compute_dim(t, SearchConfig(max_vertices=n))
+            assert seen == ["cover"], t.edges()
+            terminals = terminals_by_distance(t, all_pairs_distances(t)).values()
+            assert value == len(w) == sum(map(len, terminals)) - sum(map(bool, terminals))
+            assert is_metric_resolving(all_pairs_distances(t), w).resolving
+            trees += 1
+        # 300 here: no tree drawn is a path
+        assert trees >= 290
+
+    def test_is_the_least_leg_cover(self):
+        # every choice of one leg to leave out per major and one vertex on
+        # each other leg: the least leg cover is the least of them, and
+        # every metric-resolving set of sigma - ex landmarks is one of them
+        # (the leg rule), so none is smaller than the cover, and a cover
+        # that resolves is the least of them all
+        rng = Random(6)
+        resolved = 0
+        for _ in range(60):
+            g = random_legged_graph(rng, rng.randint(6, 10), rng.choice([0.0, 0.2]))
+            dm = all_pairs_distances(g)
+            mr = major_vertex_report(g, dm)
+            covers = set()
+            for outs in product(*(range(len(group)) for group in mr.legs.values())):
+                legs = [
+                    leg
+                    for group, out in zip(mr.legs.values(), outs)
+                    for j, leg in enumerate(group)
+                    if j != out
+                ]
+                covers |= {tuple(sorted(choice)) for choice in product(*legs)}
+            cover = search._leg_cover(mr.legs)
+            assert len(cover) == mr.sigma - mr.ex
+            assert cover == min(covers), g.edges()
+            resolving = [
+                w
+                for w in combinations(range(g.n), len(cover))
+                if first_collision(dm.d, w, True) is None
+            ]
+            assert set(resolving) <= covers, g.edges()
+            if first_collision(dm.d, cover, True) is None:
+                assert resolving[0] == cover, g.edges()
+                resolved += 1
+        # the cover resolves 54 of the 60
+        assert resolved >= 40
 
 
 class TestAgainstBruteForce:
