@@ -217,9 +217,14 @@ def path_endpoints(g: Graph) -> tuple[int, ...]:
     return tuple(v for v, nbrs in enumerate(g.adjacency) if len(nbrs) == 1)
 
 
-def major_vertex_report(g: Graph, dm: DistanceMatrix) -> MajorVertexReport:
+def major_vertex_report(
+    g: Graph, dm: DistanceMatrix | None = None
+) -> MajorVertexReport:
     """Classify majors (degree >= 3) and assign each pendant to its owner
-    by walking from it along degree-2 vertices.  ``dm`` is not read.
+    by walking from it along degree-2 vertices.  ``dm`` is not read and
+    may be left out: ``search.compute_dim`` takes the report before any
+    distance is computed, and callers that hold the matrix may still pass
+    it.
 
     The walk from a pendant along degree-2 vertices ends at the first
     vertex of degree 3 or more, and every path from the pendant to a

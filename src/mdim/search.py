@@ -14,9 +14,10 @@ proves md infinite.  The map of this module:
   one context that stays fixed for a solve with one table;
   ``_table_bits`` turns the table into bitsets.
 - ``compute_md`` and ``compute_dim`` each spell out their size schedule
-  and take the table at the first large size (``_turn``); before it,
-  compute_dim answers with the least leg cover (``_leg_cover``) when one
-  resolve check shows it resolves at the size the legs force.  Above
+  and take the table at the first large size (``_turn``); on graphs with
+  a large size, compute_dim first answers with the least leg cover
+  (``_leg_cover``) when one resolve check, on the BFS rows of the cover's
+  own vertices, shows it resolves at the size the legs force.  Above
   ``SearchConfig.max_vertices`` they raise ``SearchAborted``, the one
   abort signal, before any table is built (``_check_cap``).
 - ``brute_force_md`` is the unpruned reference walk
@@ -37,6 +38,7 @@ from .graph import (
     DistanceMatrix,
     Graph,
     all_pairs_distances,
+    bfs_distances,
     major_vertex_report,
     path_endpoints,
     symmetry_swap_masks,
@@ -572,51 +574,71 @@ def compute_dim(
     the empty set resolves the one-vertex graph, whose answer is still
     1 with witness (0,).
 
-    The schedule has md's shape.  The search starts at
-    ``dim_distance_rules``, which read only the distances.  If some size
-    is large (see _turn), ``graph.major_vertex_report`` is taken first: it
-    finds the terminals and their legs by walking from each pendant, and
-    the start rises to their count ``sigma - ex``, the terminal-count rule
-    of ``dim_lower_bound``.  When the start is that count, one resolve
-    check may answer with no search: if the least leg cover (see
-    _leg_cover) resolves, it is the answer.  By the leg rule (see
-    level_search) a resolving set of ``sigma - ex`` landmarks holds
+    If some size is large (see _turn), which is so from order 8 on,
+    ``graph.major_vertex_report`` is taken first: it reads no distances,
+    and finds the terminals and their legs by walking from each pendant.
+    When their count ``sigma - ex``, the terminal-count rule of
+    ``dim_lower_bound``, is 2 or more (one landmark resolves only a path,
+    which has no legs), the least leg cover (see _leg_cover), which holds
+    that many vertices, gets one BFS per vertex and no other distances.
+    A row with an unreached vertex hands the graph to
+    ``all_pairs_distances``, which raises the same Disconnected as below,
+    and the cap is checked before the cover's one resolve check.  If the
+    cover resolves, it is the answer.  dim >= sigma - ex on every
+    graph, so a resolving cover proves dim = sigma - ex.  By the leg rule
+    (see level_search) a resolving set of ``sigma - ex`` landmarks holds
     exactly one vertex on each leg it covers and nothing else.  Moving
     each landmark to the least id of its leg, and then, at each major
     whose leg with the largest least id holds a landmark, moving that one
     to the least id of the leg left uncovered, only lowers its ascending
     tuple componentwise and ends at the least leg cover; so a cover that
-    resolves is the least witness at the least size the bounds allow.
-    Every tree that is not a path is answered so: its dimension is
-    sigma - ex, and one vertex on every leg but one of each major
-    resolves it (Chartrand, Eroh, Johnson & Oellermann 2000).
+    resolves is the least witness.  The distance rules cannot contradict
+    it: one that exceeded sigma - ex would bound dim above the cover's
+    size, and the cover could not resolve, so trying the cover before the
+    rules changes no answer.  Every tree that is not a path is answered
+    so: its dimension is sigma - ex, and one vertex on every leg but one
+    of each major resolves it (Chartrand, Eroh, Johnson & Oellermann
+    2000).
 
-    Otherwise the ordered search is built, and the sizes below the large
-    one are searched plain.  If none resolves, the full
-    ``dim_lower_bound``, which also needs the twin partition (about n^2
-    steps), and the swap table, from the same twin partition and report,
-    are computed, and the search goes on from the larger of that size and
-    the bound, with the swap table and the report's legs.  On graphs of
-    order 7 or less no size is that large, and on small graphs those
-    inputs cost more than the whole search, so they are never computed
-    there and the cover is never tried.  Raises SearchAborted above
-    ``cfg.max_vertices``, before any table is built.
+    Otherwise all distances are computed, and the search starts at
+    ``dim_distance_rules``, which read only them; if some size from there
+    is large, the start rises to ``sigma - ex`` when that is larger.  The
+    ordered search is built, and the sizes below the large one are
+    searched plain.  If none resolves, the full ``dim_lower_bound``, which
+    also needs the twin partition (about n^2 steps), and the swap table,
+    from the same twin partition and report, are computed, and the search
+    goes on from the larger of that size and the bound, with the swap
+    table and the report's legs.  On graphs of order 7 or less no size is
+    that large, and on small graphs those inputs cost more than the whole
+    search, so they are never computed there and the cover is never
+    tried.  Raises SearchAborted above ``cfg.max_vertices``, before any
+    table is built.
     """
-    dm = all_pairs_distances(g)
-    n = dm.n
-    k = max(dim_distance_rules(g, dm).values())
-    _check_cap(n, cfg)
-    big = _turn(n, k)
-    if big <= n:
-        mr = major_vertex_report(g, dm)
-        if k <= mr.sigma - mr.ex:
-            k = mr.sigma - mr.ex
+    n = g.n
+    # 8 is the least order with a large size: comb(8, 4) = 70 > 8^2
+    if n >= 8:
+        mr = major_vertex_report(g)
+        k = mr.sigma - mr.ex
+        if k >= 2:
             cover = _leg_cover(mr.legs)
-            if first_collision(dm.d, cover, True) is None:
+            rows = [bfs_distances(g, x) for x in cover]
+            # a row misses a vertex exactly when the graph is disconnected,
+            # and all_pairs_distances then raises Disconnected
+            if -1 in rows[0]:
+                all_pairs_distances(g)
+            _check_cap(n, cfg)
+            if first_collision(tuple(zip(*rows)), tuple(range(k)), True) is None:
                 if cfg.progress:
                     print(f"dim search: least leg cover resolves ({k} landmarks)",
                           file=sys.stderr)
                 return k, cover
+    dm = all_pairs_distances(g)
+    k = max(dim_distance_rules(g, dm).values())
+    _check_cap(n, cfg)
+    big = _turn(n, k)
+    if big <= n:
+        # a large size needs an order of 8 or more, so the report was taken
+        k = max(k, mr.sigma - mr.ex)
     least = level_search(dm, True)
     w = _first_hit(least, "dim", range(k, big), n, cfg)
     if w is None:

@@ -298,6 +298,27 @@ class TestExitCodes:
                 "mdim: aborted: 9 vertices exceeds the exhaustive-search cap of 4\n"
             )
 
+    def test_dim_errors_keep_their_order(self, tmp_path, capsys):
+        # dim reads the least leg cover's BFS rows before any other
+        # distance: a disconnected legged graph (substar:4x2 and an isolated
+        # vertex) is still a bad graph under any cap, and a connected tree
+        # above the cap still aborts
+        p = tmp_path / "dis.edges"
+        edges = generate(FamilySpec.subdivided_star(4, 2)).edges()
+        p.write_text("n=10\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        for cap in ("24", "5"):
+            assert main(["dim", str(p), "--max-vertices", cap]) == EXIT_BAD_GRAPH
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (
+                "", "mdim: vertices 0 and 9 are in different components\n"
+            )
+        argv = ["dim", "--family", "karytree:2x5", "--max-vertices", "40"]
+        assert main(argv) == EXIT_ABORTED
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "mdim: aborted: 63 vertices exceeds the exhaustive-search cap of 40\n"
+        )
+
     @pytest.mark.parametrize("command", ["md", "dim", "suite"])
     @pytest.mark.parametrize("cap", ["0", "-1", "x"])
     def test_cap_below_one_is_usage_error(self, command, cap, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from mdim import (
     CertificateKind,
+    Disconnected,
     OutcomeKind,
     SearchAborted,
     SearchConfig,
@@ -26,8 +27,8 @@ from mdim import (
 from mdim.families import FamilySpec, generate, parse_family_spec
 from mdim.graph import TwinPartition, symmetry_swap_masks
 from mdim.harness import scan_small_graphs
-from mdim.resolving import first_collision, least_resolving_set
-from mdim import search
+from mdim.resolving import dim_distance_rules, first_collision, least_resolving_set
+from mdim import graph, search
 from mdim.search import Table, level_search
 from helpers import (
     all_connected_graphs,
@@ -288,7 +289,7 @@ class TestWalk:
             seen.append("table")
             return swap_masks(g, tp)
 
-        def major_report(g, dm):
+        def major_report(g, dm=None):
             seen.append("report")
             return report(g, dm)
 
@@ -315,11 +316,10 @@ class TestWalk:
         ]
 
     def test_dim_bound_and_table_after_first_large_size(self, monkeypatch):
-        # substar:8x2 (17 vertices): the distance rules give 2, and
-        # comb(17, 3) = 680 is the first count above 17^2 = 289, so the
-        # report is taken before size 3: its count sigma - ex = 7 starts
-        # the search at 7, where the least leg cover resolves, so no
-        # search is built
+        # substar:8x2 (17 vertices): of order 8 or more, so it has a large
+        # size and the report is taken before any distance: its count
+        # sigma - ex = 7 is the size of the least leg cover, which
+        # resolves, so no search is built
         seen = self.record(monkeypatch)
         built, build = [], search.level_search
 
@@ -333,12 +333,12 @@ class TestWalk:
         )
         assert (seen, built) == (["report"], [])
         # a 4-cycle 0, 1, 2, 3 with four pendants at 0 (8 vertices): the
-        # distance rules give 2 and the first large size is 4 (70 > 8^2),
-        # so the report is taken first; its count sigma - ex = 3 starts the
-        # search at 3, where the cover (4, 5, 6) leaves the twins 1 and 3
-        # unresolved, so size 3 is searched plain, and the full bound (4,
-        # twin-classes) and the swap table are computed before the search
-        # goes on from 4
+        # report is taken first, and the cover (4, 5, 6) of its count
+        # sigma - ex = 3 leaves the twins 1 and 3 unresolved; the distance
+        # rules give 2 and the first large size is 4 (70 > 8^2), so the
+        # search starts at 3, size 3 is searched plain, and the full bound
+        # (4, twin-classes) and the swap table are computed before the
+        # search goes on from 4
         g = build_graph(8, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7)])
         assert compute_dim(g) == (5, (1, 2, 4, 5, 6))
         assert seen == [
@@ -737,10 +737,28 @@ def random_recursive_tree(rng: Random, n: int):
     return shuffled(rng, build_graph(n, [(rng.randrange(v), v) for v in range(1, n)]))
 
 
+def random_hub_legged_graph(rng: Random, n: int):
+    """Random graph of order n (8 <= n <= 14) and diameter 2 whose only
+    legs hang from a hub joined to every other vertex: three pendants, or
+    four from order 12 on, so sigma - ex is 2 or 3, and a core in which
+    every vertex has a neighbour besides the hub (a random spanning tree
+    plus extra edges).  The order-diameter rule, the least k with
+    2^k + k >= n, exceeds sigma - ex.  The ids are shuffled."""
+    legs = rng.choice([3, 4]) if n >= 12 else 3
+    edges = {(0, v) for v in range(1, n)}
+    first = 1 + legs
+    edges |= {(rng.randrange(first, v), v) for v in range(first + 1, n)}
+    for u in range(first, n):
+        for v in range(u + 1, n):
+            if rng.random() < 0.2:
+                edges.add((u, v))
+    return shuffled(rng, build_graph(n, sorted(edges)))
+
+
 class TestLegCover:
-    """dim's one resolve check before any search: when its start is the
-    terminal count sigma - ex, the least leg cover, if it resolves, is the
-    answer (see compute_dim)."""
+    """dim's one resolve check before any search: on a graph of order 8
+    or more whose terminal count sigma - ex is 2 or more, the least leg
+    cover, if it resolves, is the answer (see compute_dim)."""
 
     @staticmethod
     def record(monkeypatch):
@@ -767,27 +785,36 @@ class TestLegCover:
         seen = self.record(monkeypatch)
         rng = Random(seed)
         answered = failed = 0
-        for i in range(160):
+        for i in range(180):
             n = rng.randint(8, 14)
             if i < 20:
                 g = prufer_tree(rng, n)
             elif i < 40:
                 g = random_recursive_tree(rng, n)
-            else:
+            elif i < 160:
                 g = random_legged_graph(rng, n, extra=rng.choice([0.15, 0.3, 0.45]))
                 while g.edge_count < g.n:
                     g = random_legged_graph(rng, n, extra=0.45)
+            else:
+                g = random_hub_legged_graph(rng, n)
             g = shuffled(rng, g)
             del seen[:]
-            w = least_resolving_set(all_pairs_distances(g), ordered=True)
+            dm = all_pairs_distances(g)
+            w = least_resolving_set(dm, ordered=True)
             assert compute_dim(g) == (len(w), w), g.edges()
             if i < 40:
                 assert seen == (["search"] if is_path(g) else ["cover"]), g.edges()
-            else:
+            elif i < 160:
                 answered += seen == ["cover"]
                 failed += seen == ["cover", "search"]
-        # of the 120 graphs with a cycle per seed, the cover answers 8 to
-        # 10 and fails on 86 to 94
+            else:
+                # a distance rule exceeds sigma - ex, so the cover, tried
+                # before the rules are read, cannot resolve
+                mr = major_vertex_report(g)
+                assert max(dim_distance_rules(g, dm).values()) > mr.sigma - mr.ex >= 2
+                assert seen == ["cover", "search"], g.edges()
+        # of the 120 legged graphs with a cycle per seed, the cover answers
+        # 8 to 10 and fails on 86 to 94
         assert answered >= 6
         assert failed >= 60
 
@@ -845,6 +872,96 @@ class TestLegCover:
                 resolved += 1
         # the cover resolves 54 of the 60
         assert resolved >= 40
+
+
+class TestDimDistanceWork:
+    """The distances each dim solve computes: the BFS rows of the least
+    leg cover's own vertices when the cover is tried, and the all-pairs
+    matrix only once it fails or when it is not tried (see compute_dim)."""
+
+    @staticmethod
+    def record(monkeypatch):
+        """Spy on the distances of one solve: ("bfs", s) per BFS from s
+        that compute_dim runs itself, "apsp" per ``all_pairs_distances``
+        call and ("row", s) per BFS from s that it runs."""
+        seen, bfs, apsp = [], graph.bfs_distances, search.all_pairs_distances
+
+        def spy(kind):
+            def recording(g, s):
+                seen.append((kind, s))
+                return bfs(g, s)
+
+            return recording
+
+        def pairs(g):
+            seen.append("apsp")
+            return apsp(g)
+
+        monkeypatch.setattr(graph, "bfs_distances", spy("row"))
+        monkeypatch.setattr(search, "bfs_distances", spy("bfs"))
+        monkeypatch.setattr(search, "all_pairs_distances", pairs)
+        return seen
+
+    @pytest.mark.parametrize(
+        "spec,cover",
+        [
+            ("substar:7x3", (1, 4, 7, 10, 13, 16)),
+            ("substar:6x4", (1, 5, 9, 13, 17)),
+            ("substar:8x2", (1, 3, 5, 7, 9, 11, 13)),
+            ("karytree:2x3", (7, 9, 11, 13)),
+            ("cextree", (4, 6, 8)),
+        ],
+    )
+    def test_cover_rows_alone_answer_md_hard(self, spec, cover, monkeypatch):
+        # the md_hard graphs of the benchmark: one BFS per cover vertex,
+        # and no all-pairs matrix
+        g = generate(parse_family_spec(spec))
+        seen = self.record(monkeypatch)
+        assert compute_dim(g, SearchConfig(max_vertices=40)) == (len(cover), cover)
+        assert seen == [("bfs", x) for x in cover]
+
+    def test_order_7_takes_all_pairs_and_no_cover(self, monkeypatch):
+        # substar:3x2 has legs, but no size of an order-7 graph is large:
+        # n BFS through all_pairs_distances, as before the cover existed.
+        # compute_dim tries the cover from order 8 on, the orders that
+        # have a large size
+        assert [n for n in range(1, 300) if search._turn(n, 1) <= n] == list(range(8, 300))
+        seen = self.record(monkeypatch)
+        monkeypatch.setattr(search, "_leg_cover", lambda legs: pytest.fail("cover taken"))
+        assert compute_dim(generate(parse_family_spec("substar:3x2"))) == (2, (1, 3))
+        assert seen == ["apsp", *(("row", s) for s in range(7))]
+
+    def test_failed_cover_then_all_pairs(self, monkeypatch):
+        # the 4-cycle with four pendants at 0 of TestWalk: the cover
+        # (4, 5, 6) leaves the twins 1 and 3 unresolved, and its rows are
+        # computed again with the rest of the matrix
+        g = build_graph(8, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7)])
+        seen = self.record(monkeypatch)
+        assert compute_dim(g) == (5, (1, 2, 4, 5, 6))
+        assert seen == [("bfs", 4), ("bfs", 5), ("bfs", 6), "apsp",
+                        *(("row", s) for s in range(8))]
+
+    @pytest.mark.parametrize("cap", [24, 5])
+    def test_disconnected_before_cap(self, cap, monkeypatch):
+        # substar:4x2 and an isolated vertex 9: the first cover row misses
+        # 9, and all_pairs_distances raises the Disconnected it always
+        # raised, under any cap
+        g = build_graph(10, generate(parse_family_spec("substar:4x2")).edges())
+        seen = self.record(monkeypatch)
+        with pytest.raises(
+            Disconnected, match="^vertices 0 and 9 are in different components$"
+        ):
+            compute_dim(g, SearchConfig(max_vertices=cap))
+        assert seen == [("bfs", 1), ("bfs", 3), ("bfs", 5), "apsp", ("row", 0)]
+
+    def test_cap_before_any_other_distance(self, monkeypatch):
+        # karytree:2x4 (31 vertices) above a cap of 20 aborts once the
+        # cover rows show it connected
+        g = generate(parse_family_spec("karytree:2x4"))
+        seen = self.record(monkeypatch)
+        with pytest.raises(SearchAborted, match="31 vertices exceeds the .* cap of 20"):
+            compute_dim(g, SearchConfig(max_vertices=20))
+        assert seen == [("bfs", x) for x in range(15, 30, 2)]
 
 
 class TestAgainstBruteForce:
