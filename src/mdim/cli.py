@@ -256,9 +256,7 @@ def _cmd_scan(args) -> tuple[dict, str]:
 
 
 def _cmd_suite(args) -> tuple[dict, str]:
-    checks = harness.run_reproduction_suite(
-        _config(args), scan_n=args.scan_n, scan_dedup=args.dedup
-    )
+    checks = harness.run_reproduction_suite(_config(args), scan_n=args.scan_n)
     return (
         {"command": "suite", "checks": [c.to_dict() for c in checks]},
         harness.render_checks(checks),
@@ -352,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, graph_input=False, progress=True, cap=True)
     p.add_argument("--scan-n", type=int, choices=harness.SCAN_ORDERS, default=6,
                    metavar="N", help="scan order (2..7, default 6)")
-    p.add_argument("--dedup", action="store_true", help="dedup the suite scan")
     p.set_defaults(func=_cmd_suite)
 
     return parser

@@ -583,7 +583,7 @@ def _petersen_check(cfg: SearchConfig) -> Check:
 
 
 def run_reproduction_suite(
-    cfg: SearchConfig = SearchConfig(), scan_n: int = 6, scan_dedup: bool = False
+    cfg: SearchConfig = SearchConfig(), scan_n: int = 6
 ) -> list[Check]:
     """Run every reproduction check and return one verdict per item.
 
@@ -595,7 +595,7 @@ def run_reproduction_suite(
     checks.append(spider_probe())
     checks.append(_detector_incompleteness_check(cfg))
     checks.append(_petersen_check(cfg))
-    report = scan_small_graphs(scan_n, dedup=scan_dedup)
+    report = scan_small_graphs(scan_n)
     checks.append(
         Check(
             f"scan:{scan_n}",

@@ -7,19 +7,19 @@ proves md infinite.  The map of this module:
 - ``level_search`` builds one graph's search ``least(k, table, last)``:
   a branch-and-bound pass over the sizes k..last, a depth-first search
   over ascending landmark ids with one cut, the lex-leader rule and the
-  leg rule.  One size k is the pass over k..k, and md's sizes after the
-  first large one are one pass.  Its docstring states why each of them
+  leg rule.  One size k is the pass over k..k, and md's sizes after its
+  lower bound are one pass.  Its docstring states why each of them
   drops only sets that are not the least one of their size.
 - ``_bound`` is its one recursion.  It takes the state of one frame and
   one context that stays fixed for a solve with one table;
   ``_table_bits`` turns the table into bitsets.
-- ``compute_md`` and ``compute_dim`` each spell out their size schedule
-  and take the table at the first large size (``_turn``); on graphs with
-  a large size, compute_dim first answers with the least leg cover
-  (``_leg_cover``) when one resolve check, on the BFS rows of the cover's
-  own vertices, shows it resolves at the size the legs force.  Above
-  ``SearchConfig.max_vertices`` they raise ``SearchAborted``, the one
-  abort signal, before any table is built (``_check_cap``).
+- ``compute_md`` and ``compute_dim`` each spell out their size schedule.
+  From order ``TABLE_ORDER`` on they build the table before the first
+  size they search, and compute_dim first answers with the least leg
+  cover (``_leg_cover``) when one resolve check, on the BFS rows of the
+  cover's own vertices, shows it resolves at the size the legs force.
+  Above ``SearchConfig.max_vertices`` they raise ``SearchAborted``, the
+  one abort signal, before any table is built (``_check_cap``).
 - ``brute_force_md`` is the unpruned reference walk
   ``resolving.least_resolving_set``, which the tests hold both modes of
   the search to.
@@ -30,7 +30,6 @@ from __future__ import annotations
 import sys
 from enum import Enum
 from itertools import count, repeat
-from math import comb
 from operator import add, mul
 from typing import Callable, Iterable, NamedTuple
 
@@ -52,7 +51,6 @@ from .resolving import (
     detect_infinite,
     dim_distance_rules,
     dim_lower_bound,
-    first_collision,
     is_m_resolving,
     is_metric_resolving,
     least_resolving_set,
@@ -235,8 +233,10 @@ def _bound(
     (``tight``) does a candidate that pays none off get skipped; every
     other frame pays one falsy local per candidate for the rule.  The
     solves meet that: the first ``owed`` is sigma - ex, the terminal-count
-    rule of ``md_lower_bound`` and ``dim_lower_bound``, and they hand a
-    table only to sizes from those bounds on.  A first frame owed more
+    rule of ``md_lower_bound`` and ``dim_lower_bound``, and each solve
+    hands its table only to the sizes from its own full bound on: md to
+    its bound's size and then the pass over the sizes after it, dim to
+    every size from its bound.  A first frame owed more
     returns (), as every child it tries is still owed a landmark and
     cannot resolve.
 
@@ -424,8 +424,8 @@ def level_search(dm: DistanceMatrix, ordered: bool = False) -> Least:
     zero = [0] * n
     plain: Context = (n, weights, tails, zero, zero, zero, zero)
     # the last table handed to least, its context and what its legs are
-    # owed: md hands one table to its turn size and to its pass, dim one to
-    # every size from its turn
+    # owed: md hands one table to its lower bound's size and to its pass,
+    # dim one to every size from its lower bound
     memo: list = [None, plain, 0]
 
     def least(
@@ -441,6 +441,13 @@ def level_search(dm: DistanceMatrix, ordered: bool = False) -> Least:
         return _bound((0,) * n, 0, 1, k, hi, 0, owed, ctx) or None
 
     return least
+
+
+# the least order at which md and dim build the swap and leg table, and
+# dim first tries the least leg cover: 8 is the least order with a size of
+# more than n^2 candidate sets (comb(8, 4) = 70 > 8^2), and on smaller
+# graphs those inputs cost more than the whole search
+TABLE_ORDER = 8
 
 
 def _check_cap(n: int, cfg: SearchConfig) -> None:
@@ -460,18 +467,6 @@ def _leg_cover(legs: LegTable) -> tuple[int, ...]:
     smaller (see compute_dim)."""
     cover = (x for group in legs.values() for x in sorted(map(min, group))[:-1])
     return tuple(sorted(cover))
-
-
-def _turn(n: int, k: int) -> int:
-    """The first size from k with more than n^2 candidate sets, where md
-    and dim take their tables and change their schedule, or n + 1 if no
-    size is that large (every size of a graph of order 7 or less).  A
-    plain loop, since a generator here made compute_dim about 3% slower
-    on the connected graphs of order 6 (Python 3.11)."""
-    for s in range(k, n):
-        if comb(n, s) > n * n:
-            return s
-    return n + 1
 
 
 def _first_hit(
@@ -515,9 +510,10 @@ def compute_md(g: Graph, cfg: SearchConfig = SearchConfig()) -> ResolveOutcome:
     Pipeline: path fast-path (dimension 1, least pendant as witness; the
     graph is a path exactly when its diameter is n - 1, see
     DistanceMatrix), the two infiniteness detectors, then the cut
-    depth-first search of each size upward from ``md_lower_bound`` until
-    the first large one (see _turn).  The swap and leg tables are built
-    just before that size, and if it fails, one branch-and-bound pass
+    depth-first search from ``md_lower_bound``.  Below order
+    ``TABLE_ORDER`` it searches each size upward plain.  From that order
+    on, the swap and leg tables are built before the lower bound's size,
+    which is searched alone, and if it fails, one branch-and-bound pass
     searches every size left.  Multiset resolvability is not monotone, so
     no size may be skipped; reaching size n with no witness proves
     infiniteness because the cut, the swap rule, the leg rule and the
@@ -541,18 +537,18 @@ def compute_md(g: Graph, cfg: SearchConfig = SearchConfig()) -> ResolveOutcome:
     lb = md_lower_bound(g, dm, tp, mr).value
     _check_cap(n, cfg)
     least = level_search(dm, False)
-    big = _turn(n, lb)
-    witness = _first_hit(least, "md", range(lb, big), n, cfg)
-    if witness is None and big <= n:
+    if n < TABLE_ORDER:
+        witness = _first_hit(least, "md", range(lb, n + 1), n, cfg)
+    else:
         table = Table(symmetry_swap_masks(g, tp), mr.legs)
         if cfg.progress:
             _note_rules(table, "md")
-        witness = _first_hit(least, "md", range(big, big + 1), n, cfg, table)
+        witness = _first_hit(least, "md", range(lb, lb + 1), n, cfg, table)
         if witness is None:
             if cfg.progress:
-                print(f"md search: size {big + 1} to {n} in one branch-and-bound pass",
+                print(f"md search: size {lb + 1} to {n} in one branch-and-bound pass",
                       file=sys.stderr)
-            witness = least(big + 1, table, n)
+            witness = least(lb + 1, table, n)
     if witness is None:
         return ResolveOutcome(
             OutcomeKind.INFINITE,
@@ -574,19 +570,19 @@ def compute_dim(
     the empty set resolves the one-vertex graph, whose answer is still
     1 with witness (0,).
 
-    If some size is large (see _turn), which is so from order 8 on,
-    ``graph.major_vertex_report`` is taken first: it reads no distances,
-    and finds the terminals and their legs by walking from each pendant.
-    When their count ``sigma - ex``, the terminal-count rule of
-    ``dim_lower_bound``, is 2 or more (one landmark resolves only a path,
-    which has no legs), the least leg cover (see _leg_cover), which holds
-    that many vertices, gets one BFS per vertex and no other distances.
-    A row with an unreached vertex hands the graph to
-    ``all_pairs_distances``, which raises the same Disconnected as below,
-    and the cap is checked before the cover's one resolve check.  If the
-    cover resolves, it is the answer.  dim >= sigma - ex on every
-    graph, so a resolving cover proves dim = sigma - ex.  By the leg rule
-    (see level_search) a resolving set of ``sigma - ex`` landmarks holds
+    From order ``TABLE_ORDER`` on, ``graph.major_vertex_report`` is taken
+    first: it reads no distances, and finds the terminals and their legs
+    by walking from each pendant.  When their count ``sigma - ex``, the
+    terminal-count rule of ``dim_lower_bound``, is 2 or more (one
+    landmark resolves only a path, which has no legs), the least leg
+    cover (see _leg_cover), which holds that many vertices, gets one BFS
+    per vertex and no other distances.  A row with an unreached vertex
+    hands the graph to ``all_pairs_distances``, which raises the same
+    Disconnected as below, and the cap is checked before the cover's one
+    resolve check, a set of the cover's distance vectors.  If the cover
+    resolves, it is the answer.  dim >= sigma - ex on every graph, so a
+    resolving cover proves dim = sigma - ex.  By the leg rule (see
+    level_search) a resolving set of ``sigma - ex`` landmarks holds
     exactly one vertex on each leg it covers and nothing else.  Moving
     each landmark to the least id of its leg, and then, at each major
     whose leg with the largest least id holds a landmark, moving that one
@@ -600,23 +596,18 @@ def compute_dim(
     of each major resolves it (Chartrand, Eroh, Johnson & Oellermann
     2000).
 
-    Otherwise all distances are computed, and the search starts at
-    ``dim_distance_rules``, which read only them; if some size from there
-    is large, the start rises to ``sigma - ex`` when that is larger.  The
-    ordered search is built, and the sizes below the large one are
-    searched plain.  If none resolves, the full ``dim_lower_bound``, which
-    also needs the twin partition (about n^2 steps), and the swap table,
-    from the same twin partition and report, are computed, and the search
-    goes on from the larger of that size and the bound, with the swap
-    table and the report's legs.  On graphs of order 7 or less no size is
-    that large, and on small graphs those inputs cost more than the whole
-    search, so they are never computed there and the cover is never
-    tried.  Raises SearchAborted above ``cfg.max_vertices``, before any
-    table is built.
+    Otherwise all distances are computed and the ordered search is built.
+    From order ``TABLE_ORDER`` on, the twin partition (about n^2 steps),
+    the full ``dim_lower_bound`` and the swap table, from the same twin
+    partition and report, are computed, and the sizes are searched from
+    that bound with the swap table and the report's legs.  Below that
+    order those inputs cost more than the whole search, so the sizes are
+    searched plain from ``dim_distance_rules``, which read only the
+    distances, and the cover is never tried.  Raises SearchAborted above
+    ``cfg.max_vertices``, before any table is built.
     """
     n = g.n
-    # 8 is the least order with a large size: comb(8, 4) = 70 > 8^2
-    if n >= 8:
+    if n >= TABLE_ORDER:
         mr = major_vertex_report(g)
         k = mr.sigma - mr.ex
         if k >= 2:
@@ -627,28 +618,24 @@ def compute_dim(
             if -1 in rows[0]:
                 all_pairs_distances(g)
             _check_cap(n, cfg)
-            if first_collision(tuple(zip(*rows)), tuple(range(k)), True) is None:
+            if len(set(zip(*rows))) == n:
                 if cfg.progress:
                     print(f"dim search: least leg cover resolves ({k} landmarks)",
                           file=sys.stderr)
                 return k, cover
     dm = all_pairs_distances(g)
-    k = max(dim_distance_rules(g, dm).values())
     _check_cap(n, cfg)
-    big = _turn(n, k)
-    if big <= n:
-        # a large size needs an order of 8 or more, so the report was taken
-        k = max(k, mr.sigma - mr.ex)
     least = level_search(dm, True)
-    w = _first_hit(least, "dim", range(k, big), n, cfg)
-    if w is None:
-        # with no large size, the sizes searched reach n, where V resolves
+    table = None
+    if n < TABLE_ORDER:
+        k = max(dim_distance_rules(g, dm).values())
+    else:
         tp = twin_partition(g)
-        bound = dim_lower_bound(g, dm, tp, mr).value
+        k = dim_lower_bound(g, dm, tp, mr).value
         table = Table(symmetry_swap_masks(g, tp), mr.legs)
         if cfg.progress:
             _note_rules(table, "dim")
-        w = _first_hit(least, "dim", range(max(big, bound), n + 1), n, cfg, table)
+    w = _first_hit(least, "dim", range(k, n + 1), n, cfg, table)
     if w is None:
         raise AssertionError("a connected graph is always metric-resolved by V itself")
     return len(w), w

@@ -152,18 +152,18 @@ class TestCommands:
         assert "dim lower bound = 4 (via terminal-count, twin-classes)" in out
 
     def test_dim_progress_names_levels_walked(self, capsys):
-        # the distance rules give 2, and size 3 (680 > 17^2 sets) is the
-        # first large size, so the legs are walked before it: their count
-        # sigma - ex = 7 starts the search at size 7, where the least leg
-        # cover resolves, so no size is searched and no table is built
+        # substar:8x2 has order 17, so the legs are walked before any
+        # distance: their count sigma - ex = 7 is the size of the least leg
+        # cover, which resolves, so no size is searched and no table is
+        # built
         assert main(["dim", "--family", "substar:8x2", "--progress"]) == EXIT_OK
         captured = capsys.readouterr()
         assert captured.err == "dim search: least leg cover resolves (7 landmarks)\n"
         assert captured.out.strip() == "dim = 7, witness = {1, 3, 5, 7, 9, 11, 13}"
 
     def test_md_progress_notes_symmetry_rule(self, capsys):
-        # size 6 (74,613 > 22^2 sets) is the first large size, so the swap
-        # and leg tables are built before it: the 18 vertices outside
+        # substar:7x3 has order 22, so the swap and leg tables are built
+        # before its lower bound, size 6: the 18 vertices outside
         # substar:7x3's first leg have a smaller image, and its hub has 7
         # legs; once size 6 fails, one branch-and-bound pass searches sizes
         # 7 to 22

@@ -298,12 +298,11 @@ class TestWalk:
         monkeypatch.setattr(search, "major_vertex_report", major_report)
         return seen
 
-    def test_table_before_first_large_size_then_one_pass(self, monkeypatch):
+    def test_table_before_lower_bound_then_one_pass(self, monkeypatch):
         # an order-8 graph with no resolving set at any size: md starts at
-        # its lower bound, 3, and comb(8, 4) = 70 is the first count above
-        # 8^2 = 64, so size 3 is searched without a table, the swap table
-        # is built before size 4, with the legs of the report taken for the
-        # lower bound, and once it fails one pass searches sizes 5 to 8
+        # its lower bound, 3, and from order 8 on the swap table is built
+        # before that size, with the legs of the report taken for the
+        # lower bound, and once it fails one pass searches sizes 4 to 8
         g = build_graph(
             8, [(0, 1), (0, 6), (1, 2), (1, 5), (1, 7), (2, 3), (2, 4), (3, 4), (6, 7)]
         )
@@ -311,15 +310,12 @@ class TestWalk:
         seen = self.record(monkeypatch)
         outcome = compute_md(g)
         assert outcome.certificate.kind is CertificateKind.EXHAUSTIVE_SEARCH
-        assert seen == [
-            "report", (3, False, None), "table", (4, True, None), (5, True, 8)
-        ]
+        assert seen == ["report", "table", (3, True, None), (4, True, 8)]
 
-    def test_dim_bound_and_table_after_first_large_size(self, monkeypatch):
-        # substar:8x2 (17 vertices): of order 8 or more, so it has a large
-        # size and the report is taken before any distance: its count
-        # sigma - ex = 7 is the size of the least leg cover, which
-        # resolves, so no search is built
+    def test_dim_bound_and_table_from_order_8(self, monkeypatch):
+        # substar:8x2 (17 vertices): of order 8 or more, so the report is
+        # taken before any distance: its count sigma - ex = 7 is the size
+        # of the least leg cover, which resolves, so no search is built
         seen = self.record(monkeypatch)
         built, build = [], search.level_search
 
@@ -334,21 +330,20 @@ class TestWalk:
         assert (seen, built) == (["report"], [])
         # a 4-cycle 0, 1, 2, 3 with four pendants at 0 (8 vertices): the
         # report is taken first, and the cover (4, 5, 6) of its count
-        # sigma - ex = 3 leaves the twins 1 and 3 unresolved; the distance
-        # rules give 2 and the first large size is 4 (70 > 8^2), so the
-        # search starts at 3, size 3 is searched plain, and the full bound
-        # (4, twin-classes) and the swap table are computed before the
-        # search goes on from 4
+        # sigma - ex = 3 leaves the twins 1 and 3 unresolved, so the full
+        # bound (4, twin-classes) and the swap table are computed and the
+        # search starts at 4
         g = build_graph(8, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7)])
         assert compute_dim(g) == (5, (1, 2, 4, 5, 6))
         assert seen == [
-            "report", "report", (3, False, None), "table", (4, True, None), (5, True, None)
+            "report", "report", "table", (4, True, None), (5, True, None)
         ]
         assert built == [8]
 
     def test_each_table_converted_once(self, monkeypatch):
-        # md hands its table to the first large size and to the pass, dim
-        # to every size from its turn on; least turns each into bitsets once
+        # md hands its table to its lower bound's size and to the pass, dim
+        # to every size from its lower bound on; least turns each into
+        # bitsets once
         seen = self.record(monkeypatch)
         converted, bits = [], search._table_bits
 
@@ -368,13 +363,12 @@ class TestWalk:
                 handed = sum(table for _, table, _ in calls)
                 assert len(converted) == min(handed, 1), g.edges()
                 reused += handed > 1
-        # 23 of the 120 solves hand one table to two or more calls
+        # 32 of the 120 solves hand one table to two or more calls
         assert reused >= 15
 
     def test_no_table_up_to_order_7(self, monkeypatch):
-        # no size of a graph of order 7 or less holds more than n^2 sets
-        # (comb(7, 3) = 35 <= 49), so md and dim never build the swap
-        # table or pass a table to least there, dim never takes the
+        # below order search.TABLE_ORDER = 8, md and dim never build the
+        # swap table or pass a table to least, dim never takes the
         # major-vertex report, and the scan never builds a table at all:
         # that work keeps its cost of one falsy int per candidate
         def refuse(g, *rest):
@@ -464,8 +458,8 @@ class TestSymmetryRule:
         assert masked == 40
 
     def test_matches_brute_force_on_orders_10_to_12(self, monkeypatch):
-        # graphs of order 10 to 12 reach the table (comb(10, 3) > 10^2)
-        # unless a size below their first large one resolves
+        # graphs of order 10 to 12 build the table whenever md reaches
+        # the search, and whenever dim does unless the leg cover answers
         tables, build = [], search.symmetry_swap_masks
 
         def recording(g, tp):
@@ -543,8 +537,8 @@ class TestSymmetryRule:
 
 
 class TestBoundPass:
-    """The branch-and-bound pass that searches md's sizes after the first
-    large one: against the unpruned reference walk, and against the
+    """The branch-and-bound pass that searches md's sizes after its lower
+    bound: against the unpruned reference walk, and against the
     size-by-size search it replaces, including graphs where no size
     resolves, which an "infinite by exhaustion" verdict rests on."""
 
@@ -579,14 +573,14 @@ class TestBoundPass:
             assert fast.kind == slow.kind, g.edges()
             assert (fast.value, fast.witness) == (slow.value, slow.witness), g.edges()
         # every size searched opens a first frame, of child size 1; md's
-        # pass over its sizes after the first large one is the one first
+        # pass over its sizes after its lower bound is the one first
         # frame whose hi is above its lo
         assert sum(size == 1 and hi > lo for size, lo, hi, _ in frames) >= 50
 
     def test_incumbent_shrinks(self, monkeypatch):
-        # a tree of order 9 whose lower bound, 3, is its first large size
-        # (84 > 9^2 sets); once it fails, the pass finds a 5-set before
-        # the least 4-set
+        # a tree of order 9 whose lower bound, 3, is searched alone with
+        # the table; once it fails, the pass finds a 5-set before the
+        # least 4-set
         g = build_graph(
             9, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 8), (2, 7), (3, 6)]
         )
@@ -639,7 +633,8 @@ class TestBoundPass:
         # the search's work on the md_hard graphs of the benchmark: the
         # frames of every size searched, one size at a time or in the pass.
         # Each is a tree, so the least leg cover answers dim with no frame;
-        # dim_frames is what the search makes once the cover is refused
+        # dim_frames is what the search makes once the cover is refused,
+        # here by cover rows that give every vertex the same vector
         frames = self.record(monkeypatch)
         g = generate(parse_family_spec(spec))
         cfg = SearchConfig(max_vertices=40)
@@ -647,7 +642,7 @@ class TestBoundPass:
         md = len(frames)
         answer = compute_dim(g, cfg)
         assert (md, len(frames) - md) == (md_frames, 0)
-        monkeypatch.setattr(search, "first_collision", lambda *a: (0, 1, ()))
+        monkeypatch.setattr(search, "bfs_distances", lambda g, x: [0] * g.n)
         assert compute_dim(g, cfg) == answer
         assert len(frames) - md == dim_frames
 
@@ -712,7 +707,7 @@ class TestLegRule:
             dim_reached += any(owed[seen:])
         # 267 of the 360 md solves reach the table with legs owed a
         # landmark; dim reaches it only when the least leg cover fails or
-        # is not tried, 61 times
+        # is not tried, 69 times
         assert reached >= 230
         assert dim_reached >= 40
 
@@ -921,11 +916,9 @@ class TestDimDistanceWork:
         assert seen == [("bfs", x) for x in cover]
 
     def test_order_7_takes_all_pairs_and_no_cover(self, monkeypatch):
-        # substar:3x2 has legs, but no size of an order-7 graph is large:
-        # n BFS through all_pairs_distances, as before the cover existed.
-        # compute_dim tries the cover from order 8 on, the orders that
-        # have a large size
-        assert [n for n in range(1, 300) if search._turn(n, 1) <= n] == list(range(8, 300))
+        # substar:3x2 has legs, but compute_dim tries the cover only from
+        # order search.TABLE_ORDER = 8 on: n BFS through
+        # all_pairs_distances, as before the cover existed
         seen = self.record(monkeypatch)
         monkeypatch.setattr(search, "_leg_cover", lambda legs: pytest.fail("cover taken"))
         assert compute_dim(generate(parse_family_spec("substar:3x2"))) == (2, (1, 3))
@@ -980,7 +973,9 @@ class TestAgainstBruteForce:
             for g in all_connected_graphs(n):
                 self.assert_matches_reference(g)
 
-    @pytest.mark.parametrize("n,seed", [(6, 0), (6, 1), (7, 2), (7, 3), (8, 4)])
+    @pytest.mark.parametrize(
+        "n,seed", [(6, 0), (6, 1), (7, 2), (7, 3), (8, 4), (8, 5), (9, 6)]
+    )
     def test_random_graphs(self, n, seed):
         rng = Random(seed)
         for _ in range(30):
@@ -988,20 +983,20 @@ class TestAgainstBruteForce:
                 random_connected_graph(rng, n, extra=rng.choice([0.1, 0.3, 0.6]))
             )
 
-    def test_dim_after_lower_bound_lift(self):
+    def test_dim_from_full_lower_bound(self):
         # trees and near-trees of order 9-12 have many pendants and twins,
-        # so the full dim_lower_bound, computed once size 3 fails, often
-        # lifts the walk past sizes that are never searched
+        # so the full dim_lower_bound, where dim's search starts from order
+        # 8 on, often skips sizes that are never searched
         rng = Random(9)
-        lifted = 0
+        skipped = 0
         for _ in range(60):
             g = random_connected_graph(rng, rng.randint(9, 12), extra=rng.choice([0.0, 0.05]))
             dm = all_pairs_distances(g)
             w = least_resolving_set(dm, ordered=True)
             assert compute_dim(g) == (len(w), w), g.edges()
             lb = dim_lower_bound(g, dm, twin_partition(g), major_vertex_report(g, dm))
-            lifted += lb.value >= 4
-        assert lifted >= 5
+            skipped += lb.value >= 4
+        assert skipped >= 5
 
     def test_petersen_brute_force_infinite(self):
         assert brute_force_md(build_graph(10, generate(FamilySpec.petersen()).edges())).is_infinite
