@@ -14,7 +14,6 @@ from .graph import (
     all_pairs_distances,
     build_graph,
     cartesian_product,
-    diameter,
     is_connected,
     is_path,
     major_vertex_report,

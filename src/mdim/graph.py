@@ -193,11 +193,6 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     return DistanceMatrix(g.n, tuple(rows), max(map(max, rows)))
 
 
-def diameter(dm: DistanceMatrix) -> int:
-    """Largest entry of the distance matrix (0 for the one-vertex graph)."""
-    return dm.diameter
-
-
 def is_path(g: Graph) -> bool:
     """True when g is a path graph P_n (n >= 1), under any labelling."""
     if g.n == 0:

@@ -4,20 +4,23 @@ Multiset resolvability is NOT monotone under supersets, so md visits the
 sizes in ascending order, and only a search that exhausts every size
 proves md infinite.  The map of this module:
 
-- ``level_search`` builds one graph's search ``least(k, table, last)``:
-  a branch-and-bound pass over the sizes k..last, a depth-first search
-  over ascending landmark ids with one cut, the lex-leader rule and the
-  leg rule.  One size k is the pass over k..k, and md's sizes after its
-  lower bound are one pass.  Its docstring states why each of them
-  drops only sets that are not the least one of their size.
+- ``level_search`` builds one graph's search ``least(k, last)``, with
+  the solve's table, if any, fixed when it is built: a branch-and-bound
+  pass over the sizes k..last, a depth-first search over ascending
+  landmark ids with one cut, the lex-leader rule and the leg rule.  One
+  size k is the pass over k..k, and md's sizes after its lower bound are
+  one pass.  Its docstring states why each of them drops only sets that
+  are not the least one of their size.
 - ``_bound`` is its one recursion.  It takes the state of one frame and
-  one context that stays fixed for a solve with one table;
-  ``_table_bits`` turns the table into bitsets.
-- ``compute_md`` and ``compute_dim`` each spell out their size schedule.
-  From order ``TABLE_ORDER`` on they build the table before the first
-  size they search, and compute_dim first answers with the least leg
-  cover (``_leg_cover``) when one resolve check, on the BFS rows of the
-  cover's own vertices, shows it resolves at the size the legs force.
+  the one context of the search; ``_table_bits`` turns the table into
+  bitsets once, when the search is built.
+- ``compute_md`` and ``compute_dim`` each spell out their size schedule:
+  md searches its lower bound's size alone, then the sizes after it in
+  one pass, and dim each size upward.  From order ``TABLE_ORDER`` on
+  they build the table before the search, and compute_dim first answers
+  with the least leg cover (``_leg_cover``) when one resolve check, on
+  the BFS rows of the cover's own vertices, shows it resolves at the
+  size the legs force.
   Above ``SearchConfig.max_vertices`` they raise ``SearchAborted``, the
   one abort signal, before any table is built (``_check_cap``).
 - ``brute_force_md`` is the unpruned reference walk
@@ -139,7 +142,7 @@ class Table(NamedTuple):
     legs: LegTable
 
 
-# what level_search returns: least(k, table, last), a resolving set or None
+# what level_search returns: least(k, last), a resolving set or None
 Least = Callable[..., tuple[int, ...] | None]
 
 
@@ -193,9 +196,9 @@ def _table_bits(
     return need, hitby, own, rest, owed
 
 
-# what stays fixed for a solve with one table: the order n, the code
-# ``weights`` and cut labels ``tails`` of level_search, and the table's
-# bitsets ``need, hitby, own, rest`` (see _table_bits), all 0 with no table
+# what stays fixed for one search: the order n, the code ``weights`` and
+# cut labels ``tails`` of level_search, and the table's bitsets ``need,
+# hitby, own, rest`` (see _table_bits), all 0 with no table
 Context = tuple[int, list, list, list[int], list[int], list[int], list[int]]
 
 
@@ -215,7 +218,7 @@ def _bound(
     the fewest landmarks from lo to hi, or () if none resolves.  One size
     k is the pass over k..k.  ``hit`` is the union of ``hitby`` over the
     chosen landmarks, ``owed`` the landmarks their unhit legs are still
-    owed, and ``ctx`` the solve's context.
+    owed, and ``ctx`` the search's context.
 
     Candidate x is skipped, before any test, when ``need[x] & ~hit`` is
     non-zero (see _table_bits): the chosen landmarks miss a swap mask S of
@@ -234,8 +237,8 @@ def _bound(
     other frame pays one falsy local per candidate for the rule.  The
     solves meet that: the first ``owed`` is sigma - ex, the terminal-count
     rule of ``md_lower_bound`` and ``dim_lower_bound``, and each solve
-    hands its table only to the sizes from its own full bound on: md to
-    its bound's size and then the pass over the sizes after it, dim to
+    searches with its table only the sizes from its own full bound on:
+    md its bound's size and then the pass over the sizes after it, dim
     every size from its bound.  A first frame owed more
     returns (), as every child it tries is still owed a landmark and
     cannot resolve.
@@ -291,17 +294,20 @@ def _bound(
     return best
 
 
-def level_search(dm: DistanceMatrix, ordered: bool = False) -> Least:
-    """Build the landmark tables of one graph; return
-    ``least(k, table, last)``, the lexicographically least resolving set
-    of size k (1 <= k <= n), or None, found by a branch-and-bound pass
-    over the one size k.  With ``last`` it is the least set of the fewest
-    landmarks from k to last, found by one pass over those sizes.  Sets resolve by distance multisets, or with ``ordered`` by
-    distance vectors (metric resolving).  ``table``, if given, holds the
+def level_search(
+    dm: DistanceMatrix, ordered: bool = False, table: Table | None = None
+) -> Least:
+    """Build the landmark tables of one graph; return ``least(k, last)``,
+    the lexicographically least resolving set of size k (1 <= k <= n), or
+    None, found by a branch-and-bound pass over the one size k.  With
+    ``last`` it is the least set of the fewest landmarks from k to last,
+    found by one pass over those sizes.  Sets resolve by distance
+    multisets, or with ``ordered`` by distance vectors (metric
+    resolving).  ``table``, if given, holds the
     ``graph.symmetry_swap_masks`` table and the legs of the
     ``graph.major_vertex_report`` of the same graph; it changes no answer,
-    only how many sets are visited.  ``least`` turns a table into its
-    context once and reuses it while it is handed the same table object.
+    only how many sets are visited.  It is turned into bitsets once, here,
+    and every call of ``least`` searches with it.
 
     ``least`` is a depth-first search over ascending landmark ids.  A
     vertex's code is the sum of ``weights[x][v]`` over the chosen
@@ -400,12 +406,12 @@ def level_search(dm: DistanceMatrix, ordered: bool = False) -> Least:
         set.
 
     The recursion is the module-level ``_bound``, which returns the ids
-    it adds.  Each frame takes only its own state (the
-    codes, the next id, the sizes, the ``hit`` bitset of both rules and
-    the count ``owed``) and the one ``Context`` tuple that ``least``
-    builds per table: a nested function that calls itself is a reference
-    cycle, which would leave every solve's tables to the cycle collector,
-    whose pauses showed in per-graph scan latencies.
+    it adds.  Each frame takes only its own state (the codes, the next
+    id, the sizes, the ``hit`` bitset of both rules and the count
+    ``owed``) and the one ``Context`` tuple built here: a nested function
+    that calls itself is a reference cycle, which would leave every
+    solve's tables to the cycle collector, whose pauses showed in
+    per-graph scan latencies.
     """
     d, n = dm.d, dm.n
     if ordered:
@@ -421,22 +427,14 @@ def level_search(dm: DistanceMatrix, ordered: bool = False) -> Least:
     for s in range(n - 1, -1, -1):
         tails[s] = tuple(map(ids.setdefault, zip(d[s], tails[s + 1]), fresh))
 
-    zero = [0] * n
-    plain: Context = (n, weights, tails, zero, zero, zero, zero)
-    # the last table handed to least, its context and what its legs are
-    # owed: md hands one table to its lower bound's size and to its pass,
-    # dim one to every size from its lower bound
-    memo: list = [None, plain, 0]
+    if table is None:
+        need = hitby = own = rest = [0] * n
+        owed = 0
+    else:
+        need, hitby, own, rest, owed = _table_bits(table, n)
+    ctx: Context = (n, weights, tails, need, hitby, own, rest)
 
-    def least(
-        k: int, table: Table | None = None, last: int | None = None
-    ) -> tuple[int, ...] | None:
-        ctx, owed = plain, 0
-        if table is not None:
-            if table is not memo[0]:
-                need, hitby, own, rest, owed = _table_bits(table, n)
-                memo[:] = table, (n, weights, tails, need, hitby, own, rest), owed
-            _, ctx, owed = memo
+    def least(k: int, last: int | None = None) -> tuple[int, ...] | None:
         hi = k if last is None else last
         return _bound((0,) * n, 0, 1, k, hi, 0, owed, ctx) or None
 
@@ -470,19 +468,15 @@ def _leg_cover(legs: LegTable) -> tuple[int, ...]:
 
 
 def _first_hit(
-    least: Least,
-    mode: str,
-    sizes: range,
-    n: int,
-    cfg: SearchConfig,
-    table: Table | None = None,
+    least: Least, mode: str, sizes: range, n: int, cfg: SearchConfig
 ) -> tuple[int, ...] | None:
-    """The first set ``least(k, table)`` finds over the ascending
-    ``sizes``, or None, with one ``--progress`` note per size searched."""
+    """The first set ``least(k)`` finds over the ascending ``sizes``, with
+    the table the search was built with, or None, with one ``--progress``
+    note per size searched."""
     for k in sizes:
         if cfg.progress:
             print(f"{mode} search: size {k} of up to {n}", file=sys.stderr)
-        w = least(k, table)
+        w = least(k)
         if w is not None:
             return w
     return None
@@ -510,10 +504,10 @@ def compute_md(g: Graph, cfg: SearchConfig = SearchConfig()) -> ResolveOutcome:
     Pipeline: path fast-path (dimension 1, least pendant as witness; the
     graph is a path exactly when its diameter is n - 1, see
     DistanceMatrix), the two infiniteness detectors, then the cut
-    depth-first search from ``md_lower_bound``.  Below order
-    ``TABLE_ORDER`` it searches each size upward plain.  From that order
-    on, the swap and leg tables are built before the lower bound's size,
-    which is searched alone, and if it fails, one branch-and-bound pass
+    depth-first search from ``md_lower_bound``.  From order
+    ``TABLE_ORDER`` on, the swap and leg tables are built first; smaller
+    graphs are searched with no table.  At every order the lower bound's
+    size is searched alone, and if it fails, one branch-and-bound pass
     searches every size left.  Multiset resolvability is not monotone, so
     no size may be skipped; reaching size n with no witness proves
     infiniteness because the cut, the swap rule, the leg rule and the
@@ -536,19 +530,18 @@ def compute_md(g: Graph, cfg: SearchConfig = SearchConfig()) -> ResolveOutcome:
     mr = major_vertex_report(g, dm)
     lb = md_lower_bound(g, dm, tp, mr).value
     _check_cap(n, cfg)
-    least = level_search(dm, False)
-    if n < TABLE_ORDER:
-        witness = _first_hit(least, "md", range(lb, n + 1), n, cfg)
-    else:
+    table = None
+    if n >= TABLE_ORDER:
         table = Table(symmetry_swap_masks(g, tp), mr.legs)
         if cfg.progress:
             _note_rules(table, "md")
-        witness = _first_hit(least, "md", range(lb, lb + 1), n, cfg, table)
-        if witness is None:
-            if cfg.progress:
-                print(f"md search: size {lb + 1} to {n} in one branch-and-bound pass",
-                      file=sys.stderr)
-            witness = least(lb + 1, table, n)
+    least = level_search(dm, False, table)
+    witness = _first_hit(least, "md", range(lb, lb + 1), n, cfg)
+    if witness is None:
+        if cfg.progress:
+            print(f"md search: size {lb + 1} to {n} in one branch-and-bound pass",
+                  file=sys.stderr)
+        witness = least(lb + 1, n)
     if witness is None:
         return ResolveOutcome(
             OutcomeKind.INFINITE,
@@ -596,14 +589,15 @@ def compute_dim(
     of each major resolves it (Chartrand, Eroh, Johnson & Oellermann
     2000).
 
-    Otherwise all distances are computed and the ordered search is built.
-    From order ``TABLE_ORDER`` on, the twin partition (about n^2 steps),
-    the full ``dim_lower_bound`` and the swap table, from the same twin
-    partition and report, are computed, and the sizes are searched from
-    that bound with the swap table and the report's legs.  Below that
-    order those inputs cost more than the whole search, so the sizes are
-    searched plain from ``dim_distance_rules``, which read only the
-    distances, and the cover is never tried.  Raises SearchAborted above
+    Otherwise all distances are computed.  From order ``TABLE_ORDER`` on,
+    the twin partition (about n^2 steps), the full ``dim_lower_bound`` and
+    the swap table, from the same twin partition and report, are
+    computed, the ordered search is built with the swap table and the
+    report's legs, and it searches the sizes from that bound.  Below that
+    order those inputs cost more than the whole search, so the ordered
+    search is built with no table and searches from
+    ``dim_distance_rules``, which read only the distances, and the cover
+    is never tried.  Raises SearchAborted above
     ``cfg.max_vertices``, before any table is built.
     """
     n = g.n
@@ -625,7 +619,6 @@ def compute_dim(
                 return k, cover
     dm = all_pairs_distances(g)
     _check_cap(n, cfg)
-    least = level_search(dm, True)
     table = None
     if n < TABLE_ORDER:
         k = max(dim_distance_rules(g, dm).values())
@@ -635,7 +628,7 @@ def compute_dim(
         table = Table(symmetry_swap_masks(g, tp), mr.legs)
         if cfg.progress:
             _note_rules(table, "dim")
-    w = _first_hit(least, "dim", range(k, n + 1), n, cfg, table)
+    w = _first_hit(level_search(dm, True, table), "dim", range(k, n + 1), n, cfg)
     if w is None:
         raise AssertionError("a connected graph is always metric-resolved by V itself")
     return len(w), w

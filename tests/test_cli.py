@@ -161,6 +161,20 @@ class TestCommands:
         assert captured.err == "dim search: least leg cover resolves (7 landmarks)\n"
         assert captured.out.strip() == "dim = 7, witness = {1, 3, 5, 7, 9, 11, 13}"
 
+    def test_md_progress_below_order_8(self, tmp_path, capsys):
+        # an order-6 graph with no resolving set at any size: with no
+        # table, md still searches its lower bound, size 3, alone and
+        # then sizes 4 to 6 in one pass
+        p = tmp_path / "none.edges"
+        p.write_text("0 1\n0 2\n0 4\n0 5\n1 2\n1 3\n2 3\n")
+        assert main(["md", str(p), "--progress"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out.strip() == "md = infinite (exhaustive-search certificate)"
+        assert captured.err == (
+            "md search: size 3 of up to 6\n"
+            "md search: size 4 to 6 in one branch-and-bound pass\n"
+        )
+
     def test_md_progress_notes_symmetry_rule(self, capsys):
         # substar:7x3 has order 22, so the swap and leg tables are built
         # before its lower bound, size 6: the 18 vertices outside

@@ -11,7 +11,6 @@ from mdim import (
     all_pairs_distances,
     build_graph,
     cartesian_product,
-    diameter,
     is_connected,
     is_path,
     major_vertex_report,
@@ -82,7 +81,7 @@ class TestDistances:
 
     def test_petersen_diameter_two(self):
         dm = all_pairs_distances(build_graph(10, PETERSEN_EDGES))
-        assert diameter(dm) == 2
+        assert dm.diameter == 2
 
     def test_disconnected_names_vertices(self):
         g = build_graph(4, [(0, 1), (2, 3)])
@@ -95,11 +94,11 @@ class TestDistances:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_path_diameter(self, n):
-        assert diameter(all_pairs_distances(path_graph(n))) == n - 1
+        assert all_pairs_distances(path_graph(n)).diameter == n - 1
 
     def test_k4_and_c6_diameter(self):
-        assert diameter(all_pairs_distances(complete_graph(4))) == 1
-        assert diameter(all_pairs_distances(cycle_graph(6))) == 3
+        assert all_pairs_distances(complete_graph(4)).diameter == 1
+        assert all_pairs_distances(cycle_graph(6)).diameter == 3
 
     def test_diameter_n_minus_1_exactly_on_paths(self):
         # md, dim and the detectors test for a path this way, not by is_path

@@ -276,12 +276,12 @@ class TestWalk:
         seen, build = [], search.level_search
         swap_masks, report = search.symmetry_swap_masks, search.major_vertex_report
 
-        def recording(dm, ordered=False):
-            least = build(dm, ordered)
+        def recording(dm, ordered=False, table=None):
+            least = build(dm, ordered, table)
 
-            def wrapped(k, table=None, last=None):
+            def wrapped(k, last=None):
                 seen.append((k, table is not None, last))
-                return least(k, table, last)
+                return least(k, last)
 
             return wrapped
 
@@ -312,6 +312,24 @@ class TestWalk:
         assert outcome.certificate.kind is CertificateKind.EXHAUSTIVE_SEARCH
         assert seen == ["report", "table", (3, True, None), (4, True, 8)]
 
+    def test_one_md_schedule_below_order_8(self, monkeypatch):
+        # below order 8 md builds no table but keeps the schedule of every
+        # order: its lower bound's size alone, then one pass over the rest.
+        # The first graph first resolves at size 4, in the pass; the
+        # second has no resolving set at any size, and no detector fires
+        found = build_graph(6, [(0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 4)])
+        none = build_graph(6, [(0, 1), (0, 2), (0, 4), (0, 5), (1, 2), (1, 3), (2, 3)])
+        seen = self.record(monkeypatch)
+        outcome = compute_md(found)
+        assert outcome == brute_force_md(found)
+        assert (outcome.value, outcome.witness) == (4, (0, 2, 4, 5))
+        assert seen == ["report", (3, False, None), (4, False, 6)]
+        del seen[:]
+        outcome = compute_md(none)
+        assert outcome == brute_force_md(none)
+        assert outcome.certificate.kind is CertificateKind.EXHAUSTIVE_SEARCH
+        assert seen == ["report", (3, False, None), (4, False, 6)]
+
     def test_dim_bound_and_table_from_order_8(self, monkeypatch):
         # substar:8x2 (17 vertices): of order 8 or more, so the report is
         # taken before any distance: its count sigma - ex = 7 is the size
@@ -319,9 +337,9 @@ class TestWalk:
         seen = self.record(monkeypatch)
         built, build = [], search.level_search
 
-        def building(dm, ordered=False):
+        def building(dm, ordered=False, table=None):
             built.append(dm.n)
-            return build(dm, ordered)
+            return build(dm, ordered, table)
 
         monkeypatch.setattr(search, "level_search", building)
         assert compute_dim(generate(FamilySpec.subdivided_star(8, 2))) == (
@@ -341,9 +359,9 @@ class TestWalk:
         assert built == [8]
 
     def test_each_table_converted_once(self, monkeypatch):
-        # md hands its table to its lower bound's size and to the pass, dim
-        # to every size from its lower bound on; least turns each into
-        # bitsets once
+        # md searches its lower bound's size and then the pass with its
+        # table, dim every size from its lower bound on; each search turns
+        # its table into bitsets once, when it is built
         seen = self.record(monkeypatch)
         converted, bits = [], search._table_bits
 
@@ -363,7 +381,7 @@ class TestWalk:
                 handed = sum(table for _, table, _ in calls)
                 assert len(converted) == min(handed, 1), g.edges()
                 reused += handed > 1
-        # 32 of the 120 solves hand one table to two or more calls
+        # 32 of the 120 solves search with one table in two or more calls
         assert reused >= 15
 
     def test_no_table_up_to_order_7(self, monkeypatch):
@@ -412,12 +430,13 @@ def same_least_sets_with_and_without_swaps(g):
         for ordered in (False, True):
             least = level_search(dm, ordered)
             sizes = [least(k) for k in range(1, g.n + 1)]
-            assert [least(k, table) for k in range(1, g.n + 1)] == sizes, (
+            cut = level_search(dm, ordered, table)
+            assert [cut(k) for k in range(1, g.n + 1)] == sizes, (
                 g.edges(), ordered
             )
             for k in range(1, g.n + 1):
                 first = next((w for w in sizes[k - 1:] if w is not None), None)
-                assert least(k, table, g.n) == first, (g.edges(), k, ordered)
+                assert cut(k, g.n) == first, (g.edges(), k, ordered)
     return any(swaps)
 
 
@@ -610,13 +629,13 @@ class TestBoundPass:
         mr = major_vertex_report(g, dm)
         table = Table(symmetry_swap_masks(g, twin_partition(g)), mr.legs)
         assert search._table_bits(table, g.n)[-1] == owed
-        least = level_search(dm)
+        least = level_search(dm, table=table)
         for k in range(1, owed):
-            assert least(k, table) is None, (spec, k)
+            assert least(k) is None, (spec, k)
         for k in (1, 3):
             for last in range(k, owed):
-                assert least(k, table, last) is None, (spec, k, last)
-            assert least(k, table, g.n) == witness
+                assert least(k, last) is None, (spec, k, last)
+            assert least(k, g.n) == witness
         assert compute_md(g, SearchConfig(max_vertices=g.n)).witness == witness
 
     @pytest.mark.parametrize(
@@ -648,7 +667,8 @@ class TestBoundPass:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_per_size_search_on_swap_rule_trees(self, seed):
-        # the trees of TestSymmetryRule, where least(k, table) == least(k):
+        # the trees of TestSymmetryRule, where least(k) is the same with
+        # the table and without it:
         # the pass from every size k equals the first hit of least(k),
         # least(k + 1), ..., least(n), and in ordered mode the pass over
         # every size finds the least metric-resolving set
@@ -657,14 +677,14 @@ class TestBoundPass:
             t = random_symmetric_tree(rng, rng.randint(3, rng.choice([11, 16])))
             dm = all_pairs_distances(t)
             table = Table(symmetry_swap_masks(t, twin_partition(t)), {})
-            least = level_search(dm)
-            sizes = [least(k, table) for k in range(1, t.n + 1)]
+            least = level_search(dm, table=table)
+            sizes = [least(k) for k in range(1, t.n + 1)]
             for k in range(1, t.n + 1):
                 first = next((w for w in sizes[k - 1:] if w is not None), None)
-                assert least(k, table, t.n) == first, (t.edges(), k)
-            least = level_search(dm, ordered=True)
-            first = next(filter(None, (least(k, table) for k in range(1, t.n + 1))))
-            assert least(1, table, t.n) == first, t.edges()
+                assert least(k, t.n) == first, (t.edges(), k)
+            least = level_search(dm, True, table)
+            first = next(filter(None, (least(k) for k in range(1, t.n + 1))))
+            assert least(1, t.n) == first, t.edges()
 
 
 class TestLegRule:
@@ -676,8 +696,8 @@ class TestLegRule:
 
     @staticmethod
     def record(monkeypatch):
-        """Spy on ``search._table_bits``: one entry per table handed to
-        ``least``, the landmarks its legs are owed before any is chosen."""
+        """Spy on ``search._table_bits``: one entry per search built with a
+        table, the landmarks its legs are owed before any is chosen."""
         owed, bits = [], search._table_bits
 
         def recording(table, n):
@@ -721,9 +741,10 @@ class TestLegRule:
             for ordered in (False, True):
                 least = level_search(dm, ordered)
                 sizes = [least(k) for k in range(1, g.n + 1)]
-                assert [least(k, table) for k in range(1, g.n + 1)] == sizes, g.edges()
+                cut = level_search(dm, ordered, table)
+                assert [cut(k) for k in range(1, g.n + 1)] == sizes, g.edges()
                 first = next(filter(None, sizes), None)
-                assert least(1, table, g.n) == first, (g.edges(), ordered)
+                assert cut(1, g.n) == first, (g.edges(), ordered)
 
 
 def random_recursive_tree(rng: Random, n: int):
@@ -765,9 +786,9 @@ class TestLegCover:
             seen.append("cover")
             return cover(legs)
 
-        def building(dm, ordered=False):
+        def building(dm, ordered=False, table=None):
             seen.append("search")
-            return build(dm, ordered)
+            return build(dm, ordered, table)
 
         monkeypatch.setattr(search, "_leg_cover", covering)
         monkeypatch.setattr(search, "level_search", building)
