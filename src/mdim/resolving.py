@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from functools import cache
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
@@ -170,6 +171,20 @@ def order_diameter_lower_bound(n: int, d: int) -> int:
     return k
 
 
+@cache
+def _pattern_floor(c: int, length: int) -> int:
+    """Least total size of c distinct subsets of a set of ``length``
+    elements, or of all 2^length subsets when c is larger: the smallest
+    sizes first.  Cached, since few (c, length) pairs occur."""
+    total = size = 0
+    while c > 0 and size <= length:
+        take = min(c, math.comb(length, size))
+        total += take * size
+        c -= take
+        size += 1
+    return total
+
+
 def md_lower_bound(
     g: Graph, dm: DistanceMatrix, tp: TwinPartition, mr: MajorVertexReport
 ) -> LowerBoundReport:
@@ -183,7 +198,20 @@ def md_lower_bound(
         with the terminals from the leg walk of ``major_vertex_report``);
       - md >= the order/diameter counting bound;
       - every resolving set takes exactly one vertex from each twin pair,
-        so md is at least the number of size-2 twin classes.
+        so md is at least the number of size-2 twin classes;
+      - ``leg-patterns``: take the c legs of one length L at one major
+        (the legs of ``mr.legs``).  Swapping two of them position by
+        position is an automorphism that fixes every other vertex.  If W
+        has the same landmark pattern, the set of positions 1..L it holds,
+        on both legs, the swap maps W to itself, so a leg vertex and its
+        image have equal distance multisets and W does not m-resolve.  The
+        c legs therefore carry pairwise distinct subsets of 1..L, which
+        hold at least the sum of the c smallest subset sizes of an L-set
+        (0 once, 1 L times, 2 C(L, 2) times, ...; all 2^L subsets when c
+        is larger, where no W resolves at all).  Legs are disjoint, so
+        the lengths at one major add up; per major the larger of that sum
+        and ``legs - 1`` (the terminal-count argument: a vertex on every
+        leg but one) counts, and the majors add up.
     """
     bounds = {"trivial": 1}
     d = dm.diameter
@@ -194,6 +222,19 @@ def md_lower_bound(
     if d >= 1:
         bounds["order-diameter"] = order_diameter_lower_bound(g.n, d)
     bounds["twin-pairs"] = len(tp.pair_classes)
+    # sigma - ex sums legs - 1 over the majors of mr.legs (see
+    # major_vertex_report); two legs carry at most one landmark's worth
+    # of patterns, so only majors with three or more legs can add to it
+    patterns = mr.sigma - mr.ex
+    for legs in mr.legs.values():
+        if len(legs) > 2:
+            lengths = list(map(len, legs))
+            floor = 0
+            for L in set(lengths):
+                floor += _pattern_floor(lengths.count(L), L)
+            if floor >= len(legs):
+                patterns += floor - len(legs) + 1
+    bounds["leg-patterns"] = patterns
     return LowerBoundReport(value=max(bounds.values()), bounds=bounds)
 
 

@@ -116,6 +116,19 @@ class ResolveOutcome(NamedTuple):
         return f"md = infinite ({self.certificate.kind.value} certificate)"
 
 
+# The two infinite verdicts that name nothing of their graph, one record
+# each for every solve that reaches them, so a caller that keeps every
+# answer of a long run holds no copies of them.
+_EXHAUSTED = ResolveOutcome(
+    OutcomeKind.INFINITE,
+    certificate=InfiniteCertificate(CertificateKind.EXHAUSTIVE_SEARCH),
+)
+_DIAMETER_TWO = ResolveOutcome(
+    OutcomeKind.INFINITE,
+    certificate=InfiniteCertificate(CertificateKind.DIAMETER_TWO_NON_PATH),
+)
+
+
 class WitnessReport(NamedTuple):
     """Full verification of one candidate set: both resolving checks plus
     every vertex's representation, for diffing against published tables."""
@@ -514,7 +527,9 @@ def compute_md(g: Graph, cfg: SearchConfig = SearchConfig()) -> ResolveOutcome:
     bound only drop sets that are not the least one.  Sizes count from
     1: the one-vertex graph, which the empty set vacuously resolves, is a
     path and answers 1 with witness (0,).  Each graph fact is
-    computed once, and only when a step needs it.  Raises SearchAborted
+    computed once, and only when a step needs it.  Every solve that ends
+    in the exhaustive-search or the diameter-2 verdict returns the same
+    shared record for it.  Raises SearchAborted
     when the search is needed and the graph exceeds ``cfg.max_vertices``.
     """
     dm = all_pairs_distances(g)
@@ -526,6 +541,8 @@ def compute_md(g: Graph, cfg: SearchConfig = SearchConfig()) -> ResolveOutcome:
     tp = twin_partition(g)
     cert = detect_infinite(g, dm, tp)
     if cert is not None:
+        if cert.kind is CertificateKind.DIAMETER_TWO_NON_PATH:
+            return _DIAMETER_TWO
         return ResolveOutcome(OutcomeKind.INFINITE, certificate=cert)
     mr = major_vertex_report(g, dm)
     lb = md_lower_bound(g, dm, tp, mr).value
@@ -543,10 +560,7 @@ def compute_md(g: Graph, cfg: SearchConfig = SearchConfig()) -> ResolveOutcome:
                   file=sys.stderr)
         witness = least(lb + 1, n)
     if witness is None:
-        return ResolveOutcome(
-            OutcomeKind.INFINITE,
-            certificate=InfiniteCertificate(CertificateKind.EXHAUSTIVE_SEARCH),
-        )
+        return _EXHAUSTED
     return ResolveOutcome(OutcomeKind.FINITE, value=len(witness), witness=witness)
 
 
@@ -656,7 +670,4 @@ def brute_force_md(g: Graph) -> ResolveOutcome:
     w = least_resolving_set(all_pairs_distances(g))
     if w is not None:
         return ResolveOutcome(OutcomeKind.FINITE, value=len(w), witness=w)
-    return ResolveOutcome(
-        OutcomeKind.INFINITE,
-        certificate=InfiniteCertificate(CertificateKind.EXHAUSTIVE_SEARCH),
-    )
+    return _EXHAUSTED

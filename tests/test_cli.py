@@ -116,6 +116,15 @@ class TestCommands:
         assert payload["lower_bound"] == 4
         assert payload["bounds"]["twin-pairs"] == 4
 
+    def test_bounds_reports_leg_patterns(self, capsys):
+        # the seven legs of three vertices at substar:7x3's hub carry
+        # distinct landmark patterns: 0 + 1 + 1 + 1 + 2 + 2 + 2 = 9, which
+        # is md, against 6 from the terminals
+        assert main(["bounds", "--family", "substar:7x3", "--json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["bounds"]["leg-patterns"] == payload["lower_bound"] == 9
+        assert payload["achieved_by"] == ["leg-patterns"]
+
     def test_bounds_names_certificate(self, capsys):
         assert main(["bounds", "--family", "petersen"]) == EXIT_OK
         out = capsys.readouterr().out
@@ -177,23 +186,22 @@ class TestCommands:
 
     def test_md_progress_notes_symmetry_rule(self, capsys):
         # substar:7x3 has order 22, so the swap and leg tables are built
-        # before its lower bound, size 6: the 18 vertices outside
+        # before its lower bound, size 9: the 18 vertices outside
         # substar:7x3's first leg have a smaller image, and its hub has 7
-        # legs; once size 6 fails, one branch-and-bound pass searches sizes
-        # 7 to 22
+        # legs.  The leg patterns set the bound at md, so size 9 resolves
+        # and no branch-and-bound pass follows
         assert main(["md", "--family", "substar:7x3", "--progress"]) == EXIT_OK
         captured = capsys.readouterr()
         assert captured.err == (
             "md search: symmetry rule on (18 vertices have a smaller image)\n"
             "md search: leg rule on (7 legs at 1 major)\n"
-            "md search: size 6 of up to 22\n"
-            "md search: size 7 to 22 in one branch-and-bound pass\n"
+            "md search: size 9 of up to 22\n"
         )
         assert captured.out.strip() == "md = 9, witness = {1, 2, 4, 6, 7, 11, 12, 14, 18}"
         # tools that time the levels read "size <k>" from each note, so the
-        # pass names its first size once and the rule notes name none
+        # rule notes name none
         sizes = [re.findall(r"size (\d+)", line) for line in captured.err.splitlines()]
-        assert sizes == [[], [], ["6"], ["7"]]
+        assert sizes == [[], [], ["9"]]
 
     def test_family_emit_round_trips(self, capsys):
         assert main(["family", "path:4"]) == EXIT_OK

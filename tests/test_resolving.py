@@ -27,6 +27,7 @@ from helpers import (
     cycle_graph,
     path_graph,
     random_connected_graph,
+    random_legged_graph,
     star_graph,
 )
 
@@ -145,12 +146,50 @@ class TestMdLowerBound:
         assert lb.bounds["terminal-count"] == 4
         assert lb.bounds["twin-pairs"] == 4
         assert lb.bounds["order-diameter"] == 2
-        assert set(lb.achieved_by) == {"terminal-count", "twin-pairs"}
+        # each major of the lowest level carries two legs of one leaf, so
+        # the leg patterns ask for one landmark each, as the terminals do
+        assert lb.bounds["leg-patterns"] == 4
+        assert set(lb.achieved_by) == {"terminal-count", "twin-pairs", "leg-patterns"}
 
     def test_cycle9(self):
         lb = lower_bound_of(cycle_graph(9))
         assert lb.value == 3
         assert lb.achieved_by == ("non-path",)
+
+    def test_every_rule_below_md(self):
+        # every connected graph of order <= 6, seeded legged graphs of
+        # order 10-12 and small spiders.  Below order 9 leg-patterns is
+        # never above every other rule, so the scan's md-lower-bound flag
+        # cannot catch a wrong count there; the spiders substar:4x2 (four
+        # legs of two vertices need four landmarks, the terminals three)
+        # are where it is, and the check must see such a graph.  The
+        # patterns are counted per major: two joined majors with two legs
+        # of two vertices each have md 3, and the four legs taken as one
+        # group would ask for four landmarks
+        rng = Random(29)
+        legged = [
+            random_legged_graph(rng, rng.randint(10, 12), extra=rng.choice([0.0, 0.1, 0.25]))
+            for _ in range(200)
+        ]
+        named = [
+            generate(FamilySpec.subdivided_star(n, p))
+            for n, p in ((4, 2), (3, 3), (4, 3), (5, 2), (6, 2))
+        ]
+        named.append(
+            build_graph(
+                10, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (1, 6), (6, 7), (1, 8), (8, 9)]
+            )
+        )
+        above = 0
+        for g in (*connected_graphs_up_to(6), *legged, *named):
+            bounds = dict(lower_bound_of(g).bounds)
+            md = brute_force_md(g)
+            if md.is_finite:
+                for rule, value in bounds.items():
+                    assert value <= md.value, (rule, value, md.value, g.edges())
+            patterns = bounds.pop("leg-patterns")
+            above += patterns > max(bounds.values())
+        assert above >= 1
 
 
 def bound_graphs():

@@ -21,6 +21,7 @@ from mdim import (
     is_metric_resolving,
     is_path,
     major_vertex_report,
+    md_lower_bound,
     twin_partition,
     verify_witness,
 )
@@ -48,6 +49,16 @@ from helpers import (
 
 
 class TestComputeMd:
+    def test_infinite_verdicts_are_shared(self):
+        # every solve that exhausts its sizes, or that the diameter-2
+        # detector answers, returns one shared record, not a copy per graph
+        exhausted = [compute_md(generate(parse_family_spec(s))) for s in ("substar:8x2", "cextree")]
+        assert exhausted[0] is exhausted[1]
+        assert exhausted[0].certificate.kind is CertificateKind.EXHAUSTIVE_SEARCH
+        diameter_two = [compute_md(g) for g in (cycle_graph(5), complete_graph(4))]
+        assert diameter_two[0] is diameter_two[1]
+        assert diameter_two[0].certificate.kind is CertificateKind.DIAMETER_TWO_NON_PATH
+
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_paths(self, n):
         outcome = compute_md(path_graph(n))
@@ -641,8 +652,8 @@ class TestBoundPass:
     @pytest.mark.parametrize(
         "spec,md_frames,dim_frames",
         [
-            ("substar:7x3", 4629, 6),
-            ("substar:6x4", 379, 5),
+            ("substar:7x3", 2339, 6),
+            ("substar:6x4", 174, 5),
             ("substar:8x2", 109, 7),
             ("karytree:2x3", 174, 4),
             ("cextree", 47, 3),
@@ -651,6 +662,8 @@ class TestBoundPass:
     def test_frames_per_solve(self, spec, md_frames, dim_frames, monkeypatch):
         # the search's work on the md_hard graphs of the benchmark: the
         # frames of every size searched, one size at a time or in the pass.
+        # The spiders substar:7x3 and 6x4 start at their leg-pattern bound,
+        # md itself, so they search that one size and no pass.
         # Each is a tree, so the least leg cover answers dim with no frame;
         # dim_frames is what the search makes once the cover is refused,
         # here by cover rows that give every vertex the same vector
@@ -664,6 +677,33 @@ class TestBoundPass:
         monkeypatch.setattr(search, "bfs_distances", lambda g, x: [0] * g.n)
         assert compute_dim(g, cfg) == answer
         assert len(frames) - md == dim_frames
+
+    @pytest.mark.parametrize(
+        "spec,witness",
+        [
+            ("substar:4x2", (1, 2, 3, 6)),
+            ("substar:5x3", (1, 2, 4, 8, 12)),
+            ("substar:6x3", (1, 2, 4, 6, 7, 11, 15)),
+            ("substar:7x3", (1, 2, 4, 6, 7, 11, 12, 14, 18)),
+            ("substar:6x4", (1, 2, 5, 10, 15, 20)),
+            ("substar:7x4", (1, 2, 5, 7, 9, 14, 19, 24)),
+            ("substar:8x3", (1, 2, 3, 4, 5, 7, 9, 10, 14, 15, 17, 21)),
+            ("substar:6x5", (1, 7, 13, 19, 25)),
+        ],
+    )
+    def test_spiders_search_their_leg_pattern_size_alone(self, spec, witness, monkeypatch):
+        # on these spiders the leg-pattern bound is md itself, so md
+        # searches least(lb) alone and finds its witness there: every frame
+        # searches that one size, and no pass follows.  This pins md 12 on
+        # substar:8x3 and md 8 on substar:7x4 with their witnesses
+        g = generate(parse_family_spec(spec))
+        dm = all_pairs_distances(g)
+        lb = md_lower_bound(g, dm, twin_partition(g), major_vertex_report(g, dm))
+        assert lb.bounds["leg-patterns"] == lb.value == len(witness)
+        frames = self.record(monkeypatch)
+        outcome = compute_md(g, SearchConfig(max_vertices=g.n))
+        assert (outcome.value, outcome.witness) == (len(witness), witness)
+        assert frames and {(lo, hi) for _, lo, hi, _ in frames} == {(lb.value, lb.value)}
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_per_size_search_on_swap_rule_trees(self, seed):
