@@ -251,53 +251,58 @@ def major_vertex_report(
     return MajorVertexReport(majors, terminals, sigma, ex, legs)
 
 
-def symmetry_swap_masks(g: Graph, tp: TwinPartition) -> tuple[tuple[int, ...], ...]:
-    """Swaps that move a vertex to a smaller id, on any connected graph.
+class HangingForest(NamedTuple):
+    """The hanging forest of a connected graph, from ``hanging_forest``.
 
-    Entry x holds vertex masks S, each once, each the support of an
-    automorphism of g that fixes every vertex outside S and maps x to some
-    y < x.  A mask may contain another mask of the same entry; both are
-    kept, since the search skips the same candidates with or without the
-    larger one (see ``search._table_bits``).  Graphs with no two
-    isomorphic hanging subtrees and no twins get an empty tuple for every
-    vertex.
+    ``parent[v]`` is the vertex v hangs from, or v itself for a vertex of
+    the 2-core that is a root of its own; indices from n on are virtual
+    parents.  ``code[v]`` is the AHU code of the subtree v roots, and
+    ``shapes`` maps each ascending tuple of child codes to its code, so a
+    leaf's code is ``shapes[()] == 0``.  ``mask[v]`` is the vertex mask
+    of that subtree.  ``key[v]`` names the sequence of codes on the path
+    from v's root: it is the first vertex, from the roots down, given that
+    sequence, and a root or virtual parent i has the key -i - 1, which no
+    other vertex shares.  ``groups`` maps each key that two or more
+    vertices share to those vertices, ascending.
+    """
+
+    parent: list[int]
+    key: list[int]
+    code: list[int]
+    shapes: dict[tuple[int, ...], int]
+    groups: dict[int, list[int]]
+    mask: list[int]
+
+
+def hanging_forest(g: Graph, tp: TwinPartition) -> HangingForest:
+    """The one walk behind ``symmetry_swap_masks`` and the
+    ``subtree-patterns`` rule of ``resolving.md_lower_bound``.
 
     Leaves are stripped layer by layer until none are left, which leaves
     the 2-core of a graph with a cycle, or until at most two vertices
     remain, the centre of a tree.  Each stripped vertex hangs from its
     last neighbour, so the subtree it roots meets the rest of the graph
     only through that parent edge.  The one or two central vertices of a
-    tree hang from one virtual root, each twin class of ``tp`` left in the
-    2-core from a virtual parent of its own, and every other vertex left
-    there is a root of its own; each root and virtual parent has a key no
-    other vertex shares.  Every vertex gets the AHU code of its rooted
-    subtree (Aho, Hopcroft & Ullman 1974) and a key for the sequence of
-    codes on its path from its root.  For y < x with equal keys, which
-    share their root, let a and b be the children of their lowest common
-    ancestor on the paths to x and to y.  Equal codes along both paths
-    give an isomorphism of the subtrees of a and b that maps x to y.  Both
-    subtrees meet the rest of the graph only through their edges to the
-    common parent (and, for two central vertices, the edge between them),
-    so exchanging them keeps every edge, and S is the mask of those two
-    subtrees.  On a tree any root would make the swaps automorphisms; the
-    centre, which every automorphism fixes, makes equal keys mean the same
-    orbit.
+    tree hang from one virtual root n, each twin class of ``tp`` left in
+    the 2-core from a virtual parent of its own, and every other vertex
+    left there is a root of its own.  Every vertex gets the AHU code of
+    its rooted subtree (Aho, Hopcroft & Ullman 1974) and a key for the
+    sequence of codes on its path from its root, so two vertices share a
+    key exactly when they share their root and the codes along both paths
+    are equal.
 
     Two twins u < v of degree 2 or more lie on a 4-cycle through both
     when N(u) = N(v), or on a triangle through both when N[u] = N[v], and
     so does every neighbour of either.  Both are therefore left in the
     2-core and nothing hangs from them, so under their virtual parent they
-    are sibling leaves with one key, and v gets ``{u, v}``: their
-    transposition keeps every edge, since N(u) - {v} = N(v) - {u}.  Twins
-    of degree 1 (pendants at one vertex) and the two vertices of K2 are
-    sibling leaves already.
+    are sibling leaves with one key.  Twins of degree 1 (pendants at one
+    vertex) and the two vertices of K2 are sibling leaves already.
     """
     n, adj = g.n, g.adjacency
-    # Strip leaves layer by layer.  A vertex is stripped after its
-    # children, which hang from it, and hangs from its one neighbour left;
-    # a vertex not stripped is its own parent.  The vertices of a cycle
-    # never become leaves, and the last layer of a tree, its one or two
-    # central vertices, hangs from a virtual root n.
+    # A vertex is stripped after its children, which hang from it, and
+    # hangs from its one neighbour left; a vertex not stripped is its own
+    # parent.  The vertices of a cycle never become leaves, and the last
+    # layer of a tree, its one or two central vertices, hangs from n.
     degree = list(map(len, adj))
     layer = [v for v in range(n) if degree[v] == 1]
     parent = list(range(n + 1))
@@ -329,9 +334,8 @@ def symmetry_swap_masks(g: Graph, tp: TwinPartition) -> tuple[tuple[int, ...], .
                 code[v] = codes.setdefault(tuple(sorted(below)), len(codes))
         order += layer
         layer = inner
-    # a root or virtual parent i has key -i - 1: each core vertex v, the
-    # virtual root n, and past it one virtual parent per twin class left
-    # in the 2-core, whose members become leaves
+    # past n, one virtual parent per twin class left in the 2-core, whose
+    # members become leaves
     key = list(range(-1, -n - 2, -1))
     for cls in tp.classes:
         if len(cls) > 1 and parent[cls[0]] == cls[0]:
@@ -340,19 +344,53 @@ def symmetry_swap_masks(g: Graph, tp: TwinPartition) -> tuple[tuple[int, ...], .
                 mask[v] = 1 << v
             key.append(-len(key) - 1)
             order += cls
+    # a key is the first vertex given it, from the roots down
     keys: dict[tuple[int, int], int] = {}
-    same: list[list[int]] = []
-    shared: set[int] = set()
+    groups: dict[int, list[int]] = {}
     for v in reversed(order):
-        k = key[v] = keys.setdefault((key[parent[v]], code[v]), len(keys))
-        if k < len(same):
-            same[k].append(v)
-            shared.add(k)
-        else:
-            same.append([v])
-    swaps: list[tuple[int, ...]] = [()] * n
-    for k in shared:
-        members = sorted(same[k])
+        k = key[v] = keys.setdefault((key[parent[v]], code[v]), v)
+        if k != v:
+            if k in groups:
+                groups[k].append(v)
+            else:
+                groups[k] = [k, v]
+    for members in groups.values():
+        members.sort()
+    return HangingForest(parent, key, code, codes, groups, mask)
+
+
+def symmetry_swap_masks(
+    g: Graph, tp: TwinPartition, forest: HangingForest | None = None
+) -> tuple[tuple[int, ...], ...]:
+    """Swaps that move a vertex to a smaller id, on any connected graph.
+
+    Entry x holds vertex masks S, each once, each the support of an
+    automorphism of g that fixes every vertex outside S and maps x to some
+    y < x.  A mask may contain another mask of the same entry; both are
+    kept, since the search skips the same candidates with or without the
+    larger one (see ``search._table_bits``).  Graphs with no two
+    isomorphic hanging subtrees and no twins get an empty tuple for every
+    vertex.  ``forest`` is ``hanging_forest(g, tp)``, walked here when the
+    caller does not hold it.
+
+    For y < x with equal keys in the hanging forest, which share their
+    root, let a and b be the children of their lowest common ancestor on
+    the paths to x and to y.  Equal codes along both paths give an
+    isomorphism of the subtrees of a and b that maps x to y.  Both
+    subtrees meet the rest of the graph only through their edges to the
+    common parent (and, for two central vertices, the edge between them),
+    so exchanging them keeps every edge, and S is the mask of those two
+    subtrees.  On a tree any root would make the swaps automorphisms; the
+    centre, which every automorphism fixes, makes equal keys mean the same
+    orbit.  Two twins u < v share a virtual parent or are pendants at one
+    vertex (see hanging_forest), and v gets ``{u, v}``: their
+    transposition keeps every edge, since N(u) - {v} = N(v) - {u}.
+    """
+    if forest is None:
+        forest = hanging_forest(g, tp)
+    parent, mask = forest.parent, forest.mask
+    swaps: list[tuple[int, ...]] = [()] * g.n
+    for members in forest.groups.values():
         for i in range(1, len(members)):
             x = members[i]
             found: dict[int, None] = {}

@@ -12,20 +12,34 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import cache
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Iterable, NamedTuple
 
 from .graph import (
     DistanceMatrix,
     Graph,
+    HangingForest,
     MajorVertexReport,
     TwinPartition,
     VertexOutOfRange,
+    hanging_forest,
 )
 
 # A distance multiset is stored as its ascending sorted tuple: equality of
 # tuples is multiset equality and the tuples hash canonically.
 Multiset = tuple[int, ...]
+
+# the least order at which md_lower_bound walks the hanging forest for its
+# subtree-patterns rule, md and dim build the swap and leg table, and dim
+# first tries the least leg cover (see search): 8 is the least order with a
+# size of more than n^2 candidate sets (comb(8, 4) = 70 > 8^2), and on
+# smaller graphs those inputs cost more than the whole search.  Below it
+# the rule never exceeds the other rules of md_lower_bound, as the tests
+# check on every connected graph of order 7 or less.
+TABLE_ORDER = 8
+
+# a polynomial in x, as {degree: coefficient} with no zero coefficient
+Poly = dict[int, int]
 
 
 class CollisionReport(NamedTuple):
@@ -185,8 +199,110 @@ def _pattern_floor(c: int, length: int) -> int:
     return total
 
 
+def _times(p: Poly, q: Poly, cap: int) -> Poly:
+    """p * q with the terms above degree ``cap`` dropped."""
+    out: Poly = {}
+    for i, a in p.items():
+        for j, b in q.items():
+            if i + j <= cap:
+                out[i + j] = out.get(i + j, 0) + a * b
+    return out
+
+
+def _choose(c: int, p: Poly, cap: int) -> Poly:
+    """E_c[p], with the terms above degree ``cap`` dropped: p counts
+    classes by size, and E_c counts the sets of c distinct classes by
+    their total size."""
+    # ways[j] counts the sets of j classes of the sizes seen so far
+    ways: list[Poly] = [{0: 1}] + [{} for _ in range(c)]
+    for s, a in p.items():
+        for j in range(c, 0, -1):
+            row = ways[j]
+            for i in range(1, min(a, j) + 1):
+                pick = math.comb(a, i)
+                for d, w in ways[j - i].items():
+                    if d + i * s <= cap:
+                        row[d + i * s] = row.get(d + i * s, 0) + w * pick
+    return ways[c]
+
+
+def _markings(
+    tau: int, shape: dict[int, tuple[int, ...]], cap: int, memo: dict[int, Poly]
+) -> Poly:
+    """N_tau with the terms above degree ``cap`` dropped: the asymmetric
+    markings of a rooted subtree of AHU code tau, up to isomorphism, by
+    their size.  ``shape`` maps each code to its ascending child codes."""
+    poly = memo.get(tau)
+    if poly is None:
+        # the root, in the marking or not, times each group of c
+        # isomorphic children, which take c distinct classes
+        poly = {0: 1, 1: 1}
+        for child, run in groupby(shape[tau]):
+            below = _markings(child, shape, cap, memo)
+            c = len(list(run))
+            poly = _times(poly, below if c == 1 else _choose(c, below, cap), cap)
+        memo[tau] = poly
+    return poly
+
+
+def _group_floor(c: int, tau: int, shape: dict[int, tuple[int, ...]], size: int) -> int:
+    """Least total size of c pairwise non-isomorphic asymmetric markings
+    of a rooted subtree of code tau and ``size`` vertices, or of all of
+    them when there are fewer than c: the smallest sizes first, as
+    _pattern_floor counts them for a rooted path.  The markings are
+    counted up to a degree cap, doubled until the c smallest sizes lie
+    within it or it reaches ``size``, past which no marking lies."""
+    cap = 1
+    while True:
+        poly = _markings(tau, shape, cap, {})
+        total, want = 0, c
+        for s in sorted(poly):
+            take = min(want, poly[s])
+            total += take * s
+            want -= take
+            if not want:
+                return total
+        if cap >= size:
+            return total
+        cap *= 2
+
+
+def subtree_patterns(forest: HangingForest) -> int:
+    """The ``subtree-patterns`` rule of md_lower_bound (see there), read
+    from the hanging forest of ``graph.hanging_forest``."""
+    parent, key, code = forest.parent, forest.key, forest.code
+    shapes, groups = forest.shapes, forest.groups
+    total, shape = 0, None
+    for members in groups.values():
+        # a group inside two isomorphic sibling subtrees is counted with them
+        if key[parent[members[0]]] in groups:
+            continue
+        tau = code[members[0]]
+        if not tau:
+            # two or more leaves: the markings {} and {leaf}, one landmark
+            total += 1
+            continue
+        # the rooted paths of 1, 2, ... vertices have the codes 0,
+        # shapes[(0,)], ..., as far as the forest has them
+        path, length = 0, 1
+        while path is not None and path != tau:
+            path, length = shapes.get((path,)), length + 1
+        if path is not None:
+            total += _pattern_floor(len(members), length)
+            continue
+        if shape is None:
+            shape = {t: kids for kids, t in shapes.items()}
+        size = forest.mask[members[0]].bit_count()
+        total += _group_floor(len(members), tau, shape, size)
+    return total
+
+
 def md_lower_bound(
-    g: Graph, dm: DistanceMatrix, tp: TwinPartition, mr: MajorVertexReport
+    g: Graph,
+    dm: DistanceMatrix,
+    tp: TwinPartition,
+    mr: MajorVertexReport,
+    forest: HangingForest | None = None,
 ) -> LowerBoundReport:
     """Best lower bound on md(G) from the cheap structural rules.
 
@@ -211,7 +327,37 @@ def md_lower_bound(
         is larger, where no W resolves at all).  Legs are disjoint, so
         the lengths at one major add up; per major the larger of that sum
         and ``legs - 1`` (the terminal-count argument: a vertex on every
-        leg but one) counts, and the majors add up.
+        leg but one) counts, and the majors add up;
+      - ``subtree-patterns``, from order ``TABLE_ORDER`` on: md is at
+        least the cost of 2-distinguishing (Boutin, "Small label classes
+        in 2-distinguishing labelings", Ars Math. Contemp. 1, 2008),
+        counted over the hanging forest of ``graph.hanging_forest``.  If
+        an automorphism s other than the identity maps W onto itself,
+        then v and s(v) have equal distance multisets to W for every v,
+        and s moves some v, so W does not m-resolve.  Two kinds of
+        automorphism fix every vertex outside their support (see
+        ``graph.symmetry_swap_masks``): the swap of two isomorphic sibling
+        subtrees of the forest, and any automorphism of one hanging
+        subtree that fixes its root.  So in an m-resolving W each hanging
+        subtree T carries an asymmetric marking W & T, and isomorphic
+        siblings carry non-isomorphic markings.  Counted bottom-up over
+        the AHU codes, the classes of asymmetric markings of the subtree
+        of v, by size, are N_v(x) = (1 + x) * prod E_c[N_t](x) over each
+        group of c isomorphic children of code t, where E_c chooses c
+        distinct classes and their sizes add: a leaf is 1 + x, and a
+        rooted path of L vertices sum C(L, s) x^s, ``_pattern_floor``'s
+        count.  The rule is the sum over the roots of the forest (each
+        2-core vertex, the virtual root of a tree, the virtual parent of
+        each twin class in the 2-core) of the least size with a non-zero
+        count, and a group of c siblings under a root, or under a chain of
+        vertices with no isomorphic sibling, takes its c smallest sizes,
+        or all of them when c exceeds the classes, as ``leg-patterns``
+        does.  The groups lie in disjoint subtrees, so their sizes add.
+        This holds for md alone: an automorphism permutes the coordinates
+        of distance vectors, and a spider's dim is its legs - 1.  Below
+        ``TABLE_ORDER`` the rule never exceeds the others and is left out;
+        ``forest`` is ``hanging_forest(g, tp)``, walked here from that
+        order on when the caller does not hold it.
     """
     bounds = {"trivial": 1}
     d = dm.diameter
@@ -235,6 +381,8 @@ def md_lower_bound(
             if floor >= len(legs):
                 patterns += floor - len(legs) + 1
     bounds["leg-patterns"] = patterns
+    if g.n >= TABLE_ORDER:
+        bounds["subtree-patterns"] = subtree_patterns(forest or hanging_forest(g, tp))
     return LowerBoundReport(value=max(bounds.values()), bounds=bounds)
 
 

@@ -41,12 +41,14 @@ from .graph import (
     Graph,
     all_pairs_distances,
     bfs_distances,
+    hanging_forest,
     major_vertex_report,
     path_endpoints,
     symmetry_swap_masks,
     twin_partition,
 )
 from .resolving import (
+    TABLE_ORDER,
     CertificateKind,
     CollisionReport,
     InfiniteCertificate,
@@ -454,13 +456,6 @@ def level_search(
     return least
 
 
-# the least order at which md and dim build the swap and leg table, and
-# dim first tries the least leg cover: 8 is the least order with a size of
-# more than n^2 candidate sets (comb(8, 4) = 70 > 8^2), and on smaller
-# graphs those inputs cost more than the whole search
-TABLE_ORDER = 8
-
-
 def _check_cap(n: int, cfg: SearchConfig) -> None:
     """Raise SearchAborted for a graph of n vertices above
     ``cfg.max_vertices``; the solves call it before they build any table."""
@@ -516,10 +511,13 @@ def compute_md(g: Graph, cfg: SearchConfig = SearchConfig()) -> ResolveOutcome:
 
     Pipeline: path fast-path (dimension 1, least pendant as witness; the
     graph is a path exactly when its diameter is n - 1, see
-    DistanceMatrix), the two infiniteness detectors, then the cut
-    depth-first search from ``md_lower_bound``.  From order
-    ``TABLE_ORDER`` on, the swap and leg tables are built first; smaller
-    graphs are searched with no table.  At every order the lower bound's
+    DistanceMatrix), the two infiniteness detectors, the cap, then the
+    cut depth-first search from ``md_lower_bound``.  From order
+    ``TABLE_ORDER`` on, ``graph.hanging_forest`` is walked once, for the
+    bound's subtree-patterns rule and for the swap table, and the swap
+    and leg tables are built before the search; smaller graphs are
+    searched with no table.  With ``cfg.progress`` a note names the bound
+    and the rules that reach it.  At every order the lower bound's
     size is searched alone, and if it fails, one branch-and-bound pass
     searches every size left.  Multiset resolvability is not monotone, so
     no size may be skipped; reaching size n with no witness proves
@@ -529,8 +527,9 @@ def compute_md(g: Graph, cfg: SearchConfig = SearchConfig()) -> ResolveOutcome:
     path and answers 1 with witness (0,).  Each graph fact is
     computed once, and only when a step needs it.  Every solve that ends
     in the exhaustive-search or the diameter-2 verdict returns the same
-    shared record for it.  Raises SearchAborted
-    when the search is needed and the graph exceeds ``cfg.max_vertices``.
+    shared record for it.  Raises SearchAborted, before any bound or
+    table, when the search is needed and the graph exceeds
+    ``cfg.max_vertices``.
     """
     dm = all_pairs_distances(g)
     n = dm.n
@@ -544,14 +543,21 @@ def compute_md(g: Graph, cfg: SearchConfig = SearchConfig()) -> ResolveOutcome:
         if cert.kind is CertificateKind.DIAMETER_TWO_NON_PATH:
             return _DIAMETER_TWO
         return ResolveOutcome(OutcomeKind.INFINITE, certificate=cert)
-    mr = major_vertex_report(g, dm)
-    lb = md_lower_bound(g, dm, tp, mr).value
     _check_cap(n, cfg)
+    mr = major_vertex_report(g, dm)
     table = None
-    if n >= TABLE_ORDER:
-        table = Table(symmetry_swap_masks(g, tp), mr.legs)
+    if n < TABLE_ORDER:
+        report = md_lower_bound(g, dm, tp, mr)
+    else:
+        forest = hanging_forest(g, tp)
+        report = md_lower_bound(g, dm, tp, mr, forest)
+        table = Table(symmetry_swap_masks(g, tp, forest), mr.legs)
         if cfg.progress:
             _note_rules(table, "md")
+    lb = report.value
+    if cfg.progress:
+        print(f"md search: lower bound {lb} ({', '.join(report.achieved_by)})",
+              file=sys.stderr)
     least = level_search(dm, False, table)
     witness = _first_hit(least, "md", range(lb, lb + 1), n, cfg)
     if witness is None:

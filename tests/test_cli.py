@@ -113,17 +113,21 @@ class TestCommands:
     def test_bounds(self, capsys):
         assert main(["bounds", "--family", "karytree:2x3", "--json"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
-        assert payload["lower_bound"] == 4
+        # the two halves under the root need non-isomorphic asymmetric
+        # markings: 3 + 4 = 7 landmarks, against 4 from the twin pairs
+        assert payload["lower_bound"] == 7
         assert payload["bounds"]["twin-pairs"] == 4
+        assert payload["achieved_by"] == ["subtree-patterns"]
 
     def test_bounds_reports_leg_patterns(self, capsys):
         # the seven legs of three vertices at substar:7x3's hub carry
         # distinct landmark patterns: 0 + 1 + 1 + 1 + 2 + 2 + 2 = 9, which
-        # is md, against 6 from the terminals
+        # is md, against 6 from the terminals.  The legs are the hanging
+        # subtrees of the hub, so the subtree patterns count the same 9
         assert main(["bounds", "--family", "substar:7x3", "--json"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["bounds"]["leg-patterns"] == payload["lower_bound"] == 9
-        assert payload["achieved_by"] == ["leg-patterns"]
+        assert payload["achieved_by"] == ["leg-patterns", "subtree-patterns"]
 
     def test_bounds_names_certificate(self, capsys):
         assert main(["bounds", "--family", "petersen"]) == EXIT_OK
@@ -172,14 +176,15 @@ class TestCommands:
 
     def test_md_progress_below_order_8(self, tmp_path, capsys):
         # an order-6 graph with no resolving set at any size: with no
-        # table, md still searches its lower bound, size 3, alone and
-        # then sizes 4 to 6 in one pass
+        # table, md still searches its lower bound, 3 from the non-path
+        # rule, alone and then sizes 4 to 6 in one pass
         p = tmp_path / "none.edges"
         p.write_text("0 1\n0 2\n0 4\n0 5\n1 2\n1 3\n2 3\n")
         assert main(["md", str(p), "--progress"]) == EXIT_OK
         captured = capsys.readouterr()
         assert captured.out.strip() == "md = infinite (exhaustive-search certificate)"
         assert captured.err == (
+            "md search: lower bound 3 (non-path)\n"
             "md search: size 3 of up to 6\n"
             "md search: size 4 to 6 in one branch-and-bound pass\n"
         )
@@ -188,20 +193,22 @@ class TestCommands:
         # substar:7x3 has order 22, so the swap and leg tables are built
         # before its lower bound, size 9: the 18 vertices outside
         # substar:7x3's first leg have a smaller image, and its hub has 7
-        # legs.  The leg patterns set the bound at md, so size 9 resolves
-        # and no branch-and-bound pass follows
+        # legs.  The leg patterns, and the subtree patterns that count the
+        # same legs, set the bound at md, so size 9 resolves and no
+        # branch-and-bound pass follows
         assert main(["md", "--family", "substar:7x3", "--progress"]) == EXIT_OK
         captured = capsys.readouterr()
         assert captured.err == (
             "md search: symmetry rule on (18 vertices have a smaller image)\n"
             "md search: leg rule on (7 legs at 1 major)\n"
+            "md search: lower bound 9 (leg-patterns, subtree-patterns)\n"
             "md search: size 9 of up to 22\n"
         )
         assert captured.out.strip() == "md = 9, witness = {1, 2, 4, 6, 7, 11, 12, 14, 18}"
         # tools that time the levels read "size <k>" from each note, so the
-        # rule notes name none
+        # rule and bound notes name none
         sizes = [re.findall(r"size (\d+)", line) for line in captured.err.splitlines()]
-        assert sizes == [[], [], ["9"]]
+        assert sizes == [[], [], [], ["9"]]
 
     def test_family_emit_round_trips(self, capsys):
         assert main(["family", "path:4"]) == EXIT_OK

@@ -10,8 +10,15 @@ nx = pytest.importorskip("networkx")
 
 from networkx.algorithms.isomorphism import GraphMatcher, categorical_node_match
 
-from mdim import all_pairs_distances, build_graph, twin_partition
-from mdim.graph import symmetry_swap_masks
+from mdim import (
+    all_pairs_distances,
+    build_graph,
+    major_vertex_report,
+    md_lower_bound,
+    twin_partition,
+)
+from mdim.graph import hanging_forest, symmetry_swap_masks
+from mdim.resolving import TABLE_ORDER, subtree_patterns
 from mdim.harness import scan_small_graphs
 from helpers import (
     random_connected_graph,
@@ -175,6 +182,28 @@ def test_swap_masks_empty_off_symmetric_trees():
     h = to_networkx(spider)
     assert sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter()) == 1
     assert symmetry_swap_masks(spider, twin_partition(spider)) == ((),) * 7
+
+
+def test_subtree_patterns_never_above_other_rules_below_table_order():
+    # md_lower_bound leaves its subtree-patterns rule out below order
+    # TABLE_ORDER; this is why.  On each of the 996 connected classes of
+    # order 7 or less the rule, taken on its own, is at most the bound of
+    # the other rules, and it meets that bound on 66 of them
+    assert TABLE_ORDER <= 8
+    classes = met = 0
+    for h in nx.graph_atlas_g()[1:]:
+        if not nx.is_connected(h):
+            continue
+        g = build_graph(len(h), list(h.edges()))
+        dm, tp = all_pairs_distances(g), twin_partition(g)
+        lb = md_lower_bound(g, dm, tp, major_vertex_report(g, dm))
+        assert "subtree-patterns" not in lb.bounds
+        rule = subtree_patterns(hanging_forest(g, tp))
+        assert rule <= lb.value, (g.edges(), rule, lb.bounds)
+        classes += 1
+        met += rule == lb.value
+    assert classes == 996
+    assert met >= 60
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

@@ -27,7 +27,9 @@ from helpers import (
     cycle_graph,
     path_graph,
     random_connected_graph,
+    random_hanging_graph,
     random_legged_graph,
+    random_symmetric_tree,
     star_graph,
 )
 
@@ -142,14 +144,26 @@ class TestMdLowerBound:
 
     def test_binary_tree_h3(self):
         lb = lower_bound_of(binary_tree(3))
-        assert lb.value == 4
+        assert lb.value == 7
         assert lb.bounds["terminal-count"] == 4
         assert lb.bounds["twin-pairs"] == 4
         assert lb.bounds["order-diameter"] == 2
         # each major of the lowest level carries two legs of one leaf, so
         # the leg patterns ask for one landmark each, as the terminals do
         assert lb.bounds["leg-patterns"] == 4
-        assert set(lb.achieved_by) == {"terminal-count", "twin-pairs", "leg-patterns"}
+        # the two halves under the root carry non-isomorphic asymmetric
+        # markings; a half's least ones hold 3 and 4 landmarks
+        assert lb.bounds["subtree-patterns"] == 7
+        assert lb.achieved_by == ("subtree-patterns",)
+
+    def test_binary_trees_need_all_but_one_per_level(self):
+        # md(binary_tree(h)) = 2^h - 1 is reached by the bounds alone, with
+        # no search: below order 8 (h = 2) by the non-path rule, from h = 3
+        # on by the subtree patterns, through h = 9 (1,023 vertices)
+        for h in range(2, 10):
+            lb = lower_bound_of(binary_tree(h))
+            assert lb.value == 2**h - 1, h
+            assert lb.bounds.get("subtree-patterns", 2**h - 1) == 2**h - 1, h
 
     def test_cycle9(self):
         lb = lower_bound_of(cycle_graph(9))
@@ -158,19 +172,27 @@ class TestMdLowerBound:
 
     def test_every_rule_below_md(self):
         # every connected graph of order <= 6, seeded legged graphs of
-        # order 10-12 and small spiders.  Below order 9 leg-patterns is
-        # never above every other rule, so the scan's md-lower-bound flag
-        # cannot catch a wrong count there; the spiders substar:4x2 (four
-        # legs of two vertices need four landmarks, the terminals three)
-        # are where it is, and the check must see such a graph.  The
-        # patterns are counted per major: two joined majors with two legs
-        # of two vertices each have md 3, and the four legs taken as one
-        # group would ask for four landmarks
+        # order 10-12, small spiders, and seeded trees built around copies
+        # of one subtree and graphs with copies of one tree hung from the
+        # 2-core, of order 10-12.  A pattern rule that is never above
+        # every other rule could count wrong and stay below md, so the
+        # check must see a graph where each one is.  On the spiders the
+        # subtree patterns count the legs as leg-patterns does, so
+        # leg-patterns is above every other rule on the graph with four
+        # legs of two vertices at one major and legs of one and two
+        # vertices at a second: the terminals ask for a landmark on one of
+        # the unequal legs, and md is 5.  The patterns are counted per
+        # major: two joined majors with two legs of two vertices each have
+        # md 3, and the four legs taken as one group would ask for four
+        # landmarks
         rng = Random(29)
         legged = [
             random_legged_graph(rng, rng.randint(10, 12), extra=rng.choice([0.0, 0.1, 0.25]))
             for _ in range(200)
         ]
+        rng = Random(30)
+        hanging = [random_symmetric_tree(rng, rng.randint(10, 12)) for _ in range(50)]
+        hanging += [random_hanging_graph(rng, rng.randint(10, 12)) for _ in range(50)]
         named = [
             generate(FamilySpec.subdivided_star(n, p))
             for n, p in ((4, 2), (3, 3), (4, 3), (5, 2), (6, 2))
@@ -180,16 +202,24 @@ class TestMdLowerBound:
                 10, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (1, 6), (6, 7), (1, 8), (8, 9)]
             )
         )
-        above = 0
-        for g in (*connected_graphs_up_to(6), *legged, *named):
-            bounds = dict(lower_bound_of(g).bounds)
+        named.append(
+            build_graph(
+                13,
+                [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6), (0, 7), (7, 8), (0, 9),
+                 (9, 10), (9, 11), (11, 12)],
+            )
+        )
+        above = dict.fromkeys(("leg-patterns", "subtree-patterns"), 0)
+        for g in (*connected_graphs_up_to(6), *legged, *hanging, *named):
+            bounds = lower_bound_of(g).bounds
             md = brute_force_md(g)
             if md.is_finite:
                 for rule, value in bounds.items():
                     assert value <= md.value, (rule, value, md.value, g.edges())
-            patterns = bounds.pop("leg-patterns")
-            above += patterns > max(bounds.values())
-        assert above >= 1
+            for rule in above:
+                others = [value for other, value in bounds.items() if other != rule]
+                above[rule] += bounds.get(rule, 0) > max(others)
+        assert min(above.values()) >= 1, above
 
 
 def bound_graphs():
