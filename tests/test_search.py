@@ -29,7 +29,7 @@ from mdim.families import FamilySpec, generate, parse_family_spec
 from mdim.graph import TwinPartition, symmetry_swap_masks
 from mdim.harness import scan_small_graphs
 from mdim.resolving import dim_distance_rules, first_collision, least_resolving_set
-from mdim import graph, search
+from mdim import graph, resolving, search
 from mdim.search import Table, level_search
 from helpers import (
     all_connected_graphs,
@@ -398,13 +398,17 @@ class TestWalk:
     def test_no_table_up_to_order_7(self, monkeypatch):
         # below order search.TABLE_ORDER = 8, md and dim never build the
         # swap table or pass a table to least, dim never takes the
-        # major-vertex report, and the scan never builds a table at all:
-        # that work keeps its cost of one falsy int per candidate
+        # major-vertex report, no solve, bound or scan walks the hanging
+        # forest for the subtree-patterns rule, and the scan never builds
+        # a table at all: that work keeps its cost of one falsy int per
+        # candidate
         def refuse(g, *rest):
             raise AssertionError(f"table built for {g.edges()}")
 
         seen = self.record(monkeypatch)
         monkeypatch.setattr(search, "symmetry_swap_masks", refuse)
+        monkeypatch.setattr(search, "hanging_forest", refuse)
+        monkeypatch.setattr(resolving, "hanging_forest", refuse)
         graphs = connected_graphs_up_to(6)
         rng = Random(7)
         sample = [random_connected_graph(rng, 7, rng.random()) for _ in range(100)]
