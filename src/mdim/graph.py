@@ -258,12 +258,15 @@ class HangingForest(NamedTuple):
     the 2-core that is a root of its own; indices from n on are virtual
     parents.  ``code[v]`` is the AHU code of the subtree v roots, and
     ``shapes`` maps each ascending tuple of child codes to its code, so a
-    leaf's code is ``shapes[()] == 0``.  ``mask[v]`` is the vertex mask
-    of that subtree.  ``key[v]`` names the sequence of codes on the path
-    from v's root: it is the first vertex, from the roots down, given that
-    sequence, and a root or virtual parent i has the key -i - 1, which no
-    other vertex shares.  ``groups`` maps each key that two or more
-    vertices share to those vertices, ascending.
+    leaf's code is ``shapes[()] == 0``.  A code is numbered when its child
+    tuple is first seen, after the codes of the children, so
+    ``list(shapes)[t]`` holds the child codes of code t, each less than
+    t.  ``mask[v]`` is the vertex mask of that subtree.  ``key[v]`` names
+    the sequence of codes on the path from v's root: it is the first
+    vertex, from the roots down, given that sequence, and a root or
+    virtual parent i has the key -i - 1, which no other vertex shares.
+    ``groups`` maps each key that two or more vertices share to those
+    vertices, ascending.
     """
 
     parent: list[int]

@@ -185,34 +185,38 @@ def order_diameter_lower_bound(n: int, d: int) -> int:
     return k
 
 
-@cache
-def _pattern_floor(c: int, length: int) -> int:
-    """Least total size of c distinct subsets of a set of ``length``
-    elements, or of all 2^length subsets when c is larger: the smallest
-    sizes first.  Cached, since few (c, length) pairs occur."""
-    total = size = 0
-    while c > 0 and size <= length:
-        take = min(c, math.comb(length, size))
-        total += take * size
-        c -= take
-        size += 1
+def _smallest(c: int, counts: Poly) -> int:
+    """Sum of the c smallest sizes of the classes that ``counts`` counts
+    by size, or of all of them when there are fewer than c."""
+    total = 0
+    for s in sorted(counts):
+        if counts[s] >= c:
+            return total + c * s
+        total += counts[s] * s
+        c -= counts[s]
     return total
 
 
-def _times(p: Poly, q: Poly, cap: int) -> Poly:
-    """p * q with the terms above degree ``cap`` dropped."""
+@cache
+def _pattern_floor(c: int, length: int) -> int:
+    """Least total size of c distinct subsets of a set of ``length``
+    elements, or of all 2^length subsets when c is larger.  Cached, since
+    few (c, length) pairs occur."""
+    return _smallest(c, {s: math.comb(length, s) for s in range(length + 1)})
+
+
+def _times(p: Poly, q: Poly) -> Poly:
+    """p * q."""
     out: Poly = {}
     for i, a in p.items():
         for j, b in q.items():
-            if i + j <= cap:
-                out[i + j] = out.get(i + j, 0) + a * b
+            out[i + j] = out.get(i + j, 0) + a * b
     return out
 
 
-def _choose(c: int, p: Poly, cap: int) -> Poly:
-    """E_c[p], with the terms above degree ``cap`` dropped: p counts
-    classes by size, and E_c counts the sets of c distinct classes by
-    their total size."""
+def _choose(c: int, p: Poly) -> Poly:
+    """E_c[p]: p counts classes by size, and E_c counts the sets of c
+    distinct classes by their total size."""
     # ways[j] counts the sets of j classes of the sizes seen so far
     ways: list[Poly] = [{0: 1}] + [{} for _ in range(c)]
     for s, a in p.items():
@@ -221,80 +225,43 @@ def _choose(c: int, p: Poly, cap: int) -> Poly:
             for i in range(1, min(a, j) + 1):
                 pick = math.comb(a, i)
                 for d, w in ways[j - i].items():
-                    if d + i * s <= cap:
-                        row[d + i * s] = row.get(d + i * s, 0) + w * pick
+                    row[d + i * s] = row.get(d + i * s, 0) + w * pick
     return ways[c]
 
 
-def _markings(
-    tau: int, shape: dict[int, tuple[int, ...]], cap: int, memo: dict[int, Poly]
-) -> Poly:
-    """N_tau with the terms above degree ``cap`` dropped: the asymmetric
-    markings of a rooted subtree of AHU code tau, up to isomorphism, by
-    their size.  ``shape`` maps each code to its ascending child codes."""
-    poly = memo.get(tau)
-    if poly is None:
+def _markings(taus: set[int], shape: list[tuple[int, ...]]) -> dict[int, Poly]:
+    """N_t for each AHU code t of ``taus`` and each code below them: the
+    asymmetric markings of a rooted subtree of code t, up to isomorphism,
+    counted by their size.  ``shape[t]`` holds the ascending child codes
+    of code t, each less than t, so ascending codes are counted bottom-up,
+    each once and with no recursion, however deep the subtree."""
+    below, stack = set(), list(taus)
+    while stack:
+        t = stack.pop()
+        if t not in below:
+            below.add(t)
+            stack += shape[t]
+    memo: dict[int, Poly] = {}
+    for t in sorted(below):
         # the root, in the marking or not, times each group of c
         # isomorphic children, which take c distinct classes
         poly = {0: 1, 1: 1}
-        for child, run in groupby(shape[tau]):
-            below = _markings(child, shape, cap, memo)
+        for child, run in groupby(shape[t]):
             c = len(list(run))
-            poly = _times(poly, below if c == 1 else _choose(c, below, cap), cap)
-        memo[tau] = poly
-    return poly
-
-
-def _group_floor(c: int, tau: int, shape: dict[int, tuple[int, ...]], size: int) -> int:
-    """Least total size of c pairwise non-isomorphic asymmetric markings
-    of a rooted subtree of code tau and ``size`` vertices, or of all of
-    them when there are fewer than c: the smallest sizes first, as
-    _pattern_floor counts them for a rooted path.  The markings are
-    counted up to a degree cap, doubled until the c smallest sizes lie
-    within it or it reaches ``size``, past which no marking lies."""
-    cap = 1
-    while True:
-        poly = _markings(tau, shape, cap, {})
-        total, want = 0, c
-        for s in sorted(poly):
-            take = min(want, poly[s])
-            total += take * s
-            want -= take
-            if not want:
-                return total
-        if cap >= size:
-            return total
-        cap *= 2
+            poly = _times(poly, memo[child] if c == 1 else _choose(c, memo[child]))
+        memo[t] = poly
+    return memo
 
 
 def subtree_patterns(forest: HangingForest) -> int:
     """The ``subtree-patterns`` rule of md_lower_bound (see there), read
     from the hanging forest of ``graph.hanging_forest``."""
-    parent, key, code = forest.parent, forest.key, forest.code
-    shapes, groups = forest.shapes, forest.groups
-    total, shape = 0, None
-    for members in groups.values():
-        # a group inside two isomorphic sibling subtrees is counted with them
-        if key[parent[members[0]]] in groups:
-            continue
-        tau = code[members[0]]
-        if not tau:
-            # two or more leaves: the markings {} and {leaf}, one landmark
-            total += 1
-            continue
-        # the rooted paths of 1, 2, ... vertices have the codes 0,
-        # shapes[(0,)], ..., as far as the forest has them
-        path, length = 0, 1
-        while path is not None and path != tau:
-            path, length = shapes.get((path,)), length + 1
-        if path is not None:
-            total += _pattern_floor(len(members), length)
-            continue
-        if shape is None:
-            shape = {t: kids for kids, t in shapes.items()}
-        size = forest.mask[members[0]].bit_count()
-        total += _group_floor(len(members), tau, shape, size)
-    return total
+    parent, key, code, groups = forest.parent, forest.key, forest.code, forest.groups
+    # a group inside two isomorphic sibling subtrees is counted with them
+    top = [m for m in groups.values() if key[parent[m[0]]] not in groups]
+    # code t is numbered after its children, so shape[t] is its child tuple
+    memo = _markings({code[m[0]] for m in top}, list(forest.shapes))
+    return sum(_smallest(len(m), memo[code[m[0]]]) for m in top)
 
 
 def md_lower_bound(
@@ -345,14 +312,16 @@ def md_lower_bound(
         of v, by size, are N_v(x) = (1 + x) * prod E_c[N_t](x) over each
         group of c isomorphic children of code t, where E_c chooses c
         distinct classes and their sizes add: a leaf is 1 + x, and a
-        rooted path of L vertices sum C(L, s) x^s, ``_pattern_floor``'s
-        count.  The rule is the sum over the roots of the forest (each
-        2-core vertex, the virtual root of a tree, the virtual parent of
-        each twin class in the 2-core) of the least size with a non-zero
-        count, and a group of c siblings under a root, or under a chain of
-        vertices with no isomorphic sibling, takes its c smallest sizes,
-        or all of them when c exceeds the classes, as ``leg-patterns``
-        does.  The groups lie in disjoint subtrees, so their sizes add.
+        rooted path of L vertices goes through the same recursion, where
+        the count is sum C(L, s) x^s, as ``_pattern_floor`` counts the
+        legs.  Nothing is truncated: each N_t is counted in full, once per
+        code of the forest.  The rule is the sum over the roots of the
+        forest (each 2-core vertex, the virtual root of a tree, the
+        virtual parent of each twin class in the 2-core) of the least size
+        with a non-zero count, and a group of c siblings under a root, or
+        under a chain of vertices with no isomorphic sibling, takes its c
+        smallest sizes, or all of them when c exceeds the classes, as
+        ``leg-patterns`` does.  The groups lie in disjoint subtrees, so their sizes add.
         This holds for md alone: an automorphism permutes the coordinates
         of distance vectors, and a spider's dim is its legs - 1.  Below
         ``TABLE_ORDER`` the rule never exceeds the others and is left out;

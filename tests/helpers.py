@@ -110,6 +110,28 @@ def least_relabelling(n: int, mask: int) -> int:
     )
 
 
+def orbit_leaders(n: int) -> list[int]:
+    """The least edge bitmask of the relabelling orbit of each n-vertex
+    graph, indexed by its edge bitmask (bits as in ``least_relabelling``).
+    One ascending walk meets each orbit first at its least mask and lists
+    the orbit there, as ``harness.scan_small_graphs`` does by classes, so
+    the n! permutations are tried once per orbit, not once per graph."""
+    pairs = list(combinations(range(n), 2))
+    bit = {p: 1 << b for b, p in enumerate(pairs)}
+    # entry b of a table is the bit value of the image of edge bit b
+    tables = [
+        [bit[(min(p[u], p[v]), max(p[u], p[v]))] for u, v in pairs]
+        for p in permutations(range(n))
+    ]
+    leader = [-1] * (1 << len(pairs))
+    for mask, least in enumerate(leader):
+        if least < 0:
+            bits = [b for b in range(len(pairs)) if mask >> b & 1]
+            for table in tables:
+                leader[sum(table[b] for b in bits)] = mask
+    return leader
+
+
 def shuffled(rng: Random, g: Graph) -> Graph:
     """g with its vertex ids permuted at random."""
     perm = list(range(g.n))

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -18,13 +19,15 @@ from mdim import (
     representation,
     twin_partition,
 )
-from mdim.families import FamilySpec, generate
-from mdim.resolving import least_resolving_set
+from mdim.families import FamilySpec, generate, parse_family_spec
+from mdim.graph import hanging_forest
+from mdim.resolving import least_resolving_set, subtree_patterns
 from helpers import (
     binary_tree,
     complete_graph,
     connected_graphs_up_to,
     cycle_graph,
+    orbit_leaders,
     path_graph,
     random_connected_graph,
     random_hanging_graph,
@@ -138,6 +141,19 @@ def lower_bound_of(g):
     return md_lower_bound(g, dm, twin_partition(g), major_vertex_report(g, dm))
 
 
+def hubs_on_triangle(copies, legs, length):
+    """The triangle 0-1-2 with ``copies`` new vertices joined to 0, each
+    the hub of ``legs`` legs of ``length`` vertices."""
+    edges, n = [(0, 1), (1, 2), (0, 2)], 3
+    for _ in range(copies):
+        hub, n = n, n + 1
+        edges.append((0, hub))
+        for _ in range(legs):
+            edges += zip([hub, *range(n, n + length - 1)], range(n, n + length))
+            n += length
+    return build_graph(n, edges)
+
+
 class TestMdLowerBound:
     def test_path(self):
         assert lower_bound_of(path_graph(7)).value == 1
@@ -164,6 +180,45 @@ class TestMdLowerBound:
             lb = lower_bound_of(binary_tree(h))
             assert lb.value == 2**h - 1, h
             assert lb.bounds.get("subtree-patterns", 2**h - 1) == 2**h - 1, h
+
+    @pytest.mark.parametrize(
+        "graph, value",
+        [
+            # more siblings than marking classes: on karytree:3x3 three
+            # leaves share a parent and no marking tells them apart, and
+            # the eight legs of substar:8x2 take all four subsets of 1..2
+            ("karytree:3x3", 0),
+            ("substar:8x2", 4),
+            ("cextree", 3),
+            ("substar:9x4", 12),
+            ("substar:7x6", 6),
+            ("karytree:2x5", 31),
+            # the legs at each hub are a group nested in the group of
+            # hubs, and count within the hubs' markings
+            pytest.param((2, 5, 10), 9, id="hubs:2x5x10"),
+            pytest.param((3, 6, 30), 16, id="hubs:3x6x30"),
+        ],
+    )
+    def test_subtree_patterns_pinned(self, graph, value):
+        if isinstance(graph, str):
+            g = generate(parse_family_spec(graph))
+        else:
+            g = hubs_on_triangle(*graph)
+        assert subtree_patterns(hanging_forest(g, twin_partition(g))) == value
+
+    def test_subtree_patterns_on_deep_subtrees(self):
+        # two paths of 1,200 vertices hung from a 5-cycle, each ending in a
+        # vertex with two leaves: far deeper than Python's recursion limit.
+        # The end with its leaves has markings x + x^2, each path vertex
+        # above it multiplies them by 1 + x, and the two copies take the
+        # least sizes 1 and 2
+        edges, n = [(i, (i + 1) % 5) for i in range(5)], 5
+        for _ in range(2):
+            edges += zip([0, *range(n, n + 1199)], range(n, n + 1200))
+            edges += [(n + 1199, n + 1200), (n + 1199, n + 1201)]
+            n += 1202
+        g = build_graph(n, edges)
+        assert subtree_patterns(hanging_forest(g, twin_partition(g))) == 3
 
     def test_cycle9(self):
         lb = lower_bound_of(cycle_graph(9))
@@ -209,10 +264,22 @@ class TestMdLowerBound:
                  (9, 10), (9, 11), (11, 12)],
             )
         )
+        # md and every rule are invariant under relabelling, so md is taken
+        # once per isomorphism class of order <= 6, keyed by the least edge
+        # bitmask of the class, and the rules on every labelled graph
+        leaders = {n: orbit_leaders(n) for n in range(1, 7)}
+        bits = {n: {p: 1 << b for b, p in enumerate(combinations(range(n), 2))} for n in leaders}
+        mds = {}
         above = dict.fromkeys(("leg-patterns", "subtree-patterns"), 0)
         for g in (*connected_graphs_up_to(6), *legged, *hanging, *named):
             bounds = lower_bound_of(g).bounds
-            md = brute_force_md(g)
+            if g.n in leaders:
+                key = g.n, leaders[g.n][sum(bits[g.n][e] for e in g.edges())]
+                if key not in mds:
+                    mds[key] = brute_force_md(g)
+                md = mds[key]
+            else:
+                md = brute_force_md(g)
             if md.is_finite:
                 for rule, value in bounds.items():
                     assert value <= md.value, (rule, value, md.value, g.edges())
