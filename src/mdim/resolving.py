@@ -34,8 +34,9 @@ Multiset = tuple[int, ...]
 # first tries the least leg cover (see search): 8 is the least order with a
 # size of more than n^2 candidate sets (comb(8, 4) = 70 > 8^2), and on
 # smaller graphs those inputs cost more than the whole search.  Below it
-# the rule never exceeds the other rules of md_lower_bound, as the tests
-# check on every connected graph of order 7 or less.
+# the rule exceeds the other rules of md_lower_bound only where it reads
+# n + 1 and detect_infinite fires, as the tests check on every connected
+# graph of order 7 or less.
 TABLE_ORDER = 8
 
 # a polynomial in x, as {degree: coefficient} with no zero coefficient
@@ -255,12 +256,16 @@ def _markings(taus: set[int], shape: list[tuple[int, ...]]) -> dict[int, Poly]:
 
 def subtree_patterns(forest: HangingForest) -> int:
     """The ``subtree-patterns`` rule of md_lower_bound (see there), read
-    from the hanging forest of ``graph.hanging_forest``."""
+    from the hanging forest of ``graph.hanging_forest``: n + 1 when some
+    sibling group has fewer asymmetric-marking classes than members."""
     parent, key, code, groups = forest.parent, forest.key, forest.code, forest.groups
     # a group inside two isomorphic sibling subtrees is counted with them
     top = [m for m in groups.values() if key[parent[m[0]]] not in groups]
     # code t is numbered after its children, so shape[t] is its child tuple
     memo = _markings({code[m[0]] for m in top}, list(forest.shapes))
+    # a group deeper down with too few classes leaves its top group none
+    if any(sum(memo[code[m[0]]].values()) < len(m) for m in top):
+        return len(code) + 1
     return sum(_smallest(len(m), memo[code[m[0]]]) for m in top)
 
 
@@ -320,11 +325,16 @@ def md_lower_bound(
         virtual parent of each twin class in the 2-core) of the least size
         with a non-zero count, and a group of c siblings under a root, or
         under a chain of vertices with no isomorphic sibling, takes its c
-        smallest sizes, or all of them when c exceeds the classes, as
-        ``leg-patterns`` does.  The groups lie in disjoint subtrees, so their sizes add.
+        smallest sizes.  The groups lie in disjoint subtrees, so their
+        sizes add.  When a group has fewer than c classes, its c siblings
+        cannot all carry distinct asymmetric markings, so no set
+        m-resolves and the rule reads n + 1, which leaves md's search no
+        size; a group with too few classes deeper down makes its subtree
+        count no class at all, so it shows at the group on top of it.
         This holds for md alone: an automorphism permutes the coordinates
         of distance vectors, and a spider's dim is its legs - 1.  Below
-        ``TABLE_ORDER`` the rule never exceeds the others and is left out;
+        ``TABLE_ORDER`` the rule exceeds the others only where it reads
+        n + 1 and ``detect_infinite`` already answers, and is left out;
         ``forest`` is ``hanging_forest(g, tp)``, walked here from that
         order on when the caller does not hold it.
     """

@@ -4,28 +4,25 @@ Multiset resolvability is NOT monotone under supersets, so md visits the
 sizes in ascending order, and only a search that exhausts every size
 proves md infinite.  The map of this module:
 
-- ``level_search`` builds one graph's search ``least(k, last)``, with
-  the solve's table, if any, fixed when it is built: a branch-and-bound
-  pass over the sizes k..last, a depth-first search over ascending
-  landmark ids with one cut, the lex-leader rule and the leg rule.  One
-  size k is the pass over k..k, and md's sizes after its lower bound are
-  one pass.  Its docstring states why each of them drops only sets that
-  are not the least one of their size.
+- ``level_search`` builds one graph's search ``least(k)``, with the
+  solve's table, if any, fixed when it is built: a depth-first search of
+  the one size k over ascending landmark ids with one cut, the lex-leader
+  rule and the leg rule.  Its docstring states why each of them drops
+  only sets that are not the least one of their size.
 - ``_bound`` is its one recursion.  It takes the state of one frame and
   the one context of the search; ``_table_bits`` turns the table into
   bitsets once, when the search is built.
-- ``compute_md`` and ``compute_dim`` each spell out their size schedule:
-  md searches its lower bound's size alone, then the sizes after it in
-  one pass, and dim each size upward.  From order ``TABLE_ORDER`` on
-  they build the table before the search, and compute_dim first answers
-  with the least leg cover (``_leg_cover``) when one resolve check, on
-  the BFS rows of the cover's own vertices, shows it resolves at the
-  size the legs force.
+- ``compute_md`` and ``compute_dim`` search each size upward from their
+  lower bounds, one size at a time (``_first_hit``).  From order
+  ``TABLE_ORDER`` on they build the table before the search, and
+  compute_dim first answers with the least leg cover (``_leg_cover``)
+  when one resolve check, on the BFS rows of the cover's own vertices,
+  shows it resolves at the size the legs force.
   Above ``SearchConfig.max_vertices`` they raise ``SearchAborted``, the
   one abort signal, before any table is built (``_check_cap``).
 - ``brute_force_md`` is the unpruned reference walk
-  ``resolving.least_resolving_set``, which the tests hold both modes of
-  the search to.
+  ``resolving.least_resolving_set``, which the tests hold the search
+  to.
 """
 
 from __future__ import annotations
@@ -157,8 +154,8 @@ class Table(NamedTuple):
     legs: LegTable
 
 
-# what level_search returns: least(k, last), a resolving set or None
-Least = Callable[..., tuple[int, ...] | None]
+# what level_search returns: least(k), a resolving set of size k or None
+Least = Callable[[int], tuple[int, ...] | None]
 
 
 def _table_bits(
@@ -221,19 +218,17 @@ def _bound(
     code: tuple[int, ...],
     start: int,
     size: int,
-    lo: int,
-    hi: int,
+    k: int,
     hit: int,
     owed: int,
     ctx: Context,
 ) -> tuple[int, ...]:
-    """The branch-and-bound pass over sizes ``lo``..``hi``: extend the
-    ``size - 1`` chosen landmarks, whose vertex codes are ``code``, by ids
-    from ``start`` on; return the ids added to the least resolving set of
-    the fewest landmarks from lo to hi, or () if none resolves.  One size
-    k is the pass over k..k.  ``hit`` is the union of ``hitby`` over the
-    chosen landmarks, ``owed`` the landmarks their unhit legs are still
-    owed, and ``ctx`` the search's context.
+    """The search of the one size ``k``: extend the ``size - 1`` chosen
+    landmarks, whose vertex codes are ``code``, by ids from ``start`` on;
+    return the ids added to the least resolving set of k landmarks, or ()
+    if none resolves.  ``hit`` is the union of ``hitby`` over the chosen
+    landmarks, ``owed`` the landmarks their unhit legs are still owed, and
+    ``ctx`` the search's context.
 
     Candidate x is skipped, before any test, when ``need[x] & ~hit`` is
     non-zero (see _table_bits): the chosen landmarks miss a swap mask S of
@@ -244,61 +239,38 @@ def _bound(
     candidate.
 
     Each candidate x makes a child of ``size`` landmarks, skipped by the
-    leg rule when its unhit legs are owed more than the ``hi - size``
+    leg rule when its unhit legs are owed more than the ``k - size``
     landmarks it may still take.  If the first frame's ``owed`` is at most
-    the ``hi`` landmarks it may take, every frame is entered owing at most
-    the ``hi - size + 1`` it may take, and only when it owes exactly that
-    (``tight``) does a candidate that pays none off get skipped; every
-    other frame pays one falsy local per candidate for the rule.  The
-    solves meet that: the first ``owed`` is sigma - ex, the terminal-count
-    rule of ``md_lower_bound`` and ``dim_lower_bound``, and each solve
-    searches with its table only the sizes from its own full bound on:
-    md its bound's size and then the pass over the sizes after it, dim
-    every size from its bound.  A first frame owed more
-    returns (), as every child it tries is still owed a landmark and
-    cannot resolve.
+    k, every frame is entered owing at most the ``k - size + 1`` it may
+    take, and only when it owes exactly that (``tight``) does a candidate
+    that pays none off get skipped; every other frame pays one falsy local
+    per candidate for the rule.  The solves meet that: the first ``owed``
+    is sigma - ex, the terminal-count rule of ``md_lower_bound`` and
+    ``dim_lower_bound``, and each solve searches with its table only the
+    sizes from its own full bound on.  A first frame owed more returns (),
+    as every set it tries is still owed a landmark and cannot resolve.
 
-    At the last allowed size, ``size == hi``, the candidates get the
-    resolve test alone, in a loop of their own.  Below it the cut runs
-    first, and a child of at least ``lo`` landmarks that resolves is
-    returned at once: it is the incumbent, and its later siblings and its
-    supersets are no smaller.  A child whose legs are still owed a
-    landmark gets no resolve test, since two unhit legs of one major
-    collide.  Otherwise the child is expanded, and a set found below it
-    becomes the incumbent, which lowers ``hi`` to one less than its size
-    for the remaining siblings.  Once ``hi`` is below ``lo``, or below
-    what the legs are owed, nothing is left to find; once it is ``size``,
-    the remaining siblings go to the resolve-only loop, so no frame is
-    entered above ``hi`` (see level_search for why this is sound).
+    Below the last landmark the cut runs first, and a child is expanded
+    only while k - size ids are left after it; the last landmark gets the
+    resolve test alone, in a loop of its own.
     """
     n, weights, tails, need, hitby, own, rest = ctx
-    best: tuple[int, ...] = ()
     miss = ~hit
-    tight = owed > hi - size
-    if size < hi:
-        for x in range(start, n - lo + size if lo > size else n):
+    tight = owed > k - size
+    if size < k:
+        for x in range(start, n - k + size):
             if need[x] and need[x] & miss:
                 continue
             if tight and not (own[x] & miss and rest[x] & miss):
                 continue
             if len(set(zip(code, tails[x]))) < n:
-                return best
-            child = tuple(map(add, code, weights[x]))
+                return ()
             after = owed and owed - ((own[x] & miss and rest[x] & miss) > 0)
-            if size >= lo and not after and len(set(child)) == n:
-                return (x,)
-            found = _bound(child, x + 1, size + 1, lo, hi, hit | hitby[x], after, ctx)
+            child = tuple(map(add, code, weights[x]))
+            found = _bound(child, x + 1, size + 1, k, hit | hitby[x], after, ctx)
             if found:
-                best = (x, *found)
-                hi = size + len(found) - 1
-                if hi < lo or owed > hi - size + 1:
-                    return best
-                tight = owed > hi - size
-                if hi == size:
-                    start = x + 1
-                    break
-        else:
-            return best
+                return (x, *found)
+        return ()
     for x in range(start, n):
         if need[x] and need[x] & miss:
             continue
@@ -306,19 +278,16 @@ def _bound(
             continue
         if len(set(map(add, code, weights[x]))) == n:
             return (x,)
-    return best
+    return ()
 
 
 def level_search(
     dm: DistanceMatrix, ordered: bool = False, table: Table | None = None
 ) -> Least:
-    """Build the landmark tables of one graph; return ``least(k, last)``,
-    the lexicographically least resolving set of size k (1 <= k <= n), or
-    None, found by a branch-and-bound pass over the one size k.  With
-    ``last`` it is the least set of the fewest landmarks from k to last,
-    found by one pass over those sizes.  Sets resolve by distance
-    multisets, or with ``ordered`` by distance vectors (metric
-    resolving).  ``table``, if given, holds the
+    """Build the landmark tables of one graph; return ``least(k)``, the
+    lexicographically least resolving set of size k (1 <= k <= n), or
+    None.  Sets resolve by distance multisets, or with ``ordered`` by
+    distance vectors (metric resolving).  ``table``, if given, holds the
     ``graph.symmetry_swap_masks`` table and the legs of the
     ``graph.major_vertex_report`` of the same graph; it changes no answer,
     only how many sets are visited.  It is turned into bitsets once, here,
@@ -388,8 +357,7 @@ def level_search(
     owed ``sum(unhit legs - 1)`` over the majors more landmarks, which
     goes down by at most one per landmark added.  Candidate x is skipped
     when the landmarks still owed after x exceed those still allowed
-    (``hi - size`` in _bound), and a set still owed a landmark gets no
-    resolve test.  The rule drops only sets that do not
+    (``k - size`` in _bound).  The rule drops only sets that do not
     resolve, so each size still returns its least witness or None, and a
     None at every size still proves that no resolving set exists.  At the
     size ``sigma - ex`` itself, the sum of ``len(legs) - 1``, a resolving
@@ -400,29 +368,9 @@ def level_search(
     if it resolves it is the least one; compute_dim tries it before it
     builds this search.
 
-    The pass over sizes k..last (``_bound``) walks the tree of ascending
-    prefixes once for all those sizes, instead of once per size, and one
-    size k is the pass over k..k.  A resolving prefix of at least k
-    landmarks becomes the incumbent and drops its later siblings, and a
-    node is expanded only while its children are smaller than the
-    incumbent.  Its answer is the least set of the fewest landmarks from
-    k to last, the first hit of the sizes k, k + 1, ..., last searched
-    one at a time:
-      - the cut, the swap rule and the leg rule do not depend on the
-        size, so each still drops only sets that are not the least one of
-        their size;
-      - the bound drops only sets no smaller than the incumbent;
-      - a preorder walk with ascending children visits the sets of one
-        size in lexicographic order, and no set of size m is dropped by
-        the bound before the incumbent reaches size m, so the first set
-        of size m found is the least one;
-      - with no incumbent the bound drops nothing, so a None from the
-        pass still proves that no size from k to last holds a resolving
-        set.
-
     The recursion is the module-level ``_bound``, which returns the ids
     it adds.  Each frame takes only its own state (the codes, the next
-    id, the sizes, the ``hit`` bitset of both rules and the count
+    id, the size, the ``hit`` bitset of both rules and the count
     ``owed``) and the one ``Context`` tuple built here: a nested function
     that calls itself is a reference cycle, which would leave every
     solve's tables to the cycle collector, whose pauses showed in
@@ -449,9 +397,8 @@ def level_search(
         need, hitby, own, rest, owed = _table_bits(table, n)
     ctx: Context = (n, weights, tails, need, hitby, own, rest)
 
-    def least(k: int, last: int | None = None) -> tuple[int, ...] | None:
-        hi = k if last is None else last
-        return _bound((0,) * n, 0, 1, k, hi, 0, owed, ctx) or None
+    def least(k: int) -> tuple[int, ...] | None:
+        return _bound((0,) * n, 0, 1, k, 0, owed, ctx) or None
 
     return least
 
@@ -517,18 +464,20 @@ def compute_md(g: Graph, cfg: SearchConfig = SearchConfig()) -> ResolveOutcome:
     bound's subtree-patterns rule and for the swap table, and the swap
     and leg tables are built before the search; smaller graphs are
     searched with no table.  With ``cfg.progress`` a note names the bound
-    and the rules that reach it.  At every order the lower bound's
-    size is searched alone, and if it fails, one branch-and-bound pass
-    searches every size left.  Multiset resolvability is not monotone, so
-    no size may be skipped; reaching size n with no witness proves
-    infiniteness because the cut, the swap rule, the leg rule and the
-    bound only drop sets that are not the least one.  Sizes count from
-    1: the one-vertex graph, which the empty set vacuously resolves, is a
-    path and answers 1 with witness (0,).  Each graph fact is
-    computed once, and only when a step needs it.  Every solve that ends
-    in the exhaustive-search or the diameter-2 verdict returns the same
-    shared record for it.  Raises SearchAborted, before any bound or
-    table, when the search is needed and the graph exceeds
+    and the rules that reach it.  Each size from the lower bound up to n
+    is then searched in turn, as dim searches its sizes.  Multiset
+    resolvability is not monotone, so no size may be skipped; reaching
+    size n with no witness proves infiniteness because the cut, the swap
+    rule and the leg rule only drop sets that are not the least one of
+    their size.  A bound above n, which the subtree-patterns rule gives
+    when isomorphic siblings have too few asymmetric markings to tell
+    apart, leaves no size to search and proves infiniteness with no walk.
+    Sizes count from 1: the one-vertex graph, which the empty set
+    vacuously resolves, is a path and answers 1 with witness (0,).  Each
+    graph fact is computed once, and only when a step needs it.  Every
+    solve that ends in the exhaustive-search or the diameter-2 verdict
+    returns the same shared record for it.  Raises SearchAborted, before
+    any bound or table, when the search is needed and the graph exceeds
     ``cfg.max_vertices``.
     """
     dm = all_pairs_distances(g)
@@ -558,13 +507,7 @@ def compute_md(g: Graph, cfg: SearchConfig = SearchConfig()) -> ResolveOutcome:
     if cfg.progress:
         print(f"md search: lower bound {lb} ({', '.join(report.achieved_by)})",
               file=sys.stderr)
-    least = level_search(dm, False, table)
-    witness = _first_hit(least, "md", range(lb, lb + 1), n, cfg)
-    if witness is None:
-        if cfg.progress:
-            print(f"md search: size {lb + 1} to {n} in one branch-and-bound pass",
-                  file=sys.stderr)
-        witness = least(lb + 1, n)
+    witness = _first_hit(level_search(dm, False, table), "md", range(lb, n + 1), n, cfg)
     if witness is None:
         return _EXHAUSTED
     return ResolveOutcome(OutcomeKind.FINITE, value=len(witness), witness=witness)

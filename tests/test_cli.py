@@ -176,8 +176,8 @@ class TestCommands:
 
     def test_md_progress_below_order_8(self, tmp_path, capsys):
         # an order-6 graph with no resolving set at any size: with no
-        # table, md still searches its lower bound, 3 from the non-path
-        # rule, alone and then sizes 4 to 6 in one pass
+        # table, md searches each size from its lower bound, 3 from the
+        # non-path rule, to 6, one at a time
         p = tmp_path / "none.edges"
         p.write_text("0 1\n0 2\n0 4\n0 5\n1 2\n1 3\n2 3\n")
         assert main(["md", str(p), "--progress"]) == EXIT_OK
@@ -186,7 +186,9 @@ class TestCommands:
         assert captured.err == (
             "md search: lower bound 3 (non-path)\n"
             "md search: size 3 of up to 6\n"
-            "md search: size 4 to 6 in one branch-and-bound pass\n"
+            "md search: size 4 of up to 6\n"
+            "md search: size 5 of up to 6\n"
+            "md search: size 6 of up to 6\n"
         )
 
     def test_md_progress_notes_symmetry_rule(self, capsys):
@@ -194,8 +196,8 @@ class TestCommands:
         # before its lower bound, size 9: the 18 vertices outside
         # substar:7x3's first leg have a smaller image, and its hub has 7
         # legs.  The leg patterns, and the subtree patterns that count the
-        # same legs, set the bound at md, so size 9 resolves and no
-        # branch-and-bound pass follows
+        # same legs, set the bound at md, so size 9 resolves and is the
+        # one size searched
         assert main(["md", "--family", "substar:7x3", "--progress"]) == EXIT_OK
         captured = capsys.readouterr()
         assert captured.err == (

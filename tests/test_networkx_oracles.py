@@ -13,6 +13,7 @@ from networkx.algorithms.isomorphism import GraphMatcher, categorical_node_match
 from mdim import (
     all_pairs_distances,
     build_graph,
+    detect_infinite,
     major_vertex_report,
     md_lower_bound,
     twin_partition,
@@ -188,9 +189,11 @@ def test_subtree_patterns_never_above_other_rules_below_table_order():
     # md_lower_bound leaves its subtree-patterns rule out below order
     # TABLE_ORDER; this is why.  On each of the 996 connected classes of
     # order 7 or less the rule, taken on its own, is at most the bound of
-    # the other rules, and it meets that bound on 66 of them
+    # the other rules and meets it on 53 of them, except on the 140
+    # classes where it reads n + 1, each of which detect_infinite already
+    # answers
     assert TABLE_ORDER <= 8
-    classes = met = 0
+    classes = met = over = 0
     for h in nx.graph_atlas_g()[1:]:
         if not nx.is_connected(h):
             continue
@@ -199,11 +202,15 @@ def test_subtree_patterns_never_above_other_rules_below_table_order():
         lb = md_lower_bound(g, dm, tp, major_vertex_report(g, dm))
         assert "subtree-patterns" not in lb.bounds
         rule = subtree_patterns(hanging_forest(g, tp))
-        assert rule <= lb.value, (g.edges(), rule, lb.bounds)
+        if rule > lb.value:
+            assert rule == g.n + 1, (g.edges(), rule, lb.bounds)
+            assert detect_infinite(g, dm, tp) is not None, g.edges()
+            over += 1
         classes += 1
         met += rule == lb.value
     assert classes == 996
-    assert met >= 60
+    assert met >= 45
+    assert over >= 120
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

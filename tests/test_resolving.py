@@ -184,12 +184,15 @@ class TestMdLowerBound:
     @pytest.mark.parametrize(
         "graph, value",
         [
-            # more siblings than marking classes: on karytree:3x3 three
-            # leaves share a parent and no marking tells them apart, and
-            # the eight legs of substar:8x2 take all four subsets of 1..2
-            ("karytree:3x3", 0),
-            ("substar:8x2", 4),
-            ("cextree", 3),
+            # more siblings than marking classes, so no set m-resolves and
+            # the rule reads n + 1: on karytree:3x3 (n = 40) three leaves
+            # share a parent and two classes cannot tell them apart, the
+            # eight legs of substar:8x2 (n = 17) have four subsets of 1..2,
+            # and in cextree (n = 10) two leaves under one vertex already
+            # take both leaf classes, so three such cherries have too few
+            ("karytree:3x3", 41),
+            ("substar:8x2", 18),
+            ("cextree", 11),
             ("substar:9x4", 12),
             ("substar:7x6", 6),
             ("karytree:2x5", 31),
@@ -205,6 +208,32 @@ class TestMdLowerBound:
         else:
             g = hubs_on_triangle(*graph)
         assert subtree_patterns(hanging_forest(g, twin_partition(g))) == value
+
+    def test_subtree_patterns_past_n_only_without_resolving_set(self):
+        # the rule reads n + 1 when a group of c isomorphic siblings has
+        # fewer than c classes of asymmetric markings; on each graph where
+        # it does, the unpruned walk finds no resolving set.  Of the 200
+        # seeded graphs with copies of one tree hung from the 2-core, 49
+        # read n + 1, 35 of them with no detector certificate; counting
+        # every marking instead of the asymmetric ones leaves one of those
+        rng = Random(31)
+        graphs = [
+            random_hanging_graph(rng, rng.randint(10, 12), rng.choice([0.0, 0.1, 0.25]))
+            for _ in range(200)
+        ]
+        graphs.append(generate(parse_family_spec("substar:5x2")))
+        proved = 0
+        for g in graphs:
+            dm, tp = dm_of(g), twin_partition(g)
+            rule = subtree_patterns(hanging_forest(g, tp))
+            assert rule <= g.n or rule == g.n + 1, g.edges()
+            if rule > g.n:
+                assert brute_force_md(g).is_infinite, g.edges()
+                proved += detect_infinite(g, dm, tp) is None
+        # substar:5x2, the last graph: five legs of two vertices, which
+        # have four landmark patterns
+        assert rule == 12
+        assert proved >= 30
 
     def test_subtree_patterns_on_deep_subtrees(self):
         # two paths of 1,200 vertices hung from a 5-cycle, each ending in a
@@ -231,9 +260,10 @@ class TestMdLowerBound:
         # of one subtree and graphs with copies of one tree hung from the
         # 2-core, of order 10-12.  A pattern rule that is never above
         # every other rule could count wrong and stay below md, so the
-        # check must see a graph where each one is.  On the spiders the
-        # subtree patterns count the legs as leg-patterns does, so
-        # leg-patterns is above every other rule on the graph with four
+        # check must see a graph with a finite md where each one is (the
+        # subtree patterns read n + 1 where no set resolves).  On the
+        # spiders the subtree patterns count the legs as leg-patterns
+        # does, so leg-patterns is above every other rule on the graph with four
         # legs of two vertices at one major and legs of one and two
         # vertices at a second: the terminals ask for a landmark on one of
         # the unequal legs, and md is 5.  The patterns are counted per
@@ -283,9 +313,9 @@ class TestMdLowerBound:
             if md.is_finite:
                 for rule, value in bounds.items():
                     assert value <= md.value, (rule, value, md.value, g.edges())
-            for rule in above:
-                others = [value for other, value in bounds.items() if other != rule]
-                above[rule] += bounds.get(rule, 0) > max(others)
+                for rule in above:
+                    others = [value for other, value in bounds.items() if other != rule]
+                    above[rule] += bounds.get(rule, 0) > max(others)
         assert min(above.values()) >= 1, above
 
 

@@ -82,22 +82,36 @@ class TestComputeMd:
             assert outcome.certificate.kind is CertificateKind.DIAMETER_TWO_NON_PATH
 
     def test_pendant_pair_tree_needs_exhaustion(self):
+        # no detector fires; the subtree-patterns bound, 11, leaves the
+        # search no size, and the verdict is the exhaustive-search one
         g = generate(FamilySpec.counterexample_tree())
         assert detect_infinite(g, all_pairs_distances(g), twin_partition(g)) is None
         outcome = compute_md(g)
         assert outcome.is_infinite
         assert outcome.certificate.kind is CertificateKind.EXHAUSTIVE_SEARCH
 
+    @pytest.mark.parametrize("legs", range(9, 13))
+    def test_subdivided_stars_of_three_vertex_legs_infinite(self, legs):
+        # nine or more legs of three vertices at one hub, which have only
+        # eight landmark patterns: the subtree-pattern bound is n + 1, so
+        # no size is searched, under any labelling
+        g = generate(FamilySpec.subdivided_star(legs, 3))
+        rng = Random(legs)
+        for h in (g, *(shuffled(rng, g) for _ in range(3))):
+            dm, tp = all_pairs_distances(h), twin_partition(h)
+            lb = md_lower_bound(h, dm, tp, major_vertex_report(h, dm))
+            assert lb.bounds["subtree-patterns"] == lb.value == h.n + 1
+            outcome = compute_md(h, SearchConfig(max_vertices=h.n))
+            assert outcome.certificate.kind is CertificateKind.EXHAUSTIVE_SEARCH
+
     def test_binary_tree_h2(self):
         outcome = compute_md(generate(FamilySpec.kary_tree(2, 2)))
         assert (outcome.value, outcome.witness) == (3, (1, 3, 5))
 
     def test_substar_7x4(self):
-        # 29 vertices, past the default cap; the lower bound is 6 and sizes
-        # 6 and 7 hold no resolving set: size 6 alone, then sizes 7 to 29 in
-        # one branch-and-bound pass, cost about 3.7 s with neither rule,
-        # about 0.5 s with the tree symmetry rule and about 0.2 s with the
-        # leg rule too
+        # 29 vertices, past the default cap; the leg-pattern bound is 8,
+        # which is md, so size 8 is searched alone, in about 0.15 s with
+        # the tree symmetry rule and the leg rule
         outcome = compute_md(
             generate(FamilySpec.subdivided_star(7, 4)), SearchConfig(max_vertices=29)
         )
@@ -281,7 +295,7 @@ class TestWalk:
     @staticmethod
     def record(monkeypatch):
         """Spy on one solve: one entry per ``least`` call, (k, whether a
-        table was passed, last), "table" where the swap table is built and
+        table was passed), "table" where the swap table is built and
         "report" where the major-vertex report, which carries the legs, is
         taken."""
         seen, build = [], search.level_search
@@ -290,9 +304,9 @@ class TestWalk:
         def recording(dm, ordered=False, table=None):
             least = build(dm, ordered, table)
 
-            def wrapped(k, last=None):
-                seen.append((k, table is not None, last))
-                return least(k, last)
+            def wrapped(k):
+                seen.append((k, table is not None))
+                return least(k)
 
             return wrapped
 
@@ -313,7 +327,7 @@ class TestWalk:
         # an order-8 graph with no resolving set at any size: md starts at
         # its lower bound, 3, and from order 8 on the swap table is built
         # before that size, with the legs of the report taken for the
-        # lower bound, and once it fails one pass searches sizes 4 to 8
+        # lower bound; then each size up to 8 is searched in turn
         g = build_graph(
             8, [(0, 1), (0, 6), (1, 2), (1, 5), (1, 7), (2, 3), (2, 4), (3, 4), (6, 7)]
         )
@@ -321,25 +335,25 @@ class TestWalk:
         seen = self.record(monkeypatch)
         outcome = compute_md(g)
         assert outcome.certificate.kind is CertificateKind.EXHAUSTIVE_SEARCH
-        assert seen == ["report", "table", (3, True, None), (4, True, 8)]
+        assert seen == ["report", "table", *((k, True) for k in range(3, 9))]
 
     def test_one_md_schedule_below_order_8(self, monkeypatch):
         # below order 8 md builds no table but keeps the schedule of every
-        # order: its lower bound's size alone, then one pass over the rest.
-        # The first graph first resolves at size 4, in the pass; the
-        # second has no resolving set at any size, and no detector fires
+        # order: each size from its lower bound on, one at a time.  The
+        # first graph first resolves at size 4; the second has no
+        # resolving set at any size, and no detector fires
         found = build_graph(6, [(0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 4)])
         none = build_graph(6, [(0, 1), (0, 2), (0, 4), (0, 5), (1, 2), (1, 3), (2, 3)])
         seen = self.record(monkeypatch)
         outcome = compute_md(found)
         assert outcome == brute_force_md(found)
         assert (outcome.value, outcome.witness) == (4, (0, 2, 4, 5))
-        assert seen == ["report", (3, False, None), (4, False, 6)]
+        assert seen == ["report", (3, False), (4, False)]
         del seen[:]
         outcome = compute_md(none)
         assert outcome == brute_force_md(none)
         assert outcome.certificate.kind is CertificateKind.EXHAUSTIVE_SEARCH
-        assert seen == ["report", (3, False, None), (4, False, 6)]
+        assert seen == ["report", *((k, False) for k in range(3, 7))]
 
     def test_dim_bound_and_table_from_order_8(self, monkeypatch):
         # substar:8x2 (17 vertices): of order 8 or more, so the report is
@@ -365,14 +379,14 @@ class TestWalk:
         g = build_graph(8, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7)])
         assert compute_dim(g) == (5, (1, 2, 4, 5, 6))
         assert seen == [
-            "report", "report", "table", (4, True, None), (5, True, None)
+            "report", "report", "table", (4, True), (5, True)
         ]
         assert built == [8]
 
     def test_each_table_converted_once(self, monkeypatch):
-        # md searches its lower bound's size and then the pass with its
-        # table, dim every size from its lower bound on; each search turns
-        # its table into bitsets once, when it is built
+        # md and dim search every size from their lower bounds on with one
+        # table; each search turns its table into bitsets once, when it is
+        # built
         seen = self.record(monkeypatch)
         converted, bits = [], search._table_bits
 
@@ -389,7 +403,7 @@ class TestWalk:
                 del seen[:], converted[:]
                 solve(g)
                 calls = [entry for entry in seen if entry not in ("report", "table")]
-                handed = sum(table for _, table, _ in calls)
+                handed = sum(table for _, table in calls)
                 assert len(converted) == min(handed, 1), g.edges()
                 reused += handed > 1
         # 32 of the 120 solves search with one table in two or more calls
@@ -436,8 +450,7 @@ def random_symmetric_non_tree(rng, n):
 def same_least_sets_with_and_without_swaps(g):
     """Assert that ``least(k)`` with g's swap table, with and without
     its legs, equals ``least(k)`` without a table at every size, in both
-    modes, and so does the pass from every size; return whether the
-    table holds a swap."""
+    modes; return whether the table holds a swap."""
     dm = all_pairs_distances(g)
     mr = major_vertex_report(g, dm)
     swaps = symmetry_swap_masks(g, twin_partition(g))
@@ -449,9 +462,6 @@ def same_least_sets_with_and_without_swaps(g):
             assert [cut(k) for k in range(1, g.n + 1)] == sizes, (
                 g.edges(), ordered
             )
-            for k in range(1, g.n + 1):
-                first = next((w for w in sizes[k - 1:] if w is not None), None)
-                assert cut(k, g.n) == first, (g.edges(), k, ordered)
     return any(swaps)
 
 
@@ -571,24 +581,23 @@ class TestSymmetryRule:
 
 
 class TestBoundPass:
-    """The branch-and-bound pass that searches md's sizes after its lower
-    bound: against the unpruned reference walk, and against the
-    size-by-size search it replaces, including graphs where no size
+    """The one-size search ``_bound`` under md's schedule, each size from
+    the lower bound on in turn: against the unpruned reference walk and
+    the search from size 1 with no table, including graphs where no size
     resolves, which an "infinite by exhaustion" verdict rests on."""
 
     @staticmethod
     def record(monkeypatch):
         """Spy on ``search._bound``: one entry per frame, the frame's
-        child size, its ``lo`` and ``hi`` and the size of the set it
+        child size, the size k it searches and the size of the set it
         returns (0 for none).  It fails a frame entered with a child size
-        above ``hi``: the pass may not enter a frame to search a size it
-        no longer allows."""
+        above k."""
         frames, bound = [], search._bound
 
-        def recording(code, start, size, lo, hi, *rest):
-            assert size <= hi, (size, hi)
-            ids = bound(code, start, size, lo, hi, *rest)
-            frames.append((size, lo, hi, size - 1 + len(ids) if ids else 0))
+        def recording(code, start, size, k, *rest):
+            assert size <= k, (size, k)
+            ids = bound(code, start, size, k, *rest)
+            frames.append((size, k, size - 1 + len(ids) if ids else 0))
             return ids
 
         monkeypatch.setattr(search, "_bound", recording)
@@ -597,32 +606,30 @@ class TestBoundPass:
     def test_matches_brute_force_on_orders_10_to_12(self, monkeypatch):
         frames = self.record(monkeypatch)
         rng = Random(12)
+        walks = 0
         for i in range(400):
             n = rng.randint(10, 12)
             if i % 2:
                 g = random_symmetric_tree(rng, n)
             else:
                 g = random_connected_graph(rng, n, extra=rng.choice([0.0, 0.05, 0.1]))
+            del frames[:]
             fast, slow = compute_md(g), brute_force_md(g)
             assert fast.kind == slow.kind, g.edges()
             assert (fast.value, fast.witness) == (slow.value, slow.witness), g.edges()
-        # every size searched opens a first frame, of child size 1; md's
-        # pass over its sizes after its lower bound is the one first
-        # frame whose hi is above its lo
-        assert sum(size == 1 and hi > lo for size, lo, hi, _ in frames) >= 50
-
-    def test_incumbent_shrinks(self, monkeypatch):
-        # a tree of order 9 whose lower bound, 3, is searched alone with
-        # the table; once it fails, the pass finds a 5-set before the
-        # least 4-set
-        g = build_graph(
-            9, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 8), (2, 7), (3, 6)]
-        )
-        frames = self.record(monkeypatch)
-        outcome = compute_md(g)
-        assert sorted({m for *_, m in frames if m}) == [4, 5]
-        slow = brute_force_md(g)
-        assert (outcome.value, outcome.witness) == (slow.value, slow.witness)
+            # every size searched opens one first frame, of child size 1,
+            # recorded last: md searches each size from its lower bound up
+            # to its answer, or to n, one at a time
+            dm, tp = all_pairs_distances(g), twin_partition(g)
+            sizes = [k for size, k, _ in frames if size == 1]
+            if is_path(g) or detect_infinite(g, dm, tp):
+                assert sizes == [], g.edges()
+            else:
+                lb = md_lower_bound(g, dm, tp, major_vertex_report(g, dm)).value
+                assert sizes == list(range(lb, (fast.value or g.n) + 1)), g.edges()
+                walks += len(sizes) > 1
+        # 99 of the solves search two sizes or more
+        assert walks >= 80
 
     @pytest.mark.parametrize(
         "spec,owed,witness",
@@ -634,11 +641,10 @@ class TestBoundPass:
         ],
     )
     def test_no_set_below_what_the_legs_are_owed(self, spec, owed, witness):
-        # a pass whose last size is below the count the legs are owed
-        # before any landmark is chosen finds nothing, since every set of
-        # at most that size leaves two legs of one major unhit, and so
-        # does each of those sizes alone; with every size allowed the
-        # pass finds md's witness
+        # a size below the count the legs are owed before any landmark is
+        # chosen holds no set, since every set of that size leaves two
+        # legs of one major unhit; searched from size 1 upward, one size
+        # at a time, the search first finds md's witness
         g = generate(parse_family_spec(spec))
         dm = all_pairs_distances(g)
         mr = major_vertex_report(g, dm)
@@ -647,28 +653,28 @@ class TestBoundPass:
         least = level_search(dm, table=table)
         for k in range(1, owed):
             assert least(k) is None, (spec, k)
-        for k in (1, 3):
-            for last in range(k, owed):
-                assert least(k, last) is None, (spec, k, last)
-            assert least(k, g.n) == witness
-        assert compute_md(g, SearchConfig(max_vertices=g.n)).witness == witness
+        cfg = SearchConfig(max_vertices=g.n)
+        assert search._first_hit(least, "md", range(1, g.n + 1), g.n, cfg) == witness
+        assert compute_md(g, cfg).witness == witness
 
     @pytest.mark.parametrize(
         "spec,md_frames,dim_frames",
         [
             ("substar:7x3", 2339, 6),
             ("substar:6x4", 174, 5),
-            ("substar:8x2", 109, 7),
+            ("substar:8x2", 0, 7),
             ("karytree:2x3", 57, 4),
-            ("cextree", 47, 3),
+            ("cextree", 0, 3),
         ],
     )
     def test_frames_per_solve(self, spec, md_frames, dim_frames, monkeypatch):
         # the search's work on the md_hard graphs of the benchmark: the
-        # frames of every size searched, one size at a time or in the pass.
-        # The spiders substar:7x3 and 6x4 start at their leg-pattern bound,
-        # md itself, so they search that one size and no pass, and so does
-        # karytree:2x3 from its subtree-pattern bound, 7.
+        # frames of every size searched.  The spiders substar:7x3 and 6x4
+        # start at their leg-pattern bound, md itself, so they search that
+        # one size, and so does karytree:2x3 from its subtree-pattern
+        # bound, 7.  substar:8x2 and cextree have sibling groups with too
+        # few asymmetric markings, so the subtree-pattern bound is n + 1
+        # and no size is searched.
         # Each is a tree, so the least leg cover answers dim with no frame;
         # dim_frames is what the search makes once the cover is refused,
         # here by cover rows that give every vertex the same vector
@@ -699,8 +705,8 @@ class TestBoundPass:
     def test_spiders_search_their_leg_pattern_size_alone(self, spec, witness, monkeypatch):
         # on these spiders the leg-pattern bound is md itself, so md
         # searches least(lb) alone and finds its witness there: every frame
-        # searches that one size, and no pass follows.  This pins md 12 on
-        # substar:8x3 and md 8 on substar:7x4 with their witnesses
+        # searches that one size.  This pins md 12 on substar:8x3 and md 8
+        # on substar:7x4 with their witnesses
         g = generate(parse_family_spec(spec))
         dm = all_pairs_distances(g)
         lb = md_lower_bound(g, dm, twin_partition(g), major_vertex_report(g, dm))
@@ -708,28 +714,19 @@ class TestBoundPass:
         frames = self.record(monkeypatch)
         outcome = compute_md(g, SearchConfig(max_vertices=g.n))
         assert (outcome.value, outcome.witness) == (len(witness), witness)
-        assert frames and {(lo, hi) for _, lo, hi, _ in frames} == {(lb.value, lb.value)}
+        assert frames and {k for _, k, _ in frames} == {lb.value}
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_per_size_search_on_swap_rule_trees(self, seed):
-        # the trees of TestSymmetryRule, where least(k) is the same with
-        # the table and without it:
-        # the pass from every size k equals the first hit of least(k),
-        # least(k + 1), ..., least(n), and in ordered mode the pass over
-        # every size finds the least metric-resolving set
+        # the trees of TestSwapRule: md's schedule, which starts at the
+        # lower bound and searches with the swap and leg tables, answers
+        # as the search of every size from 1 with no table does
         rng = Random(seed)
         for _ in range(200):
             t = random_symmetric_tree(rng, rng.randint(3, rng.choice([11, 16])))
-            dm = all_pairs_distances(t)
-            table = Table(symmetry_swap_masks(t, twin_partition(t)), {})
-            least = level_search(dm, table=table)
-            sizes = [least(k) for k in range(1, t.n + 1)]
-            for k in range(1, t.n + 1):
-                first = next((w for w in sizes[k - 1:] if w is not None), None)
-                assert least(k, t.n) == first, (t.edges(), k)
-            least = level_search(dm, True, table)
-            first = next(filter(None, (least(k) for k in range(1, t.n + 1))))
-            assert least(1, t.n) == first, t.edges()
+            least = level_search(all_pairs_distances(t))
+            first = next(filter(None, map(least, range(1, t.n + 1))), None)
+            assert compute_md(t).witness == first, t.edges()
 
 
 class TestLegRule:
@@ -788,8 +785,6 @@ class TestLegRule:
                 sizes = [least(k) for k in range(1, g.n + 1)]
                 cut = level_search(dm, ordered, table)
                 assert [cut(k) for k in range(1, g.n + 1)] == sizes, g.edges()
-                first = next(filter(None, sizes), None)
-                assert cut(1, g.n) == first, (g.edges(), ordered)
 
 
 def random_recursive_tree(rng: Random, n: int):
