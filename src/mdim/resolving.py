@@ -198,12 +198,25 @@ def _smallest(c: int, counts: Poly) -> int:
     return total
 
 
+def _subsets(length: int) -> Poly:
+    """The subsets of a set of ``length`` elements, counted by their size:
+    sum C(length, s) x^s, the asymmetric markings of a rooted path of
+    ``length`` vertices, which no automorphism but the identity fixes.
+    Each binomial comes from the one before it, C(L, s + 1) = C(L, s) *
+    (L - s) / (s + 1), one small product per term."""
+    row, c = {}, 1
+    for s in range(length + 1):
+        row[s] = c
+        c = c * (length - s) // (s + 1)
+    return row
+
+
 @cache
 def _pattern_floor(c: int, length: int) -> int:
     """Least total size of c distinct subsets of a set of ``length``
     elements, or of all 2^length subsets when c is larger.  Cached, since
     few (c, length) pairs occur."""
-    return _smallest(c, {s: math.comb(length, s) for s in range(length + 1)})
+    return _smallest(c, _subsets(length))
 
 
 def _times(p: Poly, q: Poly) -> Poly:
@@ -231,19 +244,32 @@ def _choose(c: int, p: Poly) -> Poly:
 
 
 def _markings(taus: set[int], shape: list[tuple[int, ...]]) -> dict[int, Poly]:
-    """N_t for each AHU code t of ``taus`` and each code below them: the
-    asymmetric markings of a rooted subtree of code t, up to isomorphism,
-    counted by their size.  ``shape[t]`` holds the ascending child codes
-    of code t, each less than t, so ascending codes are counted bottom-up,
-    each once and with no recursion, however deep the subtree."""
+    """N_t for each AHU code t of ``taus`` and each code below them that
+    roots no path: the asymmetric markings of a rooted subtree of code t,
+    up to isomorphism, counted by their size.  ``shape[t]`` holds the
+    ascending child codes of code t, each less than t, so ascending codes
+    are counted bottom-up, each once and with no recursion, however deep
+    the subtree.  A code that roots a path of L vertices, each with one
+    child but the last, gets the closed form ``_subsets(L)``, which the
+    recursion would reach through L products by 1 + x, and the codes
+    below it are not counted."""
+    # paths[t] is the number of vertices of the path code t roots, or 0
+    paths = [0] * len(shape)
+    for t, kids in enumerate(shape):
+        if not kids or len(kids) == 1 and paths[kids[0]]:
+            paths[t] = 1 + (paths[kids[0]] if kids else 0)
     below, stack = set(), list(taus)
     while stack:
         t = stack.pop()
         if t not in below:
             below.add(t)
-            stack += shape[t]
+            if not paths[t]:
+                stack += shape[t]
     memo: dict[int, Poly] = {}
     for t in sorted(below):
+        if paths[t]:
+            memo[t] = _subsets(paths[t])
+            continue
         # the root, in the marking or not, times each group of c
         # isomorphic children, which take c distinct classes
         poly = {0: 1, 1: 1}
@@ -317,26 +343,25 @@ def md_lower_bound(
         of v, by size, are N_v(x) = (1 + x) * prod E_c[N_t](x) over each
         group of c isomorphic children of code t, where E_c chooses c
         distinct classes and their sizes add: a leaf is 1 + x, and a
-        rooted path of L vertices goes through the same recursion, where
-        the count is sum C(L, s) x^s, as ``_pattern_floor`` counts the
-        legs.  Nothing is truncated: each N_t is counted in full, once per
-        code of the forest.  The rule is the sum over the roots of the
-        forest (each 2-core vertex, the virtual root of a tree, the
-        virtual parent of each twin class in the 2-core) of the least size
-        with a non-zero count, and a group of c siblings under a root, or
-        under a chain of vertices with no isomorphic sibling, takes its c
-        smallest sizes.  The groups lie in disjoint subtrees, so their
+        rooted path of L vertices, which the recursion reaches through L
+        products by 1 + x, is taken in its closed form sum C(L, s) x^s, as
+        ``_pattern_floor`` counts the legs.  Nothing is truncated: each N_t is
+        counted in full, once per code of the forest.  The rule is the sum
+        over the roots of the forest (each 2-core vertex, the virtual root of
+        a tree, the virtual parent of each twin class in the 2-core) of the
+        least size with a non-zero count, and a group of c siblings under a
+        root, or under a chain of vertices with no isomorphic sibling, takes
+        its c smallest sizes.  The groups lie in disjoint subtrees, so their
         sizes add.  When a group has fewer than c classes, its c siblings
-        cannot all carry distinct asymmetric markings, so no set
-        m-resolves and the rule reads n + 1, which leaves md's search no
-        size; a group with too few classes deeper down makes its subtree
-        count no class at all, so it shows at the group on top of it.
-        This holds for md alone: an automorphism permutes the coordinates
-        of distance vectors, and a spider's dim is its legs - 1.  Below
-        ``TABLE_ORDER`` the rule exceeds the others only where it reads
-        n + 1 and ``detect_infinite`` already answers, and is left out;
-        ``forest`` is ``hanging_forest(g, tp)``, walked here from that
-        order on when the caller does not hold it.
+        cannot all carry distinct asymmetric markings, so no set m-resolves
+        and the rule reads n + 1, which leaves md's search no size; a group
+        with too few classes deeper down makes its subtree count no class at
+        all, so it shows at the group on top of it.  This holds for md alone:
+        an automorphism permutes the coordinates of distance vectors, and a
+        spider's dim is its legs - 1.  Below ``TABLE_ORDER`` the rule exceeds
+        the others only where it reads n + 1 and ``detect_infinite`` already
+        answers, and is left out; ``forest`` is ``hanging_forest(g, tp)``,
+        walked here from that order on when the caller does not hold it.
     """
     bounds = {"trivial": 1}
     d = dm.diameter

@@ -7,8 +7,8 @@ proves md infinite.  The map of this module:
 - ``level_search`` builds one graph's search ``least(k)``, with the
   solve's table, if any, fixed when it is built: a depth-first search of
   the one size k over ascending landmark ids with one cut, the lex-leader
-  rule and the leg rule.  Its docstring states why each of them drops
-  only sets that are not the least one of their size.
+  rule, the twin rule and the leg rule.  Its docstring states why each of
+  them drops only sets that are not the least one of their size.
 - ``_bound`` is its one recursion.  It takes the state of one frame and
   the one context of the search; ``_table_bits`` turns the table into
   bitsets once, when the search is built.
@@ -147,11 +147,14 @@ LegTable = dict[int, tuple[tuple[int, ...], ...]]
 
 class Table(NamedTuple):
     """What lets the search skip candidates (see level_search): the swap
-    masks of the hanging sibling subtrees, twins among them, and the legs
-    of the majors with two or more terminals."""
+    masks of the hanging sibling subtrees, twins among them, the legs of
+    the majors with two or more terminals, and the twin classes, each
+    ascending, whose members but the largest every least resolving set
+    holds."""
 
     swaps: SwapTable
     legs: LegTable
+    twins: tuple[tuple[int, ...], ...] = ()
 
 
 # what level_search returns: least(k), a resolving set of size k or None
@@ -209,9 +212,30 @@ def _table_bits(
 
 
 # what stays fixed for one search: the order n, the code ``weights`` and
-# cut labels ``tails`` of level_search, and the table's bitsets ``need,
-# hitby, own, rest`` (see _table_bits), all 0 with no table
-Context = tuple[int, list, list, list[int], list[int], list[int], list[int]]
+# cut labels ``tails`` of level_search, the table's bitsets ``need,
+# hitby, own, rest`` (see _table_bits), all 0 with no table, and the
+# bounds ``first`` and ``last`` of the twin rule (see _forced_bounds)
+Context = tuple[
+    int, list, list, list[int], list[int], list[int], list[int], list[int], list[int]
+]
+
+
+def _forced_bounds(forced: list[int], n: int) -> tuple[list[int], list[int]]:
+    """The candidate bounds of the ascending ``forced`` ids, which every
+    least resolving set holds: ``first[s]`` is one past the least forced
+    id >= s, or n if there is none, and ``last[j]`` the least id x that
+    leaves at most j forced ids above x.  A frame whose next id is s may
+    add no id past ``first[s]``, as it would skip that forced id for good,
+    and after x it may take ``k - size`` more ids, so x >= ``last[k -
+    size]``.  With no forced id they are the constant lists ``n`` and
+    ``0``, which bound nothing."""
+    first, last = [n] * (n + 1), [0] * (n + 1)
+    last[: len(forced)] = forced[::-1]
+    lo = 0
+    for x in forced:
+        first[lo : x + 1] = [x + 1] * (x + 1 - lo)
+        lo = x + 1
+    return first, last
 
 
 def _bound(
@@ -250,15 +274,27 @@ def _bound(
     sizes from its own full bound on.  A first frame owed more returns (),
     as every set it tries is still owed a landmark and cannot resolve.
 
+    The twin rule bounds the candidates themselves (see _forced_bounds):
+    x runs from ``last[k - size]`` at the least, so that the ids left
+    after it can hold every forced id above it, up to ``first[start]``,
+    the least forced id not yet passed.  With no forced id these bounds
+    are ``start`` and n, and no candidate pays for the rule.  Each frame
+    takes the larger and smaller bound with a comparison, not ``max`` and
+    ``min``, whose calls made the searches of order 6 about 14% slower,
+    where a frame tries few candidates.
+
     Below the last landmark the cut runs first, and a child is expanded
     only while k - size ids are left after it; the last landmark gets the
     resolve test alone, in a loop of its own.
     """
-    n, weights, tails, need, hitby, own, rest = ctx
+    n, weights, tails, need, hitby, own, rest, first, last = ctx
     miss = ~hit
     tight = owed > k - size
     if size < k:
-        for x in range(start, n - k + size):
+        lo, stop = last[k - size], first[start]
+        if stop > n - k + size:
+            stop = n - k + size
+        for x in range(lo if lo > start else start, stop):
             if need[x] and need[x] & miss:
                 continue
             if tight and not (own[x] & miss and rest[x] & miss):
@@ -271,7 +307,8 @@ def _bound(
             if found:
                 return (x, *found)
         return ()
-    for x in range(start, n):
+    lo = last[0]
+    for x in range(lo if lo > start else start, first[start]):
         if need[x] and need[x] & miss:
             continue
         if tight and not (own[x] & miss and rest[x] & miss):
@@ -288,10 +325,11 @@ def level_search(
     lexicographically least resolving set of size k (1 <= k <= n), or
     None.  Sets resolve by distance multisets, or with ``ordered`` by
     distance vectors (metric resolving).  ``table``, if given, holds the
-    ``graph.symmetry_swap_masks`` table and the legs of the
-    ``graph.major_vertex_report`` of the same graph; it changes no answer,
-    only how many sets are visited.  It is turned into bitsets once, here,
-    and every call of ``least`` searches with it.
+    ``graph.symmetry_swap_masks`` table, the legs of the
+    ``graph.major_vertex_report`` and the ``graph.twin_partition``
+    classes of the same graph; it changes no answer, only how many sets
+    are visited.  It is turned into bitsets once, here, and every call of
+    ``least`` searches with it.
 
     ``least`` is a depth-first search over ascending landmark ids.  A
     vertex's code is the sum of ``weights[x][v]`` over the chosen
@@ -344,6 +382,30 @@ def level_search(
     resolving set exists.  The test is one AND of two bitsets per
     candidate (see _table_bits).
 
+    The twin rule, the lex-leader rule for one twin transposition, with
+    the twin classes of ``table``: every least resolving set holds each
+    member of a twin class but the largest.  Twins u < x are equidistant
+    from every vertex but themselves.  In multiset mode a resolving set
+    holds exactly one twin of a pair: with neither, u and x have equal
+    codes, and with both, each is at 0 from itself and at d(u, x) from the
+    other.  A class of three or more holds a pair left out or a pair taken
+    both, so no set m-resolves and forcing its members drops nothing that
+    resolves.  In ordered mode a metric-resolving set misses at most one
+    member of a class, since two members it misses have equal vectors.  If
+    the least W of size k missed a member u of a class and held a larger
+    member x, then W - x + u, its image under the automorphism (u x),
+    would resolve too and be smaller, since u takes x's place.  So in
+    multiset mode W holds the smaller twin of each pair, and in ordered
+    mode, where a member u it misses other than the largest would leave
+    the largest in W, it holds every member but the largest.  The search
+    adds landmarks in ascending order, so it never passes a forced id
+    without taking it, and it stops a prefix whose sizes left cannot hold
+    the forced ids above its last landmark.  The rule drops only sets
+    that are not the least one, so each size still returns its least
+    witness or None, and a None at every size still proves that no
+    resolving set exists.  It costs nothing per candidate: it narrows each
+    frame's range of ids (see _bound).
+
     The leg rule (Khuller, Raghavachari & Rosenfeld 1996; Chartrand,
     Eroh, Johnson & Oellermann 2000), with the legs of ``table``: a leg
     is a path of degree-2 vertices from a pendant to its major v, found by
@@ -393,9 +455,15 @@ def level_search(
     if table is None:
         need = hitby = own = rest = [0] * n
         owed = 0
+        # the bounds of no forced id, those of _forced_bounds([], n), built
+        # in place: the call costs the small searches below TABLE_ORDER and
+        # the scan's a measurable share
+        first, last = [n] * (n + 1), [0] * (n + 1)
     else:
         need, hitby, own, rest, owed = _table_bits(table, n)
-    ctx: Context = (n, weights, tails, need, hitby, own, rest)
+        forced = sorted(x for cls in table.twins for x in cls[:-1])
+        first, last = _forced_bounds(forced, n)
+    ctx: Context = (n, weights, tails, need, hitby, own, rest, first, last)
 
     def least(k: int) -> tuple[int, ...] | None:
         return _bound((0,) * n, 0, 1, k, 0, owed, ctx) or None
@@ -440,7 +508,7 @@ def _first_hit(
 def _note_rules(table: Table, mode: str) -> None:
     """The ``--progress`` notes of the rules the table turns on.  They name
     no "size <k>", which tools that time the levels read from the notes."""
-    swaps, legs = table
+    swaps, legs, twins = table
     if any(swaps):
         print(
             f"{mode} search: symmetry rule on ({sum(map(bool, swaps))} "
@@ -451,6 +519,10 @@ def _note_rules(table: Table, mode: str) -> None:
         count = sum(map(len, legs.values()))
         majors = f"{len(legs)} major" + "s" * (len(legs) > 1)
         print(f"{mode} search: leg rule on ({count} legs at {majors})", file=sys.stderr)
+    fixed = sum(map(len, twins)) - len(twins)
+    if fixed:
+        landmarks = f"{fixed} landmark" + "s" * (fixed > 1)
+        print(f"{mode} search: twin rule on ({landmarks} fixed)", file=sys.stderr)
 
 
 def compute_md(g: Graph, cfg: SearchConfig = SearchConfig()) -> ResolveOutcome:
@@ -462,16 +534,18 @@ def compute_md(g: Graph, cfg: SearchConfig = SearchConfig()) -> ResolveOutcome:
     cut depth-first search from ``md_lower_bound``.  From order
     ``TABLE_ORDER`` on, ``graph.hanging_forest`` is walked once, for the
     bound's subtree-patterns rule and for the swap table, and the swap
-    and leg tables are built before the search; smaller graphs are
-    searched with no table.  With ``cfg.progress`` a note names the bound
-    and the rules that reach it.  Each size from the lower bound up to n
-    is then searched in turn, as dim searches its sizes.  Multiset
-    resolvability is not monotone, so no size may be skipped; reaching
+    and leg tables and the twin classes are put in the table before the
+    search; smaller graphs are searched with no table.  With
+    ``cfg.progress`` a note names the bound and the rules that reach it.
+    Each size from the lower bound up to n is then searched in turn, as
+    dim searches its sizes.  Multiset resolvability is not monotone, so
+    no size may be skipped; reaching
     size n with no witness proves infiniteness because the cut, the swap
-    rule and the leg rule only drop sets that are not the least one of
-    their size.  A bound above n, which the subtree-patterns rule gives
-    when isomorphic siblings have too few asymmetric markings to tell
-    apart, leaves no size to search and proves infiniteness with no walk.
+    rule, the twin rule and the leg rule only drop sets that are not the
+    least one of their size.  A bound above n, which the subtree-patterns
+    rule gives when isomorphic siblings have too few asymmetric markings
+    to tell apart, leaves no size to search and proves infiniteness with
+    no table and no walk.
     Sizes count from 1: the one-vertex graph, which the empty set
     vacuously resolves, is a path and answers 1 with witness (0,).  Each
     graph fact is computed once, and only when a step needs it.  Every
@@ -500,13 +574,16 @@ def compute_md(g: Graph, cfg: SearchConfig = SearchConfig()) -> ResolveOutcome:
     else:
         forest = hanging_forest(g, tp)
         report = md_lower_bound(g, dm, tp, mr, forest)
-        table = Table(symmetry_swap_masks(g, tp, forest), mr.legs)
-        if cfg.progress:
-            _note_rules(table, "md")
+        if report.value <= n:
+            table = Table(symmetry_swap_masks(g, tp, forest), mr.legs, tp.classes)
+            if cfg.progress:
+                _note_rules(table, "md")
     lb = report.value
     if cfg.progress:
         print(f"md search: lower bound {lb} ({', '.join(report.achieved_by)})",
               file=sys.stderr)
+    if lb > n:
+        return _EXHAUSTED
     witness = _first_hit(level_search(dm, False, table), "md", range(lb, n + 1), n, cfg)
     if witness is None:
         return _EXHAUSTED
@@ -555,8 +632,9 @@ def compute_dim(
     Otherwise all distances are computed.  From order ``TABLE_ORDER`` on,
     the twin partition (about n^2 steps), the full ``dim_lower_bound`` and
     the swap table, from the same twin partition and report, are
-    computed, the ordered search is built with the swap table and the
-    report's legs, and it searches the sizes from that bound.  Below that
+    computed, the ordered search is built with the swap table, the
+    report's legs and the twin classes, and it searches the sizes from
+    that bound.  Below that
     order those inputs cost more than the whole search, so the ordered
     search is built with no table and searches from
     ``dim_distance_rules``, which read only the distances, and the cover
@@ -588,7 +666,7 @@ def compute_dim(
     else:
         tp = twin_partition(g)
         k = dim_lower_bound(g, dm, tp, mr).value
-        table = Table(symmetry_swap_masks(g, tp), mr.legs)
+        table = Table(symmetry_swap_masks(g, tp), mr.legs, tp.classes)
         if cfg.progress:
             _note_rules(table, "dim")
     w = _first_hit(level_search(dm, True, table), "dim", range(k, n + 1), n, cfg)

@@ -212,6 +212,43 @@ class TestCommands:
         sizes = [re.findall(r"size (\d+)", line) for line in captured.err.splitlines()]
         assert sizes == [[], [], [], ["9"]]
 
+    def test_progress_notes_twin_rule(self, tmp_path, capsys):
+        # karytree:2x3 (15 vertices) has four pairs of twin leaves, so md
+        # fixes the smaller leaf of each pair; the 4-cycle 0, 1, 2, 3 with
+        # four pendants at 0, whose least leg cover fails, has the twin
+        # pair {1, 3} and the twin class {4, 5, 6, 7}, so dim fixes 1, 4,
+        # 5 and 6
+        assert main(["md", "--family", "karytree:2x3", "--progress"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "md search: symmetry rule on (11 vertices have a smaller image)\n"
+            "md search: leg rule on (8 legs at 4 majors)\n"
+            "md search: twin rule on (4 landmarks fixed)\n"
+            "md search: lower bound 7 (subtree-patterns)\n"
+            "md search: size 7 of up to 15\n"
+        )
+        assert captured.out.strip() == "md = 7, witness = {1, 3, 5, 7, 9, 11, 13}"
+        p = tmp_path / "c4-pendants.edges"
+        p.write_text("0 1\n1 2\n2 3\n0 3\n0 4\n0 5\n0 6\n0 7\n")
+        assert main(["dim", str(p), "--progress"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "dim search: symmetry rule on (4 vertices have a smaller image)\n"
+            "dim search: leg rule on (4 legs at 1 major)\n"
+            "dim search: twin rule on (4 landmarks fixed)\n"
+            "dim search: size 4 of up to 8\n"
+            "dim search: size 5 of up to 8\n"
+        )
+        assert captured.out.strip() == "dim = 5, witness = {1, 2, 4, 5, 6}"
+
+    def test_md_progress_bound_past_n(self, capsys):
+        # cextree's subtree-pattern bound is n + 1 = 11: md notes the
+        # bound and answers from it, with no table, so no rule note
+        assert main(["md", "--family", "cextree", "--progress"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == "md search: lower bound 11 (subtree-patterns)\n"
+        assert captured.out.strip() == "md = infinite (exhaustive-search certificate)"
+
     def test_family_emit_round_trips(self, capsys):
         assert main(["family", "path:4"]) == EXIT_OK
         text = capsys.readouterr().out

@@ -1,5 +1,5 @@
 import math
-from itertools import combinations
+from itertools import combinations, groupby
 from random import Random
 
 import pytest
@@ -20,6 +20,7 @@ from mdim import (
     twin_partition,
 )
 from mdim.families import FamilySpec, generate, parse_family_spec
+from mdim import resolving
 from mdim.graph import hanging_forest
 from mdim.resolving import least_resolving_set, subtree_patterns
 from helpers import (
@@ -248,6 +249,48 @@ class TestMdLowerBound:
             n += 1202
         g = build_graph(n, edges)
         assert subtree_patterns(hanging_forest(g, twin_partition(g))) == 3
+
+    def test_subtree_patterns_on_long_hanging_paths(self):
+        # a triangle with three paths of 60 vertices hung from vertex 0 and
+        # two forks hung from vertex 1, each a root with paths of 40 and 41
+        # vertices: each path code is taken in the closed form sum C(L, s)
+        # x^s, and the recursion through L products by 1 + x gives the
+        # same markings for every code counted, and so the same rule.  The
+        # three paths take sizes 0, 1 and 1, the two forks 0 and 1
+        edges, n = [(0, 1), (1, 2), (0, 2)], 3
+
+        def hang(at, length):
+            nonlocal n
+            edges.extend(zip([at, *range(n, n + length - 1)], range(n, n + length)))
+            n += length
+
+        for _ in range(3):
+            hang(0, 60)
+        for _ in range(2):
+            root = n
+            edges.append((1, root))
+            n += 1
+            hang(root, 40)
+            hang(root, 41)
+        g = build_graph(n, edges)
+        forest = hanging_forest(g, twin_partition(g))
+        shape = list(forest.shapes)
+
+        def by_products(t):
+            poly = {0: 1, 1: 1}
+            for child, run in groupby(shape[t]):
+                c = len(list(run))
+                below = by_products(child)
+                poly = resolving._times(
+                    poly, below if c == 1 else resolving._choose(c, below)
+                )
+            return poly
+
+        taus = {forest.code[m[0]] for m in forest.groups.values()}
+        memo = resolving._markings(taus, shape)
+        assert memo.keys() >= taus
+        assert all(poly == by_products(t) for t, poly in memo.items())
+        assert subtree_patterns(forest) == 3
 
     def test_cycle9(self):
         lb = lower_bound_of(cycle_graph(9))

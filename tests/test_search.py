@@ -383,6 +383,17 @@ class TestWalk:
         ]
         assert built == [8]
 
+    def test_no_table_when_the_bound_exceeds_n(self, monkeypatch):
+        # the subtree-pattern bound of substar:8x2 and cextree is n + 1:
+        # md answers from the bound, with no swap table and no search
+        seen = self.record(monkeypatch)
+        monkeypatch.setattr(search, "_table_bits", lambda *a: pytest.fail("bits built"))
+        for spec in ("substar:8x2", "cextree"):
+            del seen[:]
+            outcome = compute_md(generate(parse_family_spec(spec)))
+            assert outcome.certificate.kind is CertificateKind.EXHAUSTIVE_SEARCH
+            assert seen == ["report"], spec
+
     def test_each_table_converted_once(self, monkeypatch):
         # md and dim search every size from their lower bounds on with one
         # table; each search turns its table into bitsets once, when it is
@@ -449,12 +460,15 @@ def random_symmetric_non_tree(rng, n):
 
 def same_least_sets_with_and_without_swaps(g):
     """Assert that ``least(k)`` with g's swap table, with and without
-    its legs, equals ``least(k)`` without a table at every size, in both
-    modes; return whether the table holds a swap."""
+    its legs, and with its legs and twin classes, equals ``least(k)``
+    without a table at every size, in both modes; return whether the table
+    holds a swap."""
     dm = all_pairs_distances(g)
     mr = major_vertex_report(g, dm)
-    swaps = symmetry_swap_masks(g, twin_partition(g))
-    for table in (Table(swaps, {}), Table(swaps, mr.legs)):
+    tp = twin_partition(g)
+    swaps = symmetry_swap_masks(g, tp)
+    tables = (Table(swaps, {}), Table(swaps, mr.legs), Table(swaps, mr.legs, tp.classes))
+    for table in tables:
         for ordered in (False, True):
             least = level_search(dm, ordered)
             sizes = [least(k) for k in range(1, g.n + 1)]
@@ -785,6 +799,54 @@ class TestLegRule:
                 sizes = [least(k) for k in range(1, g.n + 1)]
                 cut = level_search(dm, ordered, table)
                 assert [cut(k) for k in range(1, g.n + 1)] == sizes, g.edges()
+
+
+class TestTwinRule:
+    """The twin rule changes no answer: every least resolving set holds
+    the smaller twin of each pair, and every member of a twin class but
+    the largest in ordered mode, so the search bounds its candidates by
+    those forced ids (see _forced_bounds)."""
+
+    def test_matches_brute_force_on_orders_8_to_12(self, monkeypatch):
+        # seeded, relabelled graphs with twins, hanging copies of one tree
+        # and legs, against the unpruned reference walks in both modes
+        forced, bounds = [], search._forced_bounds
+
+        def recording(ids, n):
+            forced.append(len(ids))
+            return bounds(ids, n)
+
+        monkeypatch.setattr(search, "_forced_bounds", recording)
+        makers = (random_twinned_graph, random_hanging_graph, random_legged_graph)
+        rng = Random(33)
+        md_fixed = dim_fixed = 0
+        for i in range(240):
+            # random_hanging_graph, makers[1], needs order 9 or more
+            n = rng.randint(9 if i % 3 == 1 else 8, 12)
+            g = shuffled(rng, makers[i % 3](rng, n, rng.choice([0.0, 0.1, 0.25])))
+            seen = len(forced)
+            fast, slow = compute_md(g), brute_force_md(g)
+            assert (fast.kind, fast.value, fast.witness) == (
+                slow.kind, slow.value, slow.witness
+            ), g.edges()
+            md_fixed += any(forced[seen:])
+            seen = len(forced)
+            w = least_resolving_set(all_pairs_distances(g), ordered=True)
+            assert compute_dim(g) == (len(w), w), g.edges()
+            dim_fixed += any(forced[seen:])
+        # 216 of the 240 graphs have twins; 146 md solves and 168 dim
+        # solves search with a forced id
+        assert md_fixed >= 120
+        assert dim_fixed >= 140
+
+    def test_forced_bounds(self):
+        # forced ids 2 and 5 of 8: a frame whose next id is s stops at the
+        # least of them not yet passed, and after x may take j more ids
+        # only when no more than j forced ids lie above x
+        first, last = search._forced_bounds([2, 5], 8)
+        assert first == [3, 3, 3, 6, 6, 6, 8, 8, 8]
+        assert last == [5, 2, 0, 0, 0, 0, 0, 0, 0]
+        assert search._forced_bounds([], 8) == ([8] * 9, [0] * 9)
 
 
 def random_recursive_tree(rng: Random, n: int):
