@@ -9,9 +9,13 @@ proves md infinite.  The map of this module:
   the one size k over ascending landmark ids with one cut, the lex-leader
   rule, the twin rule and the leg rule.  Its docstring states why each of
   them drops only sets that are not the least one of their size.
-- ``_bound`` is its one recursion.  It takes the state of one frame and
-  the one context of the search; ``_table_bits`` turns the table into
-  bitsets once, when the search is built.
+- ``_settle_twins`` settles the table's twin classes before any size is
+  searched: the forced ids go into the root code, and the search walks
+  only the free ids that are left.
+- ``_bound`` is its one recursion, over positions in the free ids.  It
+  takes the state of one frame and the one context of the search;
+  ``_table_bits`` turns the table into bitsets once, when the search is
+  built.
 - ``compute_md`` and ``compute_dim`` search each size upward from their
   lower bounds, one size at a time (``_first_hit``).  From order
   ``TABLE_ORDER`` on they build the table before the search, and
@@ -31,7 +35,7 @@ import sys
 from enum import Enum
 from itertools import count, repeat
 from operator import add, mul
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .graph import (
     DistanceMatrix,
@@ -149,8 +153,9 @@ class Table(NamedTuple):
     """What lets the search skip candidates (see level_search): the swap
     masks of the hanging sibling subtrees, twins among them, the legs of
     the majors with two or more terminals, and the twin classes, each
-    ascending, whose members but the largest every least resolving set
-    holds."""
+    ascending, which level_search settles before any size is searched:
+    every member but the largest is a landmark of every least resolving
+    set, and in multiset mode the larger twin of a pair is in none."""
 
     swaps: SwapTable
     legs: LegTable
@@ -166,30 +171,40 @@ def _table_bits(
 ) -> tuple[list[int], list[int], list[int], list[int], int]:
     """The table as bitsets ``need, hitby, own, rest`` and the count
     ``owed``.  Swaps: over the distinct swap masks S_0, S_1, ..., bit j of
-    ``need[x]`` is set when S_j is a swap mask of x, and bit j of
-    ``hitby[y]`` when y lies in S_j.  Legs: each leg gets one bit above
-    those of the swap masks; ``hitby[y]`` and ``own[y]`` hold the bit of
-    y's leg, and ``rest[y]`` the bits of the other legs of its major.  If
-    ``hit`` is the union of ``hitby`` over the chosen landmarks, they miss
-    some swap mask of x exactly when ``need[x] & ~hit`` is non-zero, and
-    adding x lowers by one the landmarks the unhit legs are owed (one on
-    every unhit leg but one of each major) exactly when ``own[x] & ~hit``
-    and ``rest[x] & ~hit`` are both non-zero.  ``owed`` is that count
-    before any landmark is chosen, the sum of ``len(legs) - 1`` over the
-    majors.
+    ``need[x]`` is set when S_j is a swap mask of x that holds no forced
+    id below x, and bit j of ``hitby[y]`` when y lies in S_j.  Legs: each
+    leg gets one bit above those of the swap masks; ``hitby[y]`` and
+    ``own[y]`` hold the bit of y's leg, and ``rest[y]`` the bits of the
+    other legs of its major.  If ``hit`` is the union of ``hitby`` over
+    the chosen landmarks, they miss one of those swap masks of x exactly
+    when ``need[x] & ~hit`` is non-zero, and adding x lowers by one the
+    landmarks the unhit legs are owed (one on every unhit leg but one of
+    each major) exactly when ``own[x] & ~hit`` and ``rest[x] & ~hit`` are
+    both non-zero.  ``owed`` is that count before any landmark is chosen,
+    the sum of ``len(legs) - 1`` over the majors.
+
+    The forced ids are the members of each twin class but the largest
+    (see level_search).  Every prefix that reaches x holds the forced ids
+    below x, so a swap mask of x that holds one of them is always hit at
+    x and is left out of ``need[x]`` here, once; of a forced id's bits
+    the search sets only its leg's in ``hit``.
 
     A swap mask of x that contains another swap mask of x changes no
     skip: landmarks that miss the larger mask miss the smaller one too,
     so x is skipped whether or not the larger bit is set in ``need[x]``.
     The table keeps such masks.  Each of them, the mask of two sibling
     subtrees, is also a mask of the larger of their two roots, where no
-    other mask lies inside it, so the distinct masks, and with them the
-    bits, are those of a table without the containing masks."""
+    other mask lies inside it, so, but for the drop above, the distinct
+    masks, and with them the bits, are those of a table without the
+    containing masks."""
+    forced = sum(1 << x for cls in table.twins for x in cls[:-1])
     index: dict[int, int] = {}
     need = [0] * n
     for x, masks in enumerate(table.swaps):
+        below = forced & ((1 << x) - 1)
         for s in masks:
-            need[x] |= 1 << index.setdefault(s, len(index))
+            if not s & below:
+                need[x] |= 1 << index.setdefault(s, len(index))
     hitby = [0] * n
     for s, j in index.items():
         while s:
@@ -211,31 +226,31 @@ def _table_bits(
     return need, hitby, own, rest, owed
 
 
-# what stays fixed for one search: the order n, the code ``weights`` and
-# cut labels ``tails`` of level_search, the table's bitsets ``need,
-# hitby, own, rest`` (see _table_bits), all 0 with no table, and the
-# bounds ``first`` and ``last`` of the twin rule (see _forced_bounds)
+def _settle_twins(
+    twins: tuple[tuple[int, ...], ...], ordered: bool, n: int
+) -> tuple[tuple[int, ...], list[int]]:
+    """The twin classes settled before the search (see level_search): the
+    ascending forced ids, every member of a class but the largest, and the
+    free ids the search walks, ascending.  In multiset mode no member of a
+    class is free: the larger twin of a pair is in no resolving set, and
+    a class of three or more puts two twins among the forced ids, whose
+    codes then agree in every set, so no size resolves."""
+    forced = tuple(sorted(x for cls in twins for x in cls[:-1]))
+    if ordered:
+        out = set(forced)
+    else:
+        out = {x for cls in twins if len(cls) > 1 for x in cls}
+    return forced, [x for x in range(n) if x not in out]
+
+
+# what stays fixed for one search: the order n, the count m of free ids
+# and the ascending free ids themselves, and, by the position of each
+# free id, the code ``weights`` and cut labels ``tails`` of level_search
+# and the table's bitsets ``need, hitby, own, rest`` (see _table_bits),
+# all 0 with no table
 Context = tuple[
-    int, list, list, list[int], list[int], list[int], list[int], list[int], list[int]
+    int, int, Sequence[int], list, list, list[int], list[int], list[int], list[int]
 ]
-
-
-def _forced_bounds(forced: list[int], n: int) -> tuple[list[int], list[int]]:
-    """The candidate bounds of the ascending ``forced`` ids, which every
-    least resolving set holds: ``first[s]`` is one past the least forced
-    id >= s, or n if there is none, and ``last[j]`` the least id x that
-    leaves at most j forced ids above x.  A frame whose next id is s may
-    add no id past ``first[s]``, as it would skip that forced id for good,
-    and after x it may take ``k - size`` more ids, so x >= ``last[k -
-    size]``.  With no forced id they are the constant lists ``n`` and
-    ``0``, which bound nothing."""
-    first, last = [n] * (n + 1), [0] * (n + 1)
-    last[: len(forced)] = forced[::-1]
-    lo = 0
-    for x in forced:
-        first[lo : x + 1] = [x + 1] * (x + 1 - lo)
-        lo = x + 1
-    return first, last
 
 
 def _bound(
@@ -247,12 +262,14 @@ def _bound(
     owed: int,
     ctx: Context,
 ) -> tuple[int, ...]:
-    """The search of the one size ``k``: extend the ``size - 1`` chosen
-    landmarks, whose vertex codes are ``code``, by ids from ``start`` on;
-    return the ids added to the least resolving set of k landmarks, or ()
-    if none resolves.  ``hit`` is the union of ``hitby`` over the chosen
-    landmarks, ``owed`` the landmarks their unhit legs are still owed, and
-    ``ctx`` the search's context.
+    """The search of ``k`` free picks: extend the ``size - 1`` free ids
+    chosen, whose vertex codes, with the forced ids', are ``code``, by free
+    ids from position ``start`` on; return the ids added to the least
+    resolving set, or () if none resolves.  ``hit`` is the union of
+    ``hitby`` over the chosen landmarks (only the leg bits of the forced
+    ones), ``owed`` the landmarks their unhit legs are still owed, and
+    ``ctx`` the search's context.  Every loop runs over positions in the
+    free ids, and a found id is read from them.
 
     Candidate x is skipped, before any test, when ``need[x] & ~hit`` is
     non-zero (see _table_bits): the chosen landmarks miss a swap mask S of
@@ -262,39 +279,26 @@ def _bound(
     table every entry is 0, and that graph pays one falsy int per
     candidate.
 
-    Each candidate x makes a child of ``size`` landmarks, skipped by the
-    leg rule when its unhit legs are owed more than the ``k - size``
-    landmarks it may still take.  If the first frame's ``owed`` is at most
-    k, every frame is entered owing at most the ``k - size + 1`` it may
-    take, and only when it owes exactly that (``tight``) does a candidate
-    that pays none off get skipped; every other frame pays one falsy local
-    per candidate for the rule.  The solves meet that: the first ``owed``
-    is sigma - ex, the terminal-count rule of ``md_lower_bound`` and
-    ``dim_lower_bound``, and each solve searches with its table only the
-    sizes from its own full bound on.  A first frame owed more returns (),
-    as every set it tries is still owed a landmark and cannot resolve.
+    Each candidate x makes a child of ``size`` free picks, skipped by the
+    leg rule when its unhit legs are owed more than the ``k - size`` picks
+    it may still take.  If the first frame's ``owed`` is at most k, every
+    frame is entered owing at most the ``k - size + 1`` it may take, and
+    only when it owes exactly that (``tight``) does a candidate that pays
+    none off get skipped; every other frame pays one falsy local per
+    candidate for the rule.  The legs of the forced ids are paid before
+    the first frame, so it may owe more than its k picks: every set it
+    could try is still owed a landmark and cannot resolve, and
+    level_search returns None for that size with no frame at all.
 
-    The twin rule bounds the candidates themselves (see _forced_bounds):
-    x runs from ``last[k - size]`` at the least, so that the ids left
-    after it can hold every forced id above it, up to ``first[start]``,
-    the least forced id not yet passed.  With no forced id these bounds
-    are ``start`` and n, and no candidate pays for the rule.  Each frame
-    takes the larger and smaller bound with a comparison, not ``max`` and
-    ``min``, whose calls made the searches of order 6 about 14% slower,
-    where a frame tries few candidates.
-
-    Below the last landmark the cut runs first, and a child is expanded
-    only while k - size ids are left after it; the last landmark gets the
+    Below the last pick the cut runs first, and a child is expanded only
+    while k - size free ids are left after it; the last pick gets the
     resolve test alone, in a loop of its own.
     """
-    n, weights, tails, need, hitby, own, rest, first, last = ctx
+    n, m, free, weights, tails, need, hitby, own, rest = ctx
     miss = ~hit
     tight = owed > k - size
     if size < k:
-        lo, stop = last[k - size], first[start]
-        if stop > n - k + size:
-            stop = n - k + size
-        for x in range(lo if lo > start else start, stop):
+        for x in range(start, m - k + size):
             if need[x] and need[x] & miss:
                 continue
             if tight and not (own[x] & miss and rest[x] & miss):
@@ -305,16 +309,15 @@ def _bound(
             child = tuple(map(add, code, weights[x]))
             found = _bound(child, x + 1, size + 1, k, hit | hitby[x], after, ctx)
             if found:
-                return (x, *found)
+                return (free[x], *found)
         return ()
-    lo = last[0]
-    for x in range(lo if lo > start else start, first[start]):
+    for x in range(start, m):
         if need[x] and need[x] & miss:
             continue
         if tight and not (own[x] & miss and rest[x] & miss):
             continue
         if len(set(map(add, code, weights[x]))) == n:
-            return (x,)
+            return (free[x],)
     return ()
 
 
@@ -328,32 +331,32 @@ def level_search(
     ``graph.symmetry_swap_masks`` table, the legs of the
     ``graph.major_vertex_report`` and the ``graph.twin_partition``
     classes of the same graph; it changes no answer, only how many sets
-    are visited.  It is turned into bitsets once, here, and every call of
-    ``least`` searches with it.
+    are visited.  It is settled and turned into bitsets once, here, and
+    every call of ``least`` searches with it.
 
-    ``least`` is a depth-first search over ascending landmark ids.  A
-    vertex's code is the sum of ``weights[x][v]`` over the chosen
-    landmarks x, and adding a landmark is one vector add with no sort.
-    In multiset mode ``weights[x][v] = (n + 1) ** d(v, x)``: no distance
-    occurs more than n times, so equal codes mean equal distance
-    multisets.  In ordered mode ``weights[x][v] = d(v, x) * n ** x``:
-    every distance is below n, so the code is a base-n number whose digit
-    x is d(v, x), and equal codes mean equal distance vectors.
-    ``tails[s][v]`` labels v's distances to the ids s..n-1, equal labels
-    meaning equal distances.
+    ``least`` is a depth-first search over the ascending free ids: every
+    id with no table, and with one, those the twin rule below neither
+    forces nor leaves out.  A vertex's code is the sum of ``weights[x][v]``
+    over the landmarks x, the forced ones' summed once into the root code,
+    and adding a landmark is one vector add with no sort.  In multiset
+    mode ``weights[x][v] = (n + 1) ** d(v, x)``: no distance occurs more
+    than n times, so equal codes mean equal distance multisets.  In
+    ordered mode ``weights[x][v] = d(v, x) * n ** x``: every distance is
+    below n, so the code is a base-n number whose digit x is d(v, x), and
+    equal codes mean equal distance vectors.  ``tails[s][v]`` labels v's
+    distances to the free ids from position s on, equal labels meaning
+    equal distances.
 
-    The one cut, the same in both modes: a prefix whose next id is s is
-    dropped when two vertices share both their code and their label in
-    ``tails[s]``.  Every id that can still be added is at least s, so
-    those two vertices are equidistant from it and collide in every
-    extension, as multisets and as vectors alike.  The cut therefore drops
-    only failing sets, the first hit is the least one, and a None at every
-    size proves that no resolving set exists.  The cut also implies the
-    twin rule: twins u < v share a tail label from v + 1 on, and their
-    codes agree when neither was chosen (in multiset mode, also when both
-    were).  Since ``tails[s]`` only gets coarser as s grows, a cut prefix
-    stays cut for every later next id, which ends the loop over siblings.
-    The last landmark of a set is tried with the plain resolve test alone,
+    The one cut, the same in both modes: a prefix whose next free id is at
+    position s is dropped when two vertices share both their code and
+    their label in ``tails[s]``.  Every id that can still be added is a
+    free id from position s on, so those two vertices are equidistant from
+    it and collide in every extension, as multisets and as vectors alike.
+    The cut therefore drops only failing sets, the first hit is the least
+    one, and a None at every size proves that no resolving set exists.
+    Since ``tails[s]`` only gets coarser as s grows, a cut prefix stays
+    cut for every later next id, which ends the loop over siblings.  The
+    last landmark of a set is tried with the plain resolve test alone,
     where the cut would cost as much as the test it saves.
 
     The lex-leader rule (Crawford, Ginsberg, Luks & Roy, KR 1996), with
@@ -376,35 +379,47 @@ def level_search(
     subtrees stays put.  Two legs of equal length at one major are two
     such subtrees, and so are two twins u < v, which hang as sibling
     leaves from a common or a virtual parent: N(u) - {v} equals
-    N(v) - {u}, so their transposition keeps every edge.  The rule drops
-    only sets that are not the least one, so each size still returns its
-    least witness or None, and a None at every size still proves that no
-    resolving set exists.  The test is one AND of two bitsets per
-    candidate (see _table_bits).
+    N(v) - {u}, so their transposition keeps every edge.  The chosen
+    landmarks of the argument are those of W below x, and W holds every
+    forced id below x, so a mask of x that holds one is hit and is left
+    out of ``need[x]`` (see _table_bits).  A forced id above x is not
+    among them: counting it as hit would keep x where the argument drops
+    it, and on ``karytree``, whose forced leaves have the largest ids,
+    would switch the rule off.  The rule drops only sets that are not the
+    least one, so each size still returns its least witness or None, and
+    a None at every size still proves that no resolving set exists.  The
+    test is one AND of two bitsets per candidate (see _table_bits).
 
-    The twin rule, the lex-leader rule for one twin transposition, with
-    the twin classes of ``table``: every least resolving set holds each
-    member of a twin class but the largest.  Twins u < x are equidistant
-    from every vertex but themselves.  In multiset mode a resolving set
-    holds exactly one twin of a pair: with neither, u and x have equal
-    codes, and with both, each is at 0 from itself and at d(u, x) from the
-    other.  A class of three or more holds a pair left out or a pair taken
-    both, so no set m-resolves and forcing its members drops nothing that
-    resolves.  In ordered mode a metric-resolving set misses at most one
+    The twin rule, settled before any size is searched
+    (``_settle_twins``), with the twin classes of ``table``.  Twins u < x
+    are equidistant from every vertex but themselves.  In multiset mode a
+    resolving set holds exactly one twin of a pair: with neither, u and x
+    have equal codes, and with both, each is at 0 from itself and at
+    d(u, x) from the other.  A class of three or more holds a pair left
+    out or a pair taken both, so no set m-resolves, and every ``least(k)``
+    is None: two of its members are forced and the others left out, and
+    the cut ends every size at its first frame.  In ordered mode a metric-resolving set misses at most one
     member of a class, since two members it misses have equal vectors.  If
     the least W of size k missed a member u of a class and held a larger
     member x, then W - x + u, its image under the automorphism (u x),
     would resolve too and be smaller, since u takes x's place.  So in
-    multiset mode W holds the smaller twin of each pair, and in ordered
-    mode, where a member u it misses other than the largest would leave
-    the largest in W, it holds every member but the largest.  The search
-    adds landmarks in ascending order, so it never passes a forced id
-    without taking it, and it stops a prefix whose sizes left cannot hold
-    the forced ids above its last landmark.  The rule drops only sets
-    that are not the least one, so each size still returns its least
-    witness or None, and a None at every size still proves that no
-    resolving set exists.  It costs nothing per candidate: it narrows each
-    frame's range of ids (see _bound).
+    multiset mode W holds the smaller twin of each pair and not the
+    larger, and in ordered mode, where a member u it misses other than the
+    largest would leave the largest in W, it holds every member but the
+    largest.  Those forced ids are summed into the root code and leave the
+    search, and in multiset mode so do the larger twins, which no
+    resolving set beside the smaller one holds.  ``least(k)`` searches
+    ``k - len(forced)`` picks among the free ids and merges the forced ids
+    back; below that many it is None, and at exactly that many it is the
+    forced set if that resolves.  All sets of one size are compared by
+    the least element of their symmetric difference, and the forced ids
+    are in both, so the least set of free picks gives the least witness.
+    The cut labels run over the free ids only, as only they can still be
+    added; the legs the forced ids lie on are paid off the first frame's
+    ``owed`` and set in its ``hit``, leg bits only (see the other rules).
+    The rule drops only sets that are not the least one or do not
+    resolve, so each size still returns its least witness or None, and a
+    None at every size still proves that no resolving set exists.
 
     The leg rule (Khuller, Raghavachari & Rosenfeld 1996; Chartrand,
     Eroh, Johnson & Oellermann 2000), with the legs of ``table``: a leg
@@ -417,22 +432,24 @@ def level_search(
     vectors alike.  A resolving set therefore holds a vertex on every leg
     but one of each major, and since the legs are disjoint, a prefix is
     owed ``sum(unhit legs - 1)`` over the majors more landmarks, which
-    goes down by at most one per landmark added.  Candidate x is skipped
-    when the landmarks still owed after x exceed those still allowed
-    (``k - size`` in _bound).  The rule drops only sets that do not
-    resolve, so each size still returns its least witness or None, and a
-    None at every size still proves that no resolving set exists.  At the
-    size ``sigma - ex`` itself, the sum of ``len(legs) - 1``, a resolving
-    set holds exactly one vertex on each leg it covers and nothing else,
-    so the least leg cover (``_leg_cover``: the least id of every leg but
-    the one with the largest least id, per major), as an ascending tuple,
-    is componentwise no larger than any resolving set of that size, and
-    if it resolves it is the least one; compute_dim tries it before it
-    builds this search.
+    goes down by at most one per landmark added.  The forced ids pay
+    theirs before the first frame, and when more is still owed than the
+    free picks of a size, ``least`` is None there with no frame.
+    Candidate x is skipped when the landmarks still owed after x exceed
+    those still allowed (``k - size`` in _bound).  The rule drops only
+    sets that do not resolve, so each size still returns its least
+    witness or None, and a None at every size still proves that no
+    resolving set exists.  At the size ``sigma - ex`` itself, the sum of
+    ``len(legs) - 1``, a resolving set holds exactly one vertex on each
+    leg it covers and nothing else, so the least leg cover
+    (``_leg_cover``: the least id of every leg but the one with the
+    largest least id, per major), as an ascending tuple, is componentwise
+    no larger than any resolving set of that size, and if it resolves it
+    is the least one; compute_dim tries it before it builds this search.
 
     The recursion is the module-level ``_bound``, which returns the ids
     it adds.  Each frame takes only its own state (the codes, the next
-    id, the size, the ``hit`` bitset of both rules and the count
+    position, the size, the ``hit`` bitset of both rules and the count
     ``owed``) and the one ``Context`` tuple built here: a nested function
     that calls itself is a reference cycle, which would leave every
     solve's tables to the cycle collector, whose pauses showed in
@@ -444,29 +461,46 @@ def level_search(
     else:
         power = list(map(pow, repeat(n + 1), range(n)))
         weights = [tuple(map(power.__getitem__, row)) for row in d]
+    forced: tuple[int, ...] = ()
+    free: Sequence[int] = range(n)
+    rows = d
+    need = hitby = own = rest = [0] * n
+    root, hit, owed = (0,) * n, 0, 0
+    if table is not None:
+        forced, free = _settle_twins(table.twins, ordered, n)
+        need, hitby, own, rest, owed = _table_bits(table, n)
+        # each forced id pays its leg and sets its leg bit, never a swap
+        # bit, and is summed into the root code; every table is then read
+        # by position in the free ids
+        for x in forced:
+            if own[x] & ~hit and rest[x] & ~hit:
+                owed -= 1
+            hit |= own[x]
+            root = tuple(map(add, root, weights[x]))
+        need, hitby, own, rest, weights, rows = (
+            [bits[x] for x in free] for bits in (need, hitby, own, rest, weights, d)
+        )
     # one counter for all levels, so a new (distance, tail) key never
     # receives a label that an earlier key already holds
     ids: dict[tuple[int, int], int] = {}
     fresh = count()
-    tails = [(0,) * n] * (n + 1)
-    for s in range(n - 1, -1, -1):
-        tails[s] = tuple(map(ids.setdefault, zip(d[s], tails[s + 1]), fresh))
-
-    if table is None:
-        need = hitby = own = rest = [0] * n
-        owed = 0
-        # the bounds of no forced id, those of _forced_bounds([], n), built
-        # in place: the call costs the small searches below TABLE_ORDER and
-        # the scan's a measurable share
-        first, last = [n] * (n + 1), [0] * (n + 1)
-    else:
-        need, hitby, own, rest, owed = _table_bits(table, n)
-        forced = sorted(x for cls in table.twins for x in cls[:-1])
-        first, last = _forced_bounds(forced, n)
-    ctx: Context = (n, weights, tails, need, hitby, own, rest, first, last)
+    m = len(free)
+    tails = [(0,) * n] * (m + 1)
+    for s in range(m - 1, -1, -1):
+        tails[s] = tuple(map(ids.setdefault, zip(rows[s], tails[s + 1]), fresh))
+    ctx: Context = (n, m, free, weights, tails, need, hitby, own, rest)
+    fixed = len(forced)
 
     def least(k: int) -> tuple[int, ...] | None:
-        return _bound((0,) * n, 0, 1, k, 0, owed, ctx) or None
+        picks = k - fixed
+        if picks < owed:
+            return None
+        if not picks:
+            return forced if len(set(root)) == n else None
+        found = _bound(root, 0, 1, picks, hit, owed, ctx)
+        if found and forced:
+            return tuple(sorted(forced + found))
+        return found or None
 
     return least
 

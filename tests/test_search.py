@@ -108,6 +108,15 @@ class TestComputeMd:
         outcome = compute_md(generate(FamilySpec.kary_tree(2, 2)))
         assert (outcome.value, outcome.witness) == (3, (1, 3, 5))
 
+    def test_binary_tree_h5(self):
+        # 63 vertices: the subtree-pattern bound, 31, is md.  The 16
+        # smaller leaves are forced and the 16 larger ones left out, so
+        # size 31 is 15 picks among the 31 inner vertices, about 0.3 s
+        outcome = compute_md(
+            generate(FamilySpec.kary_tree(2, 5)), SearchConfig(max_vertices=63)
+        )
+        assert (outcome.value, outcome.witness) == (31, tuple(range(1, 62, 2)))
+
     def test_substar_7x4(self):
         # 29 vertices, past the default cap; the leg-pattern bound is 8,
         # which is md, so size 8 is searched alone, in about 0.15 s with
@@ -619,6 +628,18 @@ class TestBoundPass:
 
     def test_matches_brute_force_on_orders_10_to_12(self, monkeypatch):
         frames = self.record(monkeypatch)
+        calls, build = [], search.level_search
+
+        def recording(dm, ordered=False, table=None):
+            least = build(dm, ordered, table)
+
+            def spied(k):
+                calls.append(k)
+                return least(k)
+
+            return spied
+
+        monkeypatch.setattr(search, "level_search", recording)
         rng = Random(12)
         walks = 0
         for i in range(400):
@@ -627,21 +648,27 @@ class TestBoundPass:
                 g = random_symmetric_tree(rng, n)
             else:
                 g = random_connected_graph(rng, n, extra=rng.choice([0.0, 0.05, 0.1]))
-            del frames[:]
+            del frames[:], calls[:]
             fast, slow = compute_md(g), brute_force_md(g)
             assert fast.kind == slow.kind, g.edges()
             assert (fast.value, fast.witness) == (slow.value, slow.witness), g.edges()
-            # every size searched opens one first frame, of child size 1,
-            # recorded last: md searches each size from its lower bound up
-            # to its answer, or to n, one at a time
+            # md asks for each size from its lower bound up to its answer,
+            # or to n, one at a time.  A size opens at most one first
+            # frame, of child size 1, recorded last, which searches the
+            # size less the smaller twin of each pair, a forced landmark;
+            # a size no larger than the forced ids and the landmarks their
+            # legs still owe opens none
             dm, tp = all_pairs_distances(g), twin_partition(g)
-            sizes = [k for size, k, _ in frames if size == 1]
+            forced = len(tp.pair_classes)
+            sizes = [k + forced for size, k, _ in frames if size == 1]
             if is_path(g) or detect_infinite(g, dm, tp):
-                assert sizes == [], g.edges()
+                assert calls == sizes == [], g.edges()
             else:
                 lb = md_lower_bound(g, dm, tp, major_vertex_report(g, dm)).value
-                assert sizes == list(range(lb, (fast.value or g.n) + 1)), g.edges()
-                walks += len(sizes) > 1
+                assert calls == list(range(lb, (fast.value or g.n) + 1)), g.edges()
+                assert sizes == [k for k in calls if k in sizes], g.edges()
+                assert len(set(sizes)) == len(sizes), g.edges()
+                walks += len(calls) > 1
         # 99 of the solves search two sizes or more
         assert walks >= 80
 
@@ -677,8 +704,8 @@ class TestBoundPass:
             ("substar:7x3", 2339, 6),
             ("substar:6x4", 174, 5),
             ("substar:8x2", 0, 7),
-            ("karytree:2x3", 57, 4),
-            ("cextree", 0, 3),
+            ("karytree:2x3", 7, 0),
+            ("cextree", 0, 0),
         ],
     )
     def test_frames_per_solve(self, spec, md_frames, dim_frames, monkeypatch):
@@ -686,12 +713,16 @@ class TestBoundPass:
         # frames of every size searched.  The spiders substar:7x3 and 6x4
         # start at their leg-pattern bound, md itself, so they search that
         # one size, and so does karytree:2x3 from its subtree-pattern
-        # bound, 7.  substar:8x2 and cextree have sibling groups with too
+        # bound, 7: its four smaller leaves are forced and its four larger
+        # ones left out, so that size is three picks among the seven inner
+        # vertices.  substar:8x2 and cextree have sibling groups with too
         # few asymmetric markings, so the subtree-pattern bound is n + 1
         # and no size is searched.
         # Each is a tree, so the least leg cover answers dim with no frame;
         # dim_frames is what the search makes once the cover is refused,
-        # here by cover rows that give every vertex the same vector
+        # here by cover rows that give every vertex the same vector.  On
+        # karytree:2x3 and cextree the forced smaller twins resolve on
+        # their own at dim's bound, 4 and 3, with no frame
         frames = self.record(monkeypatch)
         g = generate(parse_family_spec(spec))
         cfg = SearchConfig(max_vertices=40)
@@ -804,19 +835,28 @@ class TestLegRule:
 class TestTwinRule:
     """The twin rule changes no answer: every least resolving set holds
     the smaller twin of each pair, and every member of a twin class but
-    the largest in ordered mode, so the search bounds its candidates by
-    those forced ids (see _forced_bounds)."""
+    the largest in ordered mode, so the search settles those forced ids
+    before any size is searched, and in multiset mode leaves the larger
+    twin of each pair out (see _settle_twins)."""
+
+    @staticmethod
+    def record(monkeypatch):
+        """Spy on ``search._settle_twins``: one entry per search built
+        with a table, the number of ids it forces."""
+        forced, settle = [], search._settle_twins
+
+        def recording(twins, ordered, n):
+            settled = settle(twins, ordered, n)
+            forced.append(len(settled[0]))
+            return settled
+
+        monkeypatch.setattr(search, "_settle_twins", recording)
+        return forced
 
     def test_matches_brute_force_on_orders_8_to_12(self, monkeypatch):
         # seeded, relabelled graphs with twins, hanging copies of one tree
         # and legs, against the unpruned reference walks in both modes
-        forced, bounds = [], search._forced_bounds
-
-        def recording(ids, n):
-            forced.append(len(ids))
-            return bounds(ids, n)
-
-        monkeypatch.setattr(search, "_forced_bounds", recording)
+        forced = self.record(monkeypatch)
         makers = (random_twinned_graph, random_hanging_graph, random_legged_graph)
         rng = Random(33)
         md_fixed = dim_fixed = 0
@@ -839,14 +879,73 @@ class TestTwinRule:
         assert md_fixed >= 120
         assert dim_fixed >= 140
 
-    def test_forced_bounds(self):
-        # forced ids 2 and 5 of 8: a frame whose next id is s stops at the
-        # least of them not yet passed, and after x may take j more ids
-        # only when no more than j forced ids lie above x
-        first, last = search._forced_bounds([2, 5], 8)
-        assert first == [3, 3, 3, 6, 6, 6, 8, 8, 8]
-        assert last == [5, 2, 0, 0, 0, 0, 0, 0, 0]
-        assert search._forced_bounds([], 8) == ([8] * 9, [0] * 9)
+    @staticmethod
+    def twinned_searches(seed):
+        """Seeded relabelled graphs of order 8 to 10 with a twin pair,
+        each with its distances and its table."""
+        rng = Random(seed)
+        for _ in range(60):
+            g = shuffled(rng, random_twinned_graph(rng, rng.randint(8, 10)))
+            dm, tp = all_pairs_distances(g), twin_partition(g)
+            if tp.pair_classes:
+                mr = major_vertex_report(g, dm)
+                yield dm, tp, Table(symmetry_swap_masks(g, tp), mr.legs, tp.classes)
+
+    def test_md_hands_no_larger_twin_to_bound(self, monkeypatch):
+        # the free ids of the context, which every frame walks: in
+        # multiset mode neither twin of a pair, and in ordered mode no
+        # member of a class but the largest
+        contexts, bound = [], search._bound
+
+        def recording(*args):
+            contexts.append(args[-1])
+            return bound(*args)
+
+        monkeypatch.setattr(search, "_bound", recording)
+        walked = 0
+        for dm, tp, table in self.twinned_searches(34):
+            for ordered in (False, True):
+                del contexts[:]
+                least = level_search(dm, ordered, table)
+                for k in range(1, dm.n + 1):
+                    least(k)
+                free = {x for ctx in contexts for x in ctx[2]}
+                for cls in tp.classes:
+                    out = cls[:-1] if ordered or len(cls) == 1 else cls
+                    assert not free & set(out), (cls, free)
+                walked += bool(contexts)
+        # all 108 searches open a frame
+        assert walked >= 100
+
+    def test_no_set_below_the_forced_ids(self):
+        # a size smaller than the forced ids holds no set, in both modes
+        searched = 0
+        for dm, tp, table in self.twinned_searches(35):
+            fixed = sum(map(len, tp.classes)) - len(tp.classes)
+            for ordered in (False, True):
+                least = level_search(dm, ordered, table)
+                assert [least(k) for k in range(1, fixed)] == [None] * (fixed - 1)
+            searched += fixed > 1
+        # 49 of the 55 graphs force two ids or more
+        assert searched >= 40
+
+    def test_forced_set_alone(self):
+        # at exactly as many landmarks as forced ids, the least set is the
+        # forced set when that resolves, and None otherwise
+        resolved = refused = 0
+        for dm, tp, table in self.twinned_searches(36):
+            forced = tuple(sorted(x for cls in tp.classes for x in cls[:-1]))
+            checks = ((False, is_m_resolving), (True, is_metric_resolving))
+            for ordered, check in checks:
+                w = level_search(dm, ordered, table)(len(forced))
+                if check(dm, forced).resolving:
+                    assert w == forced, (forced, w)
+                    resolved += 1
+                else:
+                    assert w is None, (forced, w)
+                    refused += 1
+        # 13 forced sets resolve and 91 do not
+        assert resolved >= 10 and refused >= 70
 
 
 def random_recursive_tree(rng: Random, n: int):
